@@ -291,6 +291,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _word_length(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     ap = _Parser(prog="cuspedzeta",
                  description="Twisted Alexander invariants and Ruelle zeta "
@@ -313,7 +323,7 @@ def _build_parser() -> _Parser:
     ssub = p.add_subparsers(dest="subcommand", required=True)
     pe = with_output(ssub.add_parser("enumerate"))
     pe.add_argument("matrices")
-    pe.add_argument("--max-word-len", type=int, required=True)
+    pe.add_argument("--max-word-len", type=_word_length, required=True)
     pe.add_argument("--cutoff", type=float, required=True)
     pe.add_argument("--complete", action="store_true",
                     help="assert completeness up to the cutoff")

@@ -122,6 +122,11 @@ def plancherel_trace(j: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Epstein L-function
 
+# rounding level of a block sum relative to its size: up to 2.5e5
+# terms, and the terms of an oscillating character cancel
+AITKEN_NOISE = 1e-12
+
+
 def _epstein_block(lat: Lattice2D, chi: LatticeCharacter, s: complex, k: int,
                    grid_cache: dict) -> complex:
     """Character-weighted sum over 0 < max(|m|,|n|) <= k, vectorized."""
@@ -185,7 +190,10 @@ def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex,
     f1, f2, f3 = (value_at(k) for k in
                   (base_shells, 2 * base_shells, 4 * base_shells))
     denom = (f3 - f2) - (f2 - f1)
-    if denom == 0:
+    # a denominator within the rounding of the block sums carries no
+    # convergence information; this happens for a real character at
+    # real s, where the three sums agree to rounding
+    if abs(denom) <= AITKEN_NOISE * (abs(f1) + abs(f2) + abs(f3)):
         return f3
     return f3 - (f3 - f2) ** 2 / denom
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .errors import (PoleEvaluation, QuadratureFailure, RealAlpha,
                      UnsupportedAtom)
 
@@ -289,6 +287,8 @@ def quadrature_lprime(f, z: complex, tol: float = 1e-10,
     are removed from f on (0, 1] and replaced by the Gamma-regularized
     closed form there (the continuation the transform is defined by).
     """
+    from scipy.integrate import quad  # slow import, needed only here
+
     z = complex(z)
     if z.real <= 0:
         raise QuadratureFailure("kernel requires Re z > 0")

@@ -1,10 +1,13 @@
 """Geodesic length spectra from Moebius-matrix generators.
 
-Conjugacy classes of loxodromic elements are enumerated by word search,
-deduplicated by canonical cyclic words plus trace clustering, and
-carried with complex length (l, theta), character value, and
-multiplicity data.  Orientation convention: a class and its inverse are
-kept as two classes (the Euler product runs over oriented geodesics).
+Conjugacy classes of loxodromic elements are enumerated as cyclically
+reduced necklaces (``words.necklace_walk``), one canonical word per free
+conjugacy class, with the matrix product carried down the walk; classes
+that are conjugate in the group but not freely are merged by trace
+clustering.  Each class carries its complex length (l, theta),
+character value, and multiplicity data.  Orientation convention: a
+class and its inverse are kept as two classes (the Euler product runs
+over oriented geodesics).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class MoebiusMatrix:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def check_normalized(self):
-        if abs(self.det - 1) > DET_TOL:
+    def check_normalized(self, tol: float = DET_TOL):
+        if abs(self.det - 1) > tol:
             raise ValueError(f"matrix determinant {self.det} is not 1")
         return self
 
@@ -77,8 +80,11 @@ def _canonical_angle(theta: float) -> float:
 
 
 def classify(m: MoebiusMatrix) -> ElementType:
-    """Element type from the trace: tr = +-2 cosh((l + i theta)/2)."""
-    m.check_normalized()
+    """Element type from the trace: tr = +-2 cosh((l + i theta)/2).
+
+    The determinant check allows the rounding of a.d - b.c, which grows
+    with |a.d| + |b.c| on long word products."""
+    m.check_normalized(DET_TOL * max(1.0, abs(m.a * m.d) + abs(m.b * m.c)))
     tr = m.trace
     if abs(tr.imag) <= TRACE_TOL and abs(tr.real) <= 2 + TRACE_TOL:
         if abs(abs(tr.real) - 2) <= TRACE_TOL:
@@ -157,7 +163,7 @@ def _power_root(cls_lth, primitives):
     for p in primitives:
         k = round(length / p.length)
         if k < 2:
-            continue
+            break  # primitives ascend in length, so k only falls from here
         if abs(length - k * p.length) > 1e-6:
             continue
         if abs(_canonical_angle(theta - k * p.holonomy)) > 1e-6:
@@ -175,7 +181,8 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     geodesic-length cutoffs.
 
     Completeness is only relative to max_word_len; the flag is a caller
-    assertion, recorded in the metadata.
+    assertion, recorded in the metadata.  A max_word_len below 1 raises
+    ValueError.
     """
     gens = [g.check_normalized() for g in gens]
     if len(rho_values) != len(gens):
@@ -185,39 +192,23 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
         mats[(i, 1)] = g
         mats[(i, -1)] = g.inverse()
 
-    seen_canonical: set[GroupWord] = set()
     found = []  # (canonical word, trace_key, length, theta, char)
-
-    def visit(word: GroupWord):
-        canon = W.canonical_conjugacy_form(word)
-        if not canon or canon in seen_canonical:
-            return
-        seen_canonical.add(canon)
-        m = None
-        for l in canon:
-            m = mats[l] if m is None else m @ mats[l]
+    # prods[n] is the product of the last walked word of length n,
+    # accumulated left to right as the walk descends
+    prods = [None] * (max_word_len + 1)
+    for word, is_class in W.necklace_walk(len(gens), max_word_len):
+        n = len(word)
+        m = mats[word[-1]] if n == 1 else prods[n - 1] @ mats[word[-1]]
+        prods[n] = m
+        if not is_class:
+            continue
         et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
         if et.kind != "loxodromic" or et.length > cutoff_length:
-            return
+            continue
         char = 1 + 0j
-        for g, e in canon:
+        for g, e in word:
             char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
-        found.append((canon, _trace_key(m.trace), et.length, et.holonomy, char))
-
-    # depth-first over freely reduced words
-    letters = list(mats.keys())
-
-    def extend(word, depth):
-        visit(word)
-        if depth == max_word_len:
-            return
-        for l in letters:
-            if word and word[-1] == (l[0], -l[1]):
-                continue
-            extend(word + (l,), depth + 1)
-
-    for l in letters:
-        extend((l,), 1)
+        found.append((word, _trace_key(m.trace), et.length, et.holonomy, char))
 
     # merge words that are conjugate in the group but not freely
     # conjugate.  The trace cannot separate a class from its inverse, so

@@ -46,16 +46,6 @@ def concat(*words: GroupWord) -> GroupWord:
     return free_reduce(letters)
 
 
-def power(word: GroupWord, k: int) -> GroupWord:
-    if k < 0:
-        return power(inverse(word), -k)
-    return free_reduce([l for _ in range(k) for l in word])
-
-
-def is_freely_reduced(word: GroupWord) -> bool:
-    return free_reduce(word) == tuple(word)
-
-
 def cyclic_rotations(word: GroupWord):
     for i in range(max(1, len(word))):
         yield word[i:] + word[:i]
@@ -70,15 +60,38 @@ def canonical_conjugacy_form(word: GroupWord) -> GroupWord:
     return min(cyclic_rotations(w))
 
 
-def word_period(word: GroupWord) -> int:
-    """Largest k such that the cyclic word is a k-fold repetition."""
-    n = len(word)
-    if n == 0:
-        return 1
-    for p in range(1, n + 1):
-        if n % p == 0 and word == word[:p] * (n // p):
-            return n // p
-    return 1
+def necklace_walk(n_generators: int, max_len: int):
+    """Depth-first walk over the freely reduced prenecklaces of length
+    1..max_len: the Fredricksen-Kessler-Maiorana recursion with the
+    letters in ``sorted`` order and the inverse of the previous letter
+    skipped.
+
+    Yields ``(word, is_class)`` for every prenecklace.  ``is_class``
+    marks the words that are their own ``canonical_conjugacy_form``
+    (the length is a multiple of the longest Lyndon prefix, and the
+    last letter does not cancel the first), so each free conjugacy
+    class of cyclically reduced length <= max_len is marked exactly
+    once.  The walk is in pre-order: a word's prefix one letter shorter
+    is the last word yielded at that length, so a caller can carry a
+    running product in a list indexed by length.
+    """
+    if max_len < 1:
+        raise ValueError(f"maximum word length {max_len} is below 1")
+    letters = sorted((g, e) for g in range(n_generators) for e in (-1, 1))
+    # letter i and letter i ^ 1 are mutually inverse: (g, -1) < (g, 1)
+    # stack entries: (letter indices, word, longest Lyndon prefix length)
+    stack = [((i,), (letters[i],), 1) for i in reversed(range(len(letters)))]
+    while stack:
+        idx, word, p = stack.pop()
+        n = len(idx)
+        yield word, n % p == 0 and idx[0] != idx[-1] ^ 1
+        if n == max_len:
+            continue
+        ref = idx[n - p]
+        for j in reversed(range(ref, len(letters))):
+            if j != idx[-1] ^ 1:
+                stack.append((idx + (j,), word + (letters[j],),
+                              p if j == ref else n + 1))
 
 
 def parse_letters(text: str, n_generators: int, names=None,

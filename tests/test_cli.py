@@ -2,6 +2,9 @@
 byte-level output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,12 @@ def test_usage_errors_exit_64(capsys):
     assert invoke(capsys, "bogus-command")[0] == EX_USAGE
     assert invoke(capsys, "spectrum")[0] == EX_USAGE
     assert invoke(capsys, "spectrum", "enumerate", "x.json")[0] == EX_USAGE
+    for n in ("0", "-1"):
+        code, _, err = invoke(capsys, "spectrum", "enumerate",
+                              str(FIXTURES / "fig8_matrices.json"),
+                              "--max-word-len", n, "--cutoff", "3")
+        assert code == EX_USAGE
+        assert "--max-word-len: must be at least 1" in err
 
 
 def test_invalid_input_exits_65(capsys):
@@ -150,3 +159,22 @@ def test_spectrum_enumerate_matches_fixture(capsys, tmp_path):
                         "--complete", "-o", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
+
+
+def test_spectrum_enumerate_word_length_12(capsys):
+    # long word products round a.d - b.c beyond an absolute 1e-12
+    code, out, _ = invoke(capsys, "spectrum", "enumerate",
+                          str(FIXTURES / "fig8_matrices.json"),
+                          "--max-word-len", "12", "--cutoff", "4")
+    assert code == 0
+    assert out.startswith("# cutoff=4 ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, cuspedzeta.cli; print('scipy' in sys.modules)"],
+                       capture_output=True, text=True, env=env, check=True)
+    assert r.stdout.strip() == "False"

@@ -194,3 +194,11 @@ def test_character_values():
     assert not SIGN.is_trivial
     assert abs(SIGN.value(3, 2) - (-1.0)) < 1e-15
     assert abs(SIGN.value(2, 5) - 1.0) < 1e-15
+
+
+def test_epstein_real_character_at_real_s_is_real():
+    # the three block sums agree to rounding here, so the Aitken
+    # denominator is noise and must not be divided by
+    got = epstein(SQ, SIGN, 1.316485)
+    assert abs(got.imag) < 1e-12
+    assert abs(got.real - (-0.64208403242631)) < 1e-12

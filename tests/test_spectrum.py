@@ -3,6 +3,8 @@
 import cmath
 import math
 import random
+import warnings
+from collections import Counter
 
 import pytest
 
@@ -37,6 +39,17 @@ def test_classification_basics():
     assert lox.kind == "loxodromic"
     assert abs(lox.length - 2 * math.log(2)) < 1e-12
     assert abs(lox.holonomy) < 1e-12
+
+
+def test_classification_of_long_word_products():
+    # |a d| + |b c| is about 6.5e3 here and a d - b c rounds to
+    # 1 + 1.4e-12 after normalization
+    a, b = figure_eight_generators()
+    mats = {(0, 1): a, (0, -1): a.inverse(), (1, 1): b, (1, -1): b.inverse()}
+    m = mats[(0, -1)]
+    for l in W.parse_letters("Abbaababaab", 2):
+        m = m @ mats[l]
+    assert classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d)).kind == "loxodromic"
 
 
 def test_length_and_holonomy_from_eigenvalue():
@@ -124,9 +137,88 @@ def test_enumeration_is_deterministic():
            [(c.word, c.length, c.char_value) for c in b.classes]
 
 
+def test_max_word_len_below_one_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_classes(figure_eight_generators(), [1.0, 1.0],
+                              max_word_len=n, cutoff_length=3.0)
+
+
 def test_character_weights_are_unit_modulus(fig8):
     for c in fig8.classes:
         assert abs(abs(c.char_value) - 1) < 1e-12
+
+
+# --- necklace walk ---------------------------------------------------------
+
+def _necklace_count(n):
+    """Free conjugacy classes of cyclically reduced length n in F_2, by
+    Burnside over the n rotations: the cyclically reduced words of
+    length d number tr(A^d) = 3^d + 1 + (1 + (-1)^d), A the 4x4
+    letter-may-follow-letter matrix, of eigenvalues 3, 1, 1, -1."""
+    def phi(k):
+        return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+    total = sum(phi(n // d) * (3 ** d + 1 + (1 + (-1) ** d))
+                for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+def test_necklace_counts_match_closed_form():
+    want = [4, 8, 12, 26, 52, 132, 316, 836, 2196, 5936]
+    assert [_necklace_count(n) for n in range(1, 11)] == want
+    got = Counter(len(w) for w, is_class in W.necklace_walk(2, 10) if is_class)
+    assert [got[n] for n in range(1, 11)] == want
+
+
+def test_necklaces_are_the_canonical_forms_of_reduced_words():
+    letters = sorted((g, e) for g in range(2) for e in (-1, 1))
+    level, canon = [()], set()
+    for _ in range(7):
+        level = [w + (l,) for w in level for l in letters
+                 if not w or w[-1] != (l[0], -l[1])]
+        canon |= {W.canonical_conjugacy_form(w) for w in level}
+    canon.discard(())
+    classes = [w for w, is_class in W.necklace_walk(2, 7) if is_class]
+    assert len(classes) == len(set(classes))
+    assert set(classes) == canon
+
+
+def _reduced_word_walk(n_generators, max_len):
+    """The word search the necklace walk replaced: every freely reduced
+    word, depth first, canonicalized one by one."""
+    letters = sorted((g, e) for g in range(n_generators) for e in (-1, 1))
+
+    def extend(word):
+        yield word, W.canonical_conjugacy_form(word) == word
+        if len(word) < max_len:
+            for l in letters:
+                if word[-1] != (l[0], -l[1]):
+                    yield from extend(word + (l,))
+
+    for l in letters:
+        yield from extend((l,))
+
+
+@pytest.mark.parametrize("rho", [
+    (cmath.exp(0.4j * math.pi), cmath.exp(0.4j * math.pi)),
+    (cmath.exp(0.8j * math.pi), cmath.exp(2j * math.pi / 3)),
+    (1j, -1.0 + 0j),
+    (cmath.exp(0.7j), cmath.exp(-2.1j)),
+])
+def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
+    gens = figure_eight_generators()
+
+    def run(max_word_len, cutoff):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp = enumerate_classes(gens, list(rho), max_word_len, cutoff)
+        return sp, [str(w.message) for w in caught]
+
+    cases = [(3, 4.0), (6, 3.0), (8, 3.5)]
+    fast = [run(*c) for c in cases]
+    monkeypatch.setattr(W, "necklace_walk", _reduced_word_walk)
+    assert [run(*c) for c in cases] == fast
 
 
 # --- persistence -----------------------------------------------------------
