@@ -21,7 +21,7 @@ from .errors import (ConvergenceRegionError, CuspedZetaError,
                      DiscretenessSuspect, ExtrapolationUnstable, FormatError,
                      HypothesisNotMet, InconsistentInput, NotTorsion,
                      PoleEvaluation, PoleOnAxis,
-                     PresentationSyntaxError, QuadratureFailure, RealAlpha,
+                     PresentationSyntaxError, QuadratureFailure,
                      UnsupportedAtom, ValidationError)
 from .laplace import (HeatAtom, MeroSum, digamma, evaluate, lprime_closed,
                       mero_from_json, mero_to_json, quadrature_lprime,
@@ -37,6 +37,6 @@ from .spectrum import (GeodesicClass, MoebiusMatrix, Spectrum, classify,
                        enumerate_classes, figure_eight_generators,
                        load_spectrum, save_spectrum)
 from .verdict import (Report, l2_betti, main_conjecture_report,
-                      report_json_bytes, ruelle_order_prediction)
+                      ruelle_order_prediction)
 
 __version__ = "0.1.0"

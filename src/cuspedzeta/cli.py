@@ -9,9 +9,9 @@ uses 0/2/3 for the report verdict.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
-import os
 import sys
 
 from . import cuspterms, laplace, ruelle, spectrum, verdict
@@ -19,8 +19,8 @@ from .alexander import alexander_invariant, twisted_betti
 from .errors import (ConvergenceRegionError, CuspedZetaError,
                      ExtrapolationUnstable, FormatError, NotTorsion,
                      PoleEvaluation, PoleOnAxis, PresentationSyntaxError,
-                     QuadratureFailure, RealAlpha, UnsupportedAtom,
-                     ValidationError)
+                     QuadratureFailure, UnsupportedAtom, ValidationError)
+from .laplace import mero_to_json
 from .laurent import format_poly
 from .presentation import parse_presentation, peripheral_trivial
 
@@ -29,14 +29,9 @@ EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 _INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
-                 PoleOnAxis, json.JSONDecodeError)
+                 PoleOnAxis, UnicodeDecodeError)
 _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
-                   PoleEvaluation, RealAlpha, UnsupportedAtom,
-                   ExtrapolationUnstable)
-
-
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
+                   PoleEvaluation, UnsupportedAtom, ExtrapolationUnstable)
 
 
 def _jdump(obj, out):
@@ -57,24 +52,9 @@ def _jdump(obj, out):
         if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
             return json.dumps(o)
         if isinstance(o, float):
-            return _fmt_float(o)
+            return format(o, ".17g")
         raise TypeError(f"not JSON-serializable: {type(o)}")
     out.write(emit(obj, 0) + "\n")
-
-
-def threads() -> int:
-    """Worker-count hint from CUSPED_ZETA_THREADS; results never depend
-    on it (all reductions are deterministic)."""
-    raw = os.environ.get("CUSPED_ZETA_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(["CUSPED_ZETA_THREADS must be an integer"])
-    if n < 1:
-        raise ValidationError(["CUSPED_ZETA_THREADS must be at least 1"])
-    return n
 
 
 def _read(path: str) -> str:
@@ -86,27 +66,75 @@ def _load_presentation(path: str):
     return parse_presentation(_read(path))
 
 
+# JSON inputs: every error names the file and the key path, e.g.
+# "m.json: generators[0][1] must be an [re, im] pair"
+
+def _json_object(path: str, required: tuple, optional: tuple) -> dict:
+    """The JSON object in `path`, holding every key of `required` and no
+    key outside `required` and `optional`."""
+    try:
+        d = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    for key in d:
+        if key not in required and key not in optional:
+            raise ValidationError(f"{path}: unknown key {key!r}")
+    for key in required:
+        if key not in d:
+            raise ValidationError(f"{path}: missing key {key!r}")
+    return d
+
+
+def _real(v, where: str) -> float:
+    try:
+        if not isinstance(v, bool) and math.isfinite(v):
+            return float(v)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        pass
+    raise ValidationError(f"{where} must be a finite number")
+
+
+def _pair(v, where: str) -> complex:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValidationError(f"{where} must be an [re, im] pair")
+    return complex(_real(v[0], f"{where}[0]"), _real(v[1], f"{where}[1]"))
+
+
+def _pairs(v, where: str, count: int | None = None) -> list:
+    if not isinstance(v, list) or count is not None and len(v) != count:
+        size = f"{count} " if count else ""
+        raise ValidationError(f"{where} must be a list of {size}[re, im] pairs")
+    return [_pair(p, f"{where}[{i}]") for i, p in enumerate(v)]
+
+
 def _load_matrices(path: str):
-    d = json.loads(_read(path))
-    gens = [spectrum.MoebiusMatrix(*(complex(p[0], p[1]) for p in g))
-            for g in d["generators"]]
-    rho = [complex(p[0], p[1]) for p in d.get(
-        "rho", [[1.0, 0.0]] * len(gens))]
-    return gens, rho, float(d.get("covolume", 1.0)), float(d.get("volume", 1.0))
+    d = _json_object(path, ("generators",), ("rho", "covolume", "volume"))
+    if not isinstance(d["generators"], list):
+        raise ValidationError(f"{path}: generators must be a list of matrices")
+    gens = [spectrum.MoebiusMatrix(*_pairs(g, f"{path}: generators[{i}]", 4))
+            for i, g in enumerate(d["generators"])]
+    rho = _pairs(d["rho"], f"{path}: rho") if "rho" in d else [1 + 0j] * len(gens)
+    return (gens, rho, _real(d.get("covolume", 1.0), f"{path}: covolume"),
+            _real(d.get("volume", 1.0), f"{path}: volume"))
 
 
 def _load_lattice(path: str):
-    d = json.loads(_read(path))
-    lat = cuspterms.Lattice2D(complex(d["b1"][0], d["b1"][1]),
-                              complex(d["b2"][0], d["b2"][1]))
-    chi_raw = d.get("chi", [[1.0, 0.0], [1.0, 0.0]])
-    chi = cuspterms.LatticeCharacter(complex(chi_raw[0][0], chi_raw[0][1]),
-                                     complex(chi_raw[1][0], chi_raw[1][1]))
-    return lat, chi
+    d = _json_object(path, ("b1", "b2"), ("chi",))
+    lat = cuspterms.Lattice2D(_pair(d["b1"], f"{path}: b1"),
+                              _pair(d["b2"], f"{path}: b2"))
+    chi = [1 + 0j] * 2 if "chi" not in d else _pairs(d["chi"], f"{path}: chi", 2)
+    return lat, cuspterms.LatticeCharacter(*chi)
 
 
-def _mero_json(m: laplace.MeroSum) -> dict:
-    return laplace.mero_to_json(m)
+def _load_poles(path: str):
+    d = _json_object(path, (), ("poles0", "poles1", "c0", "c1"))
+    return cuspterms.ScatteringPoles(
+        tuple(_pairs(d.get("poles0", []), f"{path}: poles0")),
+        tuple(_pairs(d.get("poles1", []), f"{path}: poles1")),
+        _real(d.get("c0", 0.0), f"{path}: c0"),
+        _real(d.get("c1", 0.0), f"{path}: c1"))
 
 
 def _complex_json(z: complex):
@@ -146,25 +174,13 @@ def _cmd_spectrum_enumerate(args, out):
         gens, rho, max_word_len=args.max_word_len,
         cutoff_length=args.cutoff, covolume=covolume, volume=volume,
         complete=args.complete)
-    from .words import format_letters
-    lines = [f"# cutoff={_fmt_float(sp.cutoff_length)} "
-             f"covolume={_fmt_float(sp.lattice_covolume)} "
-             f"volume={_fmt_float(sp.volume)}",
-             f"# max_word_len={sp.max_word_len} "
-             f"complete={1 if sp.complete else 0}"]
-    for c in sp.classes:
-        lines.append(",".join([
-            _fmt_float(c.length), _fmt_float(c.holonomy),
-            _fmt_float(c.char_value.real), _fmt_float(c.char_value.imag),
-            _fmt_float(c.primitive_length), str(c.multiplicity),
-            format_letters(c.word)]))
-    out.write("\n".join(lines) + "\n")
+    out.write(spectrum.format_spectrum(sp))
     return 0
 
 
 def _cmd_ruelle_eval(args, out):
     sp = spectrum.load_spectrum(args.spectrum)
-    rep = ruelle.euler_product(sp, complex(args.z))
+    rep = ruelle.euler_product(sp, args.z)
     _jdump({"tailBound": rep.tail_bound, "termsUsed": rep.terms_used,
             "value": _complex_json(rep.value)}, out)
     return 0
@@ -172,9 +188,8 @@ def _cmd_ruelle_eval(args, out):
 
 def _cmd_fried_check(args, out):
     sp = spectrum.load_spectrum(args.spectrum)
-    z = complex(args.z)
-    residual = ruelle.fried_residual(sp, z)
-    tail = ruelle.euler_product(sp, z).tail_bound
+    residual = ruelle.fried_residual(sp, args.z)
+    tail = ruelle.euler_product(sp, args.z).tail_bound
     _jdump({"residual": residual, "tailBound": tail,
             "withinBound": residual <= tail + 1e-12}, out)
     return 0
@@ -183,25 +198,24 @@ def _cmd_fried_check(args, out):
 def _cmd_terms(args, out):
     if args.term == "identity":
         m0, m1 = cuspterms.identity_lprime(args.vol)
-        _jdump({"M0": _mero_json(m0), "M1": _mero_json(m1)}, out)
+        _jdump({"M0": mero_to_json(m0), "M1": mero_to_json(m1)}, out)
     elif args.term == "unipotent":
         if args.trivial:
             case = cuspterms.TrivialRestriction()
         else:
             if args.covolume is None or args.c_rho is None:
                 raise ValidationError(
-                    ["unipotent terms need --trivial or both --covolume and --c-rho"])
+                    "unipotent terms need --trivial or both --covolume and --c-rho")
             case = cuspterms.NontrivialRestriction(args.covolume, args.c_rho)
         u0, u1, comb = cuspterms.unipotent_lprime(case)
-        _jdump({"U0shifted": _mero_json(u0), "U1": _mero_json(u1),
-                "combination": _mero_json(comb),
+        _jdump({"U0shifted": mero_to_json(u0), "U1": mero_to_json(u1),
+                "combination": mero_to_json(comb),
                 "combinationIsZero": comb.is_zero()}, out)
     elif args.term == "threshold":
-        _jdump(_mero_json(cuspterms.threshold_lprime()), out)
+        _jdump(mero_to_json(cuspterms.threshold_lprime()), out)
     else:  # scattering
-        poles = cuspterms.ScatteringPoles.from_json(json.loads(_read(args.poles)))
-        s0, s1 = cuspterms.scattering_lprime(poles)
-        _jdump({"S0shifted": _mero_json(s0), "S1": _mero_json(s1)}, out)
+        s0, s1 = cuspterms.scattering_lprime(_load_poles(args.poles))
+        _jdump({"S0shifted": mero_to_json(s0), "S1": mero_to_json(s1)}, out)
     return 0
 
 
@@ -211,7 +225,7 @@ def _cmd_epstein(args, out):
         res, const = cuspterms.epstein_residue_and_constant(lat, chi)
         _jdump({"constant": complex(const).real, "residue": res}, out)
     else:
-        v = cuspterms.epstein(lat, chi, complex(args.s))
+        v = cuspterms.epstein(lat, chi, args.s)
         _jdump({"value": _complex_json(v)}, out)
     return 0
 
@@ -291,6 +305,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _finite(parse, positive: bool = False):
+    """argparse type: a finite value read by `parse` (float or complex),
+    and above zero if `positive`."""
+    def convert(text: str):
+        try:
+            v = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}")
+        if not cmath.isfinite(v):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if positive and not v > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return v
+    return convert
+
+
 def _word_length(text: str) -> int:
     try:
         n = int(text)
@@ -324,7 +355,7 @@ def _build_parser() -> _Parser:
     pe = with_output(ssub.add_parser("enumerate"))
     pe.add_argument("matrices")
     pe.add_argument("--max-word-len", type=_word_length, required=True)
-    pe.add_argument("--cutoff", type=float, required=True)
+    pe.add_argument("--cutoff", type=_finite(float), required=True)
     pe.add_argument("--complete", action="store_true",
                     help="assert completeness up to the cutoff")
     pe.set_defaults(func=_cmd_spectrum_enumerate)
@@ -333,14 +364,14 @@ def _build_parser() -> _Parser:
     rsub = p.add_subparsers(dest="subcommand", required=True)
     pr = with_output(rsub.add_parser("eval"))
     pr.add_argument("spectrum")
-    pr.add_argument("--z", required=True)
+    pr.add_argument("--z", type=_finite(complex), required=True)
     pr.set_defaults(func=_cmd_ruelle_eval)
 
     p = sub.add_parser("fried", help="factorization checks")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     pf = with_output(fsub.add_parser("check"))
     pf.add_argument("spectrum")
-    pf.add_argument("--z", required=True)
+    pf.add_argument("--z", type=_finite(complex), required=True)
     pf.set_defaults(func=_cmd_fried_check)
 
     p = with_output(sub.add_parser("terms", help="trace-formula terms"))
@@ -348,15 +379,15 @@ def _build_parser() -> _Parser:
                                     "scattering"])
     p.add_argument("poles", nargs="?",
                    help="scattering poles JSON (scattering only)")
-    p.add_argument("--vol", type=float, default=1.0)
-    p.add_argument("--covolume", type=float)
-    p.add_argument("--c-rho", type=float, dest="c_rho")
+    p.add_argument("--vol", type=_finite(float, positive=True), default=1.0)
+    p.add_argument("--covolume", type=_finite(float))
+    p.add_argument("--c-rho", type=_finite(float), dest="c_rho")
     p.add_argument("--trivial", action="store_true")
     p.set_defaults(func=_cmd_terms)
 
     p = with_output(sub.add_parser("epstein", help="lattice L-function"))
     p.add_argument("lattice")
-    p.add_argument("--s", default="1.0")
+    p.add_argument("--s", type=_finite(complex), default="1.0")
     p.add_argument("--residue", action="store_true",
                    help="residue and constant term at s=0 instead of a value")
     p.set_defaults(func=_cmd_epstein)
@@ -377,15 +408,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
-        threads()  # validate the env knob early
         if args.command == "terms" and args.term == "scattering" \
                 and not args.poles:
-            raise ValidationError(["scattering needs a poles JSON file"])
+            raise ValidationError("scattering needs a poles JSON file")
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as out:
                 return args.func(args, out)
         return args.func(args, sys.stdout)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"cuspedzeta: {exc}\n")
         return EX_DATAERR
     except _INPUT_ERRORS as exc:

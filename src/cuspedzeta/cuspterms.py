@@ -29,14 +29,11 @@ class Lattice2D:
 
     def __post_init__(self):
         if self.covolume <= 0:
-            raise ValidationError(["lattice basis is linearly dependent over the reals"])
+            raise ValidationError("lattice basis is linearly dependent over the reals")
 
     @property
     def covolume(self) -> float:
         return abs((self.b1.conjugate() * self.b2).imag)
-
-    def vector(self, m: int, n: int) -> complex:
-        return m * self.b1 + n * self.b2
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class LatticeCharacter:
 
     def __post_init__(self):
         if abs(abs(self.v1) - 1) > 1e-12 or abs(abs(self.v2) - 1) > 1e-12:
-            raise ValidationError(["lattice character values must lie on the unit circle"])
+            raise ValidationError("lattice character values must lie on the unit circle")
 
     @property
     def is_trivial(self) -> bool:
@@ -67,17 +64,6 @@ class ScatteringPoles:
         for p in tuple(self.poles_sigma0) + tuple(self.poles_sigma1):
             if complex(p).real == 0:
                 raise PoleOnAxis(f"scattering pole {p} lies on the imaginary axis")
-
-    def to_json(self) -> dict:
-        return {"c0": self.c0, "c1": self.c1,
-                "poles0": [[complex(p).real, complex(p).imag] for p in self.poles_sigma0],
-                "poles1": [[complex(p).real, complex(p).imag] for p in self.poles_sigma1]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ScatteringPoles":
-        return cls(tuple(complex(p[0], p[1]) for p in d.get("poles0", [])),
-                   tuple(complex(p[0], p[1]) for p in d.get("poles1", [])),
-                   float(d.get("c0", 0.0)), float(d.get("c1", 0.0)))
 
 
 # ---------------------------------------------------------------------------

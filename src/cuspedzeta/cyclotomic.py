@@ -123,9 +123,6 @@ class CyclotomicNumber:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
     # arithmetic ------------------------------------------------------
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
@@ -201,11 +198,6 @@ class CyclotomicNumber:
     def to_complex(self) -> complex:
         z = cmath.exp(2j * math.pi / self.n)
         return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (PoleEvaluation, QuadratureFailure, RealAlpha,
-                     UnsupportedAtom)
+from .errors import PoleEvaluation, QuadratureFailure, UnsupportedAtom
 
 # ---------------------------------------------------------------------------
 # digamma
@@ -358,16 +357,6 @@ def spectral_lprime(eigen0, eigen1):
         poles0.append((1 - s, 1))
     l0 = MeroSum.build(poles=poles0)
     return l0, l1
-
-
-def contour_kernel(z: float, alpha: complex) -> complex:
-    """sgn(Im alpha) pi i / (z (z - sgn(Im alpha) i alpha)); equals the
-    real-axis integral of 1/((lam^2 + z^2)(lam - alpha))."""
-    alpha = complex(alpha)
-    if alpha.imag == 0:
-        raise RealAlpha("alpha on the real axis puts a pole on the contour")
-    sgn = 1 if alpha.imag > 0 else -1
-    return sgn * math.pi * 1j / (z * (z - sgn * 1j * alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        return LaurentPoly(self.n, self.low + k, self.coeffs)
-
     def divmod(self, other):
         """a = q*b + r with span(r) < span(b)."""
         if other.is_zero():
@@ -186,18 +182,6 @@ class LaurentPoly:
         for c in self.coeffs:
             total = total + c
         return total
-
-    def eval_complex(self, t: complex) -> complex:
-        return sum(c.to_complex() * t ** (self.low + i)
-                   for i, c in enumerate(self.coeffs))
-
-    def derivative(self):
-        cs = []
-        low = self.low - 1
-        for i, c in enumerate(self.coeffs):
-            k = self.low + i
-            cs.append(c * k)
-        return LaurentPoly(self.n, low, cs)
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):
@@ -260,16 +244,6 @@ class LaurentMatrix:
         for i in range(size):
             m.entries[i][i] = LaurentPoly.one(n)
         return m
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def copy(self):
-        return LaurentMatrix(self.n, self.entries)
-
-    def transpose(self):
-        return LaurentMatrix(self.n, [[self.entries[i][j] for i in range(self.rows)]
-                                      for j in range(self.cols)])
 
     def matmul(self, other):
         if self.cols != other.rows:

@@ -51,10 +51,6 @@ class UnitCharacter:
     def value(self, word: GroupWord) -> CyclotomicNumber:
         return CyclotomicNumber.zeta_power(self.modulus, self.exponent_of(word))
 
-    def complex_value(self, word: GroupWord) -> complex:
-        import cmath
-        return cmath.exp(2j * math.pi * self.exponent_of(word) / self.modulus)
-
     def is_trivial_on(self, word: GroupWord) -> bool:
         return self.exponent_of(word) == 0
 

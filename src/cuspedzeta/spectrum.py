@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import DiscretenessSuspect, FormatError
+from .errors import DiscretenessSuspect, FormatError, ValidationError
 from .words import GroupWord
 
 TRACE_TOL = 1e-9
@@ -182,11 +182,15 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
 
     Completeness is only relative to max_word_len; the flag is a caller
     assertion, recorded in the metadata.  A max_word_len below 1 raises
-    ValueError.
+    ValueError; a generator of determinant other than 1, or a character
+    value count other than the generator count, raises ValidationError.
     """
-    gens = [g.check_normalized() for g in gens]
+    for i, g in enumerate(gens):
+        if abs(g.det - 1) > DET_TOL:
+            raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")
     if len(rho_values) != len(gens):
-        raise ValueError("one character value per generator is required")
+        raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
+                              f"{len(gens)} generator(s)")
     mats = {}
     for i, g in enumerate(gens):
         mats[(i, 1)] = g
@@ -264,8 +268,8 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def save_spectrum(s: Spectrum, path):
-    s.validate()
+def format_spectrum(s: Spectrum) -> str:
+    """The CSV text of a spectrum: header comments, then one row per class."""
     lines = [f"# cutoff={_fmt(s.cutoff_length)} covolume={_fmt(s.lattice_covolume)} "
              f"volume={_fmt(s.volume)}"]
     if s.max_word_len is not None or s.complete:
@@ -278,8 +282,13 @@ def save_spectrum(s: Spectrum, path):
             _fmt(c.primitive_length), str(c.multiplicity),
             W.format_letters(c.word),
         ]))
+    return "\n".join(lines) + "\n"
+
+
+def save_spectrum(s: Spectrum, path):
+    s.validate()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_spectrum(s))
 
 
 def load_spectrum(path) -> Spectrum:
@@ -287,8 +296,8 @@ def load_spectrum(path) -> Spectrum:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
         raise FormatError("missing spectrum header", line=1)
-    head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
     try:
+        head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
         cutoff = float(head["cutoff"])
         covolume = float(head["covolume"])
         volume = float(head["volume"])
@@ -298,8 +307,11 @@ def load_spectrum(path) -> Spectrum:
     complete = False
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
-        meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
-        mwl = int(meta.get("max_word_len", -1))
+        try:
+            meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
+            mwl = int(meta.get("max_word_len", -1))
+        except ValueError as exc:
+            raise FormatError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
         complete = meta.get("complete", "0") == "1"
         body_start = 2

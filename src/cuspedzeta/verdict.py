@@ -11,7 +11,6 @@ continuation is attempted.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from .alexander import alexander_invariant, twisted_betti
@@ -110,7 +109,3 @@ def main_conjecture_report(p: GroupPresentation, rho: UnitCharacter,
         alexander_order=data.ord_at_one, corollary_branch=branch,
         inequality_holds=predicted >= rhs,
         equality_expected=data.semisimple_at_one, warnings=warnings)
-
-
-def report_json_bytes(r: Report) -> bytes:
-    return (json.dumps(r.to_json(), sort_keys=True, indent=2) + "\n").encode()

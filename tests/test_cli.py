@@ -55,12 +55,95 @@ def test_computation_errors_exit_70(capsys, tmp_path):
     assert "computation failed" in err
 
 
-def test_bad_thread_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("CUSPED_ZETA_THREADS", "zero")
-    code, _, _ = invoke(capsys, "selftest")
-    assert code == EX_DATAERR
-    monkeypatch.setenv("CUSPED_ZETA_THREADS", "1")
-    assert invoke(capsys, "betti", str(FIXTURES / "fig8.pres"))[0] == 0
+FIG8 = json.loads((FIXTURES / "fig8_matrices.json").read_text())
+SQUARE = json.loads((FIXTURES / "square_lattice.json").read_text())
+ENUM = ["spectrum", "enumerate", "{in}", "--max-word-len", "3", "--cutoff", "3"]
+RUELLE = ["ruelle", "eval", str(FIXTURES / "fig8_spectrum.csv")]
+FRIED = ["fried", "check", str(FIXTURES / "fig8_spectrum.csv")]
+EPSTEIN = ["epstein", str(FIXTURES / "square_lattice.json")]
+
+# (case, input file content or None, argv with "{in}" for that file,
+#  exit code, text the message must hold)
+BAD_INPUTS = [
+    ("det-not-one", dict(FIG8, generators=[[[1, 0], [2, 0], [1, 0], [1, 0]],
+                                           FIG8["generators"][1]]),
+     ENUM, EX_DATAERR, "generators[0]"),
+    ("rho-length", dict(FIG8, rho=[[1, 0]] * 3), ENUM, EX_DATAERR, "rho"),
+    ("missing-generators", {"rho": FIG8["rho"]}, ENUM, EX_DATAERR,
+     "'generators'"),
+    ("unknown-matrix-key", dict(FIG8, gens=[]), ENUM, EX_DATAERR, "'gens'"),
+    ("short-matrix", dict(FIG8, generators=[FIG8["generators"][0],
+                                            FIG8["generators"][1][:3]]),
+     ENUM, EX_DATAERR, "generators[1]"),
+    ("nan-entry", dict(FIG8, generators=[[[float("nan"), 0]] + FIG8["generators"][0][1:],
+                                         FIG8["generators"][1]]),
+     ENUM, EX_DATAERR, "generators[0][0][0]"),
+    ("string-covolume", dict(FIG8, covolume="3.46"), ENUM, EX_DATAERR,
+     "covolume"),
+    ("missing-b2", {"b1": [1, 0]}, ["epstein", "{in}"], EX_DATAERR, "'b2'"),
+    ("chi-length", dict(SQUARE, chi=[[1, 0]] * 3), ["epstein", "{in}"],
+     EX_DATAERR, "chi"),
+    ("dependent-basis", dict(SQUARE, b2=[2, 0]), ["epstein", "{in}"],
+     EX_DATAERR, "linearly dependent"),
+    ("chi-off-circle", dict(SQUARE, chi=[[2, 0], [1, 0]]), ["epstein", "{in}"],
+     EX_DATAERR, "unit circle"),
+    ("lattice-as-poles", SQUARE, ["terms", "scattering", "{in}"], EX_DATAERR,
+     "unknown key 'b1'"),
+    ("infinite-pole", {"poles0": [[float("inf"), 1]]},
+     ["terms", "scattering", "{in}"], EX_DATAERR, "poles0[0][0]"),
+    ("not-an-object", [1, 2], ["epstein", "{in}"], EX_DATAERR,
+     "input: expected a JSON object"),
+    ("not-json", "{b1: 1}", ["epstein", "{in}"], EX_DATAERR,
+     "input: Expecting property name"),
+    ("not-utf8", b"\xff{}", ["epstein", "{in}"], EX_DATAERR, "utf-8"),
+    ("directory", None, ["epstein", str(FIXTURES)], EX_DATAERR,
+     "Is a directory"),
+    ("csv-header-token", "# cutoff=3 covolume=1 volume\n",
+     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 1)"),
+    ("csv-word-length", "# cutoff=3 covolume=1 volume=1\n"
+                        "# max_word_len=x complete=1\n",
+     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
+    ("z-not-a-number", None, RUELLE + ["--z", "abc"], EX_USAGE, "--z"),
+    ("z-nan", None, FRIED + ["--z", "nan"], EX_USAGE, "--z"),
+    ("s-not-a-number", None, EPSTEIN + ["--s", "abc"], EX_USAGE, "--s"),
+    ("s-nan", None, EPSTEIN + ["--s", "nan"], EX_USAGE, "--s"),
+    ("cutoff-inf", FIG8, ENUM[:-1] + ["inf"], EX_USAGE, "--cutoff"),
+    ("cutoff-nan", FIG8, ENUM[:-1] + ["nan"], EX_USAGE, "--cutoff"),
+    ("vol-nan", None, ["terms", "identity", "--vol", "nan"], EX_USAGE,
+     "--vol"),
+    ("vol-negative", None, ["terms", "identity", "--vol=-1"], EX_USAGE,
+     "--vol"),
+    ("covolume-inf", None, ["terms", "unipotent", "--covolume", "inf",
+                            "--c-rho", "1"], EX_USAGE, "--covolume"),
+    ("c-rho-nan", None, ["terms", "unipotent", "--covolume", "1",
+                         "--c-rho", "nan"], EX_USAGE, "--c-rho"),
+    ("unipotent-no-case", None, ["terms", "unipotent"], EX_DATAERR,
+     "--trivial"),
+    ("scattering-no-file", None, ["terms", "scattering"], EX_DATAERR,
+     "poles JSON"),
+]
+
+
+@pytest.mark.parametrize("content,argv,want,needle",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_gives_located_error(capsys, tmp_path, content, argv, want,
+                                       needle):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    # an exception escaping run() is a traceback on the command line;
+    # here it fails the test
+    code, out, err = invoke(capsys, *(a.replace("{in}", str(path)) for a in argv))
+    assert code == want
+    assert out == ""
+    assert "Traceback" not in err
+    assert needle in err
+    assert "['" not in err  # messages are plain strings, not lists
 
 
 # --- subcommand output -----------------------------------------------------

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cuspedzeta.cli import _load_poles
 from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
                                   NontrivialRestriction, ScatteringPoles,
                                   TrivialRestriction, epstein,
@@ -19,6 +20,8 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
 from cuspedzeta.errors import ConvergenceRegionError, PoleOnAxis
 from cuspedzeta.laplace import (MeroSum, digamma, evaluate, quadrature_lprime,
                                 residue_at)
+
+from conftest import FIXTURES
 
 SQ = Lattice2D(1.0 + 0j, 1j)
 TRIV = LatticeCharacter(1.0 + 0j, 1.0 + 0j)
@@ -132,9 +135,9 @@ def test_pole_on_axis_rejected():
         ScatteringPoles(poles_sigma0=(1j,), poles_sigma1=())
 
 
-def test_scattering_json_round_trip():
-    p = _example_poles()
-    assert ScatteringPoles.from_json(p.to_json()) == p
+def test_scattering_poles_file_loads():
+    assert _load_poles(str(FIXTURES / "scattering_example.json")) \
+        == _example_poles()
 
 
 # --- Epstein L-function ----------------------------------------------------

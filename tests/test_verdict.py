@@ -1,13 +1,15 @@
 """Order predictions, branch selection, and the comparison report."""
 
+import io
 import json
 
 import pytest
 
+from cuspedzeta.cli import _jdump
 from cuspedzeta.errors import InconsistentInput
 from cuspedzeta.presentation import parse_presentation
-from cuspedzeta.verdict import (Report, l2_betti, main_conjecture_report,
-                                report_json_bytes, ruelle_order_prediction)
+from cuspedzeta.verdict import (l2_betti, main_conjecture_report,
+                                ruelle_order_prediction)
 
 from conftest import read_fixture
 
@@ -48,6 +50,13 @@ def _report(name):
     return main_conjecture_report(p, rho, eps)
 
 
+def report_json_text(r):
+    """The report as the CLI emits it."""
+    buf = io.StringIO()
+    _jdump(r.to_json(), buf)
+    return buf.getvalue()
+
+
 def test_zeta5_report():
     r = _report("fig8_zeta5.pres")
     assert r.corollary_branch == "nontrivialRestriction"
@@ -72,12 +81,12 @@ def test_trivial_report_is_informational():
 
 def test_report_json_is_deterministic_and_sorted():
     r = _report("fig8_zeta5.pres")
-    b1 = report_json_bytes(r)
-    b2 = report_json_bytes(_report("fig8_zeta5.pres"))
+    b1 = report_json_text(r)
+    b2 = report_json_text(_report("fig8_zeta5.pres"))
     assert b1 == b2
     d = json.loads(b1)
     assert list(d.keys()) == sorted(d.keys())
-    assert b1.endswith(b"\n")
+    assert b1.endswith("\n")
     for key in ("alexanderOrder", "beta0", "beta1", "corollaryBranch",
                 "deltaRho", "equalityExpected", "h0", "h1",
                 "inequalityHolds", "inputsDigest", "predictedRuelleOrder",
@@ -86,6 +95,6 @@ def test_report_json_is_deterministic_and_sorted():
 
 
 def test_digest_distinguishes_inputs():
-    a = json.loads(report_json_bytes(_report("fig8.pres")))
-    b = json.loads(report_json_bytes(_report("fig8_zeta5.pres")))
+    a = json.loads(report_json_text(_report("fig8.pres")))
+    b = json.loads(report_json_text(_report("fig8_zeta5.pres")))
     assert a["inputsDigest"] != b["inputsDigest"]
