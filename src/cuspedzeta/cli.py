@@ -35,7 +35,8 @@ _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
 
 
 def _jdump(obj, out):
-    """Deterministic JSON: sorted keys, fixed float formatting."""
+    """Deterministic JSON: sorted keys, fixed float formatting.  A
+    non-finite float, which JSON cannot hold, fails before any output."""
     def emit(o, indent):
         pad = "  " * indent
         if isinstance(o, dict):
@@ -52,6 +53,8 @@ def _jdump(obj, out):
         if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
             return json.dumps(o)
         if isinstance(o, float):
+            if not math.isfinite(o):
+                raise CuspedZetaError(f"non-finite number {o} in the output")
             return format(o, ".17g")
         raise TypeError(f"not JSON-serializable: {type(o)}")
     out.write(emit(obj, 0) + "\n")
@@ -238,7 +241,6 @@ def _cmd_verify(args, out):
 
 
 def _cmd_selftest(args, out):
-    import cmath
     import random
     rng = random.Random(20260826)
     failures = []

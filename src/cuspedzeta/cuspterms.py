@@ -9,13 +9,12 @@ partial-fraction bookkeeping for user-supplied scattering poles.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (ConvergenceRegionError, ExtrapolationUnstable,
-                     PoleOnAxis, ValidationError)
+                     PoleOnAxis, QuadratureFailure, ValidationError)
 from .laplace import MeroSum, digamma
 
 # ---------------------------------------------------------------------------
@@ -116,13 +115,13 @@ AITKEN_NOISE = 1e-12
 def _epstein_block(lat: Lattice2D, chi: LatticeCharacter, s: complex, k: int,
                    grid_cache: dict) -> complex:
     """Character-weighted sum over 0 < max(|m|,|n|) <= k, vectorized."""
-    key = k
-    if key not in grid_cache:
+    import numpy as np
+    if k not in grid_cache:
         rng = np.arange(-k, k + 1)
         m, n = np.meshgrid(rng, rng, indexing="ij")
         mask = (m != 0) | (n != 0)
-        grid_cache[key] = (m[mask], n[mask])
-    m, n = grid_cache[key]
+        grid_cache[k] = (m[mask], n[mask])
+    m, n = grid_cache[k]
     w = m * complex(lat.b1) + n * complex(lat.b2)
     norm2 = np.abs(w) ** 2
     phase = m * cmath.phase(complex(chi.v1)) + n * cmath.phase(complex(chi.v2))
@@ -130,25 +129,52 @@ def _epstein_block(lat: Lattice2D, chi: LatticeCharacter, s: complex, k: int,
     return complex(np.sum(weights * norm2 ** (-(1 + s))))
 
 
+@functools.cache
+def _legendre():
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _panels(f, a: float, b: float) -> complex:
+    """Integral_a^b f by adaptive Gauss-Legendre: a panel is bisected
+    until its rule and the sum of its halves' rules agree to 1e-14 of
+    Integral |f| over it.  f maps an array of points to values."""
+    import numpy as np
+    x, w = _legendre()
+
+    def rule(lo, hi):
+        half = (hi - lo) / 2
+        v = f(lo + half * (x + 1))
+        return half * np.dot(w, v), half * np.dot(w, np.abs(v))
+
+    total, todo = 0j, [(a, b, rule(a, b)[0])]
+    for _ in range(2000):
+        lo, hi, whole = todo.pop()
+        mid = (lo + hi) / 2
+        (left, size_l), (right, size_r) = rule(lo, mid), rule(mid, hi)
+        if abs(left + right - whole) <= 1e-14 * (size_l + size_r):
+            total += left + right
+        else:
+            todo += [(mid, hi, right), (lo, mid, left)]
+        if not todo:
+            return complex(total)
+    raise QuadratureFailure(f"integral on [{a}, {b}] unresolved after 2000 bisections")
+
+
 def _tail_shape(lat: Lattice2D, s: complex) -> complex:
     """T(s) = Integral_0^{2pi} q(th)^{-1-s} m(th)^{2s} dth with
     q(th) = |cos(th) b1 + sin(th) b2|^2 and m = max(|cos|, |sin|); the
-    lattice-coordinate tail over ||u||_inf > a is then a^{-2s} T/(2s)."""
-    from scipy.integrate import quad
-
-    def f(th):
-        q = abs(math.cos(th) * complex(lat.b1) + math.sin(th) * complex(lat.b2)) ** 2
-        m = max(abs(math.cos(th)), abs(math.sin(th)))
-        return q ** (-1 - s) * m ** (2 * s)
-
-    corners = [math.pi / 4 * i for i in range(9)]
-    re = sum(quad(lambda th: f(th).real, a, b, limit=200,
-                  epsabs=1e-13, epsrel=1e-13)[0]
-             for a, b in zip(corners, corners[1:]))
-    im = sum(quad(lambda th: f(th).imag, a, b, limit=200,
-                  epsabs=1e-13, epsrel=1e-13)[0]
-             for a, b in zip(corners, corners[1:]))
-    return complex(re, im)
+    lattice-coordinate tail over ||u||_inf > a is then a^{-2s} T/(2s).
+    With t = tan(th) on each octant, T = 2 Integral_{-1}^{1} Q(1,t)^{-1-s}
+    + Q(t,1)^{-1-s} dt for Q(x,y) = |x b1 + y b2|^2, and the form
+    Q(1,t) = R (t + B/R)^2 + covolume^2/R, R = |b2|^2 (|b1|^2 for Q(t,1)),
+    B = Re(b1 conj b2), loses no digits on a skewed basis."""
+    b = (lat.b1 * lat.b2.conjugate()).real
+    c2 = lat.covolume ** 2
+    return 2 * sum(_panels(lambda t, r=abs(v) ** 2:
+                           (r * (t + b / r) ** 2 + c2 / r) ** (-1 - s), -1.0, 1.0)
+                   for v in (lat.b2, lat.b1))
 
 
 def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex,

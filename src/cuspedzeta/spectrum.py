@@ -291,6 +291,13 @@ def save_spectrum(s: Spectrum, path):
         fh.write(format_spectrum(s))
 
 
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text!r}")
+    return v
+
+
 def load_spectrum(path) -> Spectrum:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -298,9 +305,9 @@ def load_spectrum(path) -> Spectrum:
         raise FormatError("missing spectrum header", line=1)
     try:
         head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
-        cutoff = float(head["cutoff"])
-        covolume = float(head["covolume"])
-        volume = float(head["volume"])
+        cutoff = _finite_float(head["cutoff"])
+        covolume = _finite_float(head["covolume"])
+        volume = _finite_float(head["volume"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1)
     max_word_len = None
@@ -323,7 +330,7 @@ def load_spectrum(path) -> Spectrum:
         if len(parts) != 7:
             raise FormatError("expected 7 comma-separated fields", line=lineno)
         try:
-            length, theta, re_c, im_c, prim = (float(x) for x in parts[:5])
+            length, theta, re_c, im_c, prim = (_finite_float(x) for x in parts[:5])
             mult = int(parts[5])
             word = W.parse_letters(parts[6], 26)
         except Exception as exc:

@@ -22,14 +22,15 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
                                   j1_zero_lprime, threshold_lprime,
                                   unipotent_lprime)
 from cuspedzeta.laplace import (HeatAtom, atom_function, closed_value,
-                                digamma, evaluate, quadrature_lprime,
-                                residue_at, spectral_lprime)
+                                digamma, evaluate, residue_at,
+                                spectral_lprime)
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import (GroupRingElement, evaluate_twisted,
                                      fox_derivative, parse_presentation)
 from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
 
 from conftest import FIXTURES, read_fixture
+from quadrature_oracle import quadrature_lprime
 
 
 def _verdict(n, ok, desc):

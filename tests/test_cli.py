@@ -103,6 +103,12 @@ BAD_INPUTS = [
     ("csv-word-length", "# cutoff=3 covolume=1 volume=1\n"
                         "# max_word_len=x complete=1\n",
      ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
+    ("csv-nan-row", "# cutoff=3 covolume=1 volume=1\nnan,nan,1,0,nan,1,ab\n",
+     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
+    ("csv-nan-cutoff", "# cutoff=nan covolume=1 volume=1\n",
+     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 1)"),
+    ("inf-in-output", None, ["terms", "identity", "--vol", "1e308"],
+     EX_SOFTWARE, "non-finite number"),
     ("z-not-a-number", None, RUELLE + ["--z", "abc"], EX_USAGE, "--z"),
     ("z-nan", None, FRIED + ["--z", "nan"], EX_USAGE, "--z"),
     ("s-not-a-number", None, EPSTEIN + ["--s", "abc"], EX_USAGE, "--s"),
@@ -253,11 +259,33 @@ def test_spectrum_enumerate_word_length_12(capsys):
     assert out.startswith("# cutoff=4 ")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python(code, *argv):
+    """Run `code` in a fresh interpreter that finds the package in src/."""
     src = str(FIXTURES.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, cuspedzeta.cli; print('scipy' in sys.modules)"],
-                       capture_output=True, text=True, env=env, check=True)
-    assert r.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is needed only by the lattice sums, scipy by nothing
+    r = _python("import sys, cuspedzeta.cli; "
+                "print('scipy' in sys.modules, 'numpy' in sys.modules)")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("selftest",),
+    ("epstein", str(FIXTURES / "square_lattice.json"), "--s", "1"),
+    ("epstein", str(FIXTURES / "square_lattice.json"), "--residue"),
+], ids=["selftest", "epstein-value", "epstein-residue"])
+def test_runs_without_scipy_or_mpmath(capsys, argv):
+    # a None entry in sys.modules makes any import of it fail
+    r = _python("import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+                "from cuspedzeta.cli import run; sys.exit(run(sys.argv[1:]))",
+                *argv)
+    code, out, _ = invoke(capsys, *argv)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == out and code == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cuspedzeta.cli import _load_poles
-from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
+from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, _tail_shape,
                                   NontrivialRestriction, ScatteringPoles,
                                   TrivialRestriction, epstein,
                                   epstein_residue_and_constant, identity_heat,
@@ -18,10 +18,10 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
                                   scattering_lprime, threshold_lprime,
                                   unipotent_lprime)
 from cuspedzeta.errors import ConvergenceRegionError, PoleOnAxis
-from cuspedzeta.laplace import (MeroSum, digamma, evaluate, quadrature_lprime,
-                                residue_at)
+from cuspedzeta.laplace import MeroSum, digamma, evaluate, residue_at
 
 from conftest import FIXTURES
+from quadrature_oracle import quadrature_lprime, tail_shape_theta
 
 SQ = Lattice2D(1.0 + 0j, 1j)
 TRIV = LatticeCharacter(1.0 + 0j, 1.0 + 0j)
@@ -176,6 +176,18 @@ def test_epstein_sign_character_matches_annulus_oracle():
     pair = [block(k) for k in range(400, 408)]
     want = sum(pair) / len(pair)
     assert abs(got - want) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("b2", [1j, cmath.exp(1j * math.pi / 3), 3 + 0.3j,
+                                0.99 + 0.05j, 1000j])
+def test_tail_shape_edge_integral_matches_octant_oracle(b2):
+    # the edge integral in t = tan(th) against QUADPACK over the angle
+    lat = Lattice2D(1.0 + 0j, b2)
+    for s in (1, 0.05, 0.003125, 0.05 + 2j, 0.2 + 3j):
+        want = tail_shape_theta(lat, complex(s))
+        got = _tail_shape(lat, complex(s))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_epstein_homogeneity_exact_in_exponent():

@@ -19,6 +19,8 @@ from cuspedzeta.laplace import (HeatAtom, MeroSum, atom_function,
                                 quadrature_lprime, residue_at,
                                 spectral_lprime)
 
+import quadrature_oracle
+
 # --- special functions -----------------------------------------------------
 
 def test_digamma_against_mpmath():
@@ -78,15 +80,27 @@ CRITERION1_ATOMS = (
 )
 
 
-@pytest.mark.parametrize("atom", CRITERION1_ATOMS,
-                         ids=lambda a: f"{a.kind}-{a.param}")
-def test_closed_form_matches_quadrature(atom):
+def _rule_cases():
+    """Each atom against the scipy oracle and against the package's
+    exp-sinh rule, which needs no power_part: every nu here is > -1."""
+    for atom in CRITERION1_ATOMS:
+        tag = f"{atom.kind}-{atom.param}"
+        yield pytest.param(atom, "oracle", id=tag)
+        yield pytest.param(atom, "exp-sinh", id=f"{tag}-exp-sinh")
+
+
+@pytest.mark.parametrize("atom,rule", _rule_cases())
+def test_closed_form_matches_quadrature(atom, rule):
     f = atom_function(atom)
     power_part = [(1.0, Fraction(atom.param))] if atom.kind == "power" else ()
     for z in (0.75, 1.0, 2.0, 3.0):
         want = closed_value(atom, z)
-        got = quadrature_lprime(f, z, power_part=power_part) \
-            if atom.kind == "power" else quadrature_lprime(f, z)
+        if rule == "exp-sinh":
+            got = quadrature_lprime(f, z)
+        elif atom.kind == "power":
+            got = quadrature_oracle.quadrature_lprime(f, z, power_part=power_part)
+        else:
+            got = quadrature_oracle.quadrature_lprime(f, z)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -96,9 +110,6 @@ def test_digamma_atom_closed_form():
         assert abs(evaluate(m, z) - 2 * math.pi * digamma(z + 0.5)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings(
-    "ignore::scipy.integrate.IntegrationWarning")
 def test_quadrature_failure_surfaces():
     with pytest.raises(QuadratureFailure):
         quadrature_lprime(lambda t: t ** -1.5, 2.0)

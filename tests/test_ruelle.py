@@ -6,11 +6,12 @@ import math
 
 import pytest
 
-from cuspedzeta import laplace, ruelle
+from cuspedzeta import ruelle
 from cuspedzeta.errors import ConvergenceRegionError
 from cuspedzeta.spectrum import load_spectrum
 
 from conftest import FIXTURES
+from quadrature_oracle import quadrature_lprime
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,9 @@ def test_heat_transforms_match_y_series(orbit):
     z = 3.0
 
     def transform(j):
-        re = laplace.quadrature_lprime(
+        re = quadrature_lprime(
             lambda t: ruelle.hyperbolic_heat(orbit, j, t).real, z)
-        im = laplace.quadrature_lprime(
+        im = quadrature_lprime(
             lambda t: ruelle.hyperbolic_heat(orbit, j, t).imag, z)
         return re + 1j * im
 
