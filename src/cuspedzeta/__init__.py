@@ -18,7 +18,7 @@ from .cuspterms import (Lattice2D, LatticeCharacter, NontrivialRestriction,
                         scattering_lprime, threshold_lprime, unipotent_lprime)
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
 from .errors import (ConvergenceRegionError, CuspedZetaError,
-                     DiscretenessSuspect, ExtrapolationUnstable, FormatError,
+                     DiscretenessSuspect, FormatError,
                      HypothesisNotMet, InconsistentInput, NotTorsion,
                      PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,

@@ -16,10 +16,10 @@ import sys
 
 from . import cuspterms, laplace, ruelle, spectrum, verdict
 from .alexander import alexander_invariant, twisted_betti
-from .errors import (ConvergenceRegionError, CuspedZetaError,
-                     ExtrapolationUnstable, FormatError, NotTorsion,
-                     PoleEvaluation, PoleOnAxis, PresentationSyntaxError,
-                     QuadratureFailure, UnsupportedAtom, ValidationError)
+from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
+                     NotTorsion, PoleEvaluation, PoleOnAxis,
+                     PresentationSyntaxError, QuadratureFailure,
+                     UnsupportedAtom, ValidationError)
 from .laplace import mero_to_json
 from .laurent import format_poly
 from .presentation import parse_presentation, peripheral_trivial
@@ -31,7 +31,7 @@ EX_SOFTWARE = 70
 _INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
                  PoleOnAxis, UnicodeDecodeError)
 _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
-                   PoleEvaluation, UnsupportedAtom, ExtrapolationUnstable)
+                   PoleEvaluation, UnsupportedAtom)
 
 
 def _jdump(obj, out):

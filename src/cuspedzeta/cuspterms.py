@@ -9,13 +9,14 @@ partial-fraction bookkeeping for user-supplied scattering poles.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import (ConvergenceRegionError, ExtrapolationUnstable,
-                     PoleOnAxis, QuadratureFailure, ValidationError)
-from .laplace import MeroSum, digamma
+from .errors import (ConvergenceRegionError, PoleOnAxis, QuadratureFailure,
+                     ValidationError)
+from .laplace import (MeroSum, _besselk, _cosine_zeta, _dirichlet_terms,
+                      _log_gamma, digamma, euler_gamma)
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -45,8 +46,15 @@ class LatticeCharacter:
             raise ValidationError("lattice character values must lie on the unit circle")
 
     @property
+    def phases(self) -> tuple:
+        """(a1, a2) in [0, 1) with v_i = e^{2 pi i a_i}, exact on the
+        float phases."""
+        return tuple(Fraction(cmath.phase(v) / (2 * math.pi)) % 1
+                     for v in (self.v1, self.v2))
+
+    @property
     def is_trivial(self) -> bool:
-        return self.v1 == 1 and self.v2 == 1
+        return self.phases == (0, 0)
 
     def value(self, m: int, n: int) -> complex:
         return self.v1 ** m * self.v2 ** n
@@ -107,134 +115,160 @@ def plancherel_trace(j: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Epstein L-function
 
-# rounding level of a block sum relative to its size: up to 2.5e5
-# terms, and the terms of an oscillating character cancel
-AITKEN_NOISE = 1e-12
+# the most work one value may take, in Dirichlet terms; a character too
+# close to the trivial one along both reduced basis vectors, or a too
+# large |Im s|, is refused
+_WORK_CAP = 200_000
 
 
-def _epstein_block(lat: Lattice2D, chi: LatticeCharacter, s: complex, k: int,
-                   grid_cache: dict) -> complex:
-    """Character-weighted sum over 0 < max(|m|,|n|) <= k, vectorized."""
-    import numpy as np
-    if k not in grid_cache:
-        rng = np.arange(-k, k + 1)
-        m, n = np.meshgrid(rng, rng, indexing="ij")
-        mask = (m != 0) | (n != 0)
-        grid_cache[k] = (m[mask], n[mask])
-    m, n = grid_cache[k]
-    w = m * complex(lat.b1) + n * complex(lat.b2)
-    norm2 = np.abs(w) ** 2
-    phase = m * cmath.phase(complex(chi.v1)) + n * cmath.phase(complex(chi.v2))
-    weights = np.exp(1j * phase)
-    return complex(np.sum(weights * norm2 ** (-(1 + s))))
+def _reduced(lat: Lattice2D, chi: LatticeCharacter):
+    """The Gauss-reduced basis, |b1| <= |b2| and |Re(b2/b1)| <= 1/2, as
+    ((b1, a1), (b2, a2)) with chi(b_i) = e^{2 pi i a_i}, 0 <= a_i < 1.
+    The steps run exactly on the float inputs, so a phase that is an
+    integer stays exactly 0."""
+    def vec(b, a):
+        return (Fraction(b.real), Fraction(b.imag), a)
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    a1, a2 = chi.phases
+    p, q = vec(lat.b1, a1), vec(lat.b2, a2)
+    if dot(p, p) > dot(q, q):
+        p, q = q, p
+    while True:
+        mu = round(dot(p, q) / dot(p, p))
+        q = tuple(qi - mu * pi for qi, pi in zip(q, p))
+        if dot(q, q) >= dot(p, p):
+            break
+        p, q = q, p
+    return tuple((complex(float(x), float(y)), a % 1) for x, y, a in (p, q))
 
 
-@functools.cache
-def _legendre():
-    """The 16-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(16)
+def _cutoff(sigma: complex) -> float:
+    """Bessel argument beyond which the row terms fall below e^-46 of
+    the n = 0 row: K_nu(X) <= K_{Re nu}(X) ~ e^-X, and 1/Gamma(sigma)
+    grows like e^{pi |Im sigma|/2}."""
+    return 46 + math.pi / 2 * abs(sigma.imag) + 4 * sigma.real
 
 
-def _panels(f, a: float, b: float) -> complex:
-    """Integral_a^b f by adaptive Gauss-Legendre: a panel is bisected
-    until its rule and the sum of its halves' rules agree to 1e-14 of
-    Integral |f| over it.  f maps an array of points to values."""
-    import numpy as np
-    x, w = _legendre()
+def _work(b1: complex, cov: float, a: Fraction, c: Fraction,
+          sigma: complex) -> float:
+    """A priori work of the expansion with Poisson summation along b1:
+    the Dirichlet terms of the zeta values, and a Bessel term for
+    each xi = k - a, n >= 1 with 2 pi |xi| n y < cutoff, which counts
+    1 + |Im sigma| because the step of `_besselk` shrinks like 1/|Im nu|."""
+    def dirichlet(z, f):
+        d = min(f, 1 - f)
+        return _dirichlet_terms(z, float(d)) if d == 0 or d > 1e-9 else math.inf
 
-    def rule(lo, hi):
-        half = (hi - lo) / 2
-        v = f(lo + half * (x + 1))
-        return half * np.dot(w, v), half * np.dot(w, np.abs(v))
-
-    total, todo = 0j, [(a, b, rule(a, b)[0])]
-    for _ in range(2000):
-        lo, hi, whole = todo.pop()
-        mid = (lo + hi) / 2
-        (left, size_l), (right, size_r) = rule(lo, mid), rule(mid, hi)
-        if abs(left + right - whole) <= 1e-14 * (size_l + size_r):
-            total += left + right
-        else:
-            todo += [(mid, hi, right), (lo, mid, left)]
-        if not todo:
-            return complex(total)
-    raise QuadratureFailure(f"integral on [{a}, {b}] unresolved after 2000 bisections")
+    span = _cutoff(sigma) / (2 * math.pi * cov / abs(b1) ** 2)
+    if span > _WORK_CAP:
+        return math.inf
+    bessel = sum(math.ceil(span / abs(k - a))
+                 for k in range(math.floor(a - span), math.ceil(a + span) + 1)
+                 if k != a)
+    return (bessel * (1 + abs(sigma.imag)) + dirichlet(2 * sigma, a)
+            + (dirichlet(2 * sigma - 1, c) if a == 0 else 0))
 
 
-def _tail_shape(lat: Lattice2D, s: complex) -> complex:
-    """T(s) = Integral_0^{2pi} q(th)^{-1-s} m(th)^{2s} dth with
-    q(th) = |cos(th) b1 + sin(th) b2|^2 and m = max(|cos|, |sin|); the
-    lattice-coordinate tail over ||u||_inf > a is then a^{-2s} T/(2s).
-    With t = tan(th) on each octant, T = 2 Integral_{-1}^{1} Q(1,t)^{-1-s}
-    + Q(t,1)^{-1-s} dt for Q(x,y) = |x b1 + y b2|^2, and the form
-    Q(1,t) = R (t + B/R)^2 + covolume^2/R, R = |b2|^2 (|b1|^2 for Q(t,1)),
-    B = Re(b1 conj b2), loses no digits on a skewed basis."""
-    b = (lat.b1 * lat.b2.conjugate()).real
-    c2 = lat.covolume ** 2
-    return 2 * sum(_panels(lambda t, r=abs(v) ** 2:
-                           (r * (t + b / r) ** 2 + c2 / r) ** (-1 - s), -1.0, 1.0)
-                   for v in (lat.b2, lat.b1))
+def _bessel_terms(b1: complex, b2: complex, a: Fraction, c: Fraction,
+                  sigma: complex):
+    """The terms of the rows n != 0, scaled by |b1|^{2 sigma}: Poisson
+    summation over m turns the pair of rows +-n into
+    2 cos(2 pi n (c + xi x)) 2 pi^sigma/Gamma(sigma) |xi/(n y)|^{sigma-1/2}
+    K_{sigma-1/2}(2 pi |xi| n y) for xi = k - a, k in Z, with
+    tau = b2/b1 = x +- i y."""
+    tau = b2 / b1
+    x, y = tau.real, abs(tau.imag)
+    nu = sigma - 0.5
+    pref = 2 * cmath.exp(sigma * math.log(math.pi) - _log_gamma(sigma))
+    span = _cutoff(sigma) / (2 * math.pi * y)
+    fa, fc = float(a), float(c)
+    bessel = {}
+    for k in range(math.floor(fa - span), math.ceil(fa + span) + 1):
+        xi = k - fa
+        if k == a:
+            continue
+        for n in range(1, math.ceil(span / abs(xi))):
+            key = abs(xi) * n
+            if key not in bessel:
+                bessel[key] = _besselk(nu, 2 * math.pi * y * key)
+            yield (2 * math.cos(2 * math.pi * (n * (fc + xi * x) % 1)) * pref
+                   * cmath.exp(nu * math.log(abs(xi) / (n * y))) * bessel[key])
 
 
-def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex,
-            base_shells: int = 60) -> complex:
+def _chowla_selberg(lat: Lattice2D, chi: LatticeCharacter, s: complex):
+    """(value, terms, largest term) of the lattice L-function at
+    s = sigma - 1 by the Chowla-Selberg expansion, with Poisson
+    summation along the reduced basis vector that needs fewer terms:
+    |b1|^{-2 sigma} [C(2 sigma, a) + rows n != 0], plus, when a is an
+    integer, the zero mode
+    sqrt(pi) Gamma(sigma - 1/2)/Gamma(sigma) y^{1 - 2 sigma} C(2 sigma - 1, c),
+    where C(z, a) = sum_{m != 0} e^{2 pi i a m} |m|^{-z}."""
+    (u, au), (v, av) = _reduced(lat, chi)
+    cov, sigma = lat.covolume, 1 + s
+    work, b1, b2, a, c = min(
+        (_work(u, cov, au, av, sigma), u, v, au, av),
+        (_work(v, cov, av, au, sigma), v, u, av, au), key=lambda p: p[0])
+    if work > _WORK_CAP:
+        raise QuadratureFailure(
+            f"epstein at s = {s}: the expansion needs {work:.3g} term "
+            f"evaluations, above {_WORK_CAP} (character phases {float(au)!r}, "
+            f"{float(av)!r} on the reduced basis)")
+    try:
+        terms = [_cosine_zeta(2 * sigma, float(a))]
+        if a == 0:
+            y = cov / abs(b1) ** 2
+            terms.append(math.sqrt(math.pi) * y ** (1 - 2 * sigma)
+                         * cmath.exp(_log_gamma(sigma - 0.5) - _log_gamma(sigma))
+                         * _cosine_zeta(2 * sigma - 1, float(c)))
+        terms += _bessel_terms(b1, b2, a, c, sigma)
+        scale = abs(b1) ** (-2 * sigma)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise QuadratureFailure(f"epstein at s = {s}: {exc}") from None
+    return (scale * math.fsum(t.real for t in terms)
+            + 1j * scale * math.fsum(t.imag for t in terms),
+            len(terms), abs(scale) * max(map(abs, terms)))
+
+
+def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex) -> complex:
     """Sum of chi(m,n) ||m b1 + n b2||^{-2(1+s)} over nonzero lattice
-    points, by expanding square annuli with an exact integral tail for
-    the trivial character and Aitken extrapolation over the cutoff."""
-    if complex(s).real <= 0:
-        raise ConvergenceRegionError(
-            f"Re s = {complex(s).real} is outside the summation region Re s > 0")
+    points, by the Chowla-Selberg expansion (see `_chowla_selberg`).
+    A value whose rounding estimate, largest term x 2^-52 x (terms +
+    |1 + s|/|s|), is above 1e-6 of it is refused: the terms grow with
+    |Im s| and, like (1 + x^2/y^2)^Re(s) on a reduced basis, with Re s,
+    and forming sigma = 1 + s rounds s, on which the pole term 1/s rests."""
     s = complex(s)
-    cache = {}
-    shape = _tail_shape(lat, s) if chi.is_trivial else 0.0
-
-    def value_at(k):
-        if chi.is_trivial:
-            return _epstein_block(lat, chi, s, k, cache) \
-                + (k + 0.5) ** (-2 * s) * shape / (2 * s)
-        # oscillating characters: binomial averaging of consecutive
-        # block sums damps the shell oscillation (Euler transform)
-        n = 8
-        return sum(math.comb(n, i) * _epstein_block(lat, chi, s, k + i, cache)
-                   for i in range(n + 1)) / 2 ** n
-
-    f1, f2, f3 = (value_at(k) for k in
-                  (base_shells, 2 * base_shells, 4 * base_shells))
-    denom = (f3 - f2) - (f2 - f1)
-    # a denominator within the rounding of the block sums carries no
-    # convergence information; this happens for a real character at
-    # real s, where the three sums agree to rounding
-    if abs(denom) <= AITKEN_NOISE * (abs(f1) + abs(f2) + abs(f3)):
-        return f3
-    return f3 - (f3 - f2) ** 2 / denom
+    if s.real <= 0:
+        raise ConvergenceRegionError(
+            f"Re s = {s.real} is outside the summation region Re s > 0")
+    value, count, largest = _chowla_selberg(lat, chi, s)
+    rounding = largest * 2 ** -52 * (count + abs(1 + s) / abs(s))
+    if not rounding <= 1e-6 * abs(value):
+        raise QuadratureFailure(
+            f"epstein at s = {s}: rounding estimate {rounding:.3e} is above "
+            f"1e-6 of the value {abs(value):.3e}")
+    return value
 
 
-def epstein_residue_and_constant(lat: Lattice2D, chi: LatticeCharacter,
-                                 target: float = 1e-6):
+def epstein_residue_and_constant(lat: Lattice2D, chi: LatticeCharacter):
     """(R, C) with R the residue of the lattice L-function at s = 0 and
-    C its constant term: R = pi/covolume for the trivial character and
-    0 otherwise; C by Richardson extrapolation of s -> 0."""
-    if chi.is_trivial:
-        res = math.pi / lat.covolume
-    else:
-        res = 0.0
-
-    def g(s):
-        v = epstein(lat, chi, s)
-        return v - res / s
-
-    nodes = [0.1 / 2 ** k for k in range(6)]
-    rows = [[g(s)] for s in nodes]
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - j):
-            num = rows[i + 1][j - 1] * nodes[i] - rows[i][j - 1] * nodes[i + j]
-            rows[i].append(num / (nodes[i] - nodes[i + j]))
-    best, prev = rows[0][-1], rows[0][-2]
-    if abs(best - prev) > target:
-        raise ExtrapolationUnstable(
-            f"constant-term extrapolation moved by {abs(best - prev):.3e}")
-    return res, best.real if abs(best.imag) < target else best
+    C its constant term, read off the Chowla-Selberg expansion at
+    sigma = 1.  A non-trivial character gives R = 0 and C the expansion's
+    value (its zero mode with C(1, c) = -2 ln|2 sin pi c|).
+    The trivial character gives R = pi/covolume and Kronecker's first
+    limit formula C = |b1|^-2 [2 zeta(2) + (pi/y)(2 gamma - 2 ln 2 - 2 ln y
+    - 2 ln|b1|) + rows n != 0 at sigma = 1]; C is real because the
+    terms of w and -w are conjugate."""
+    if not chi.is_trivial:
+        return 0.0, _chowla_selberg(lat, chi, 0j)[0].real
+    (b1, _), (b2, _) = _reduced(lat, chi)
+    y = lat.covolume / abs(b1) ** 2
+    rows = sum(_bessel_terms(b1, b2, Fraction(0), Fraction(0), 1 + 0j)).real
+    laurent = math.pi / y * 2 * (euler_gamma() - math.log(2) - math.log(y)
+                                 - math.log(abs(b1)))
+    return math.pi / lat.covolume, (math.pi ** 2 / 3 + laurent + rows) / abs(b1) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class PoleEvaluation(CuspedZetaError):
     pass
 
 
-class ExtrapolationUnstable(CuspedZetaError):
-    pass
-
-
 class PoleOnAxis(CuspedZetaError):
     pass
 

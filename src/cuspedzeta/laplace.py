@@ -48,6 +48,123 @@ def euler_gamma() -> float:
 
 
 # ---------------------------------------------------------------------------
+# log-gamma, periodic zeta and K-Bessel for the lattice L-function
+
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z) for Re z > 0 (callers exponentiate, so the
+    branch is free), by upward recurrence into Re z >= 10 and Stirling's
+    series; math.lgamma on the real axis."""
+    z = complex(z)
+    if not z.imag:
+        return math.lgamma(z.real)
+    shift = 1
+    while z.real < 10:
+        shift *= z
+        z += 1
+    s = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
+    term, inv2 = 1 / z, 1 / (z * z)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        s += float(b) / (2 * k * (2 * k - 1)) * term
+        term *= inv2
+    return s - cmath.log(shift)
+
+
+def _dirichlet_terms(z: complex, d: float) -> int:
+    """N for `_cosine_zeta` at a distance d > 0 of a from the integers
+    (d = 0 for an integer a): each term of its expansion in t/N is then
+    at most (|z| + j)/(100 + 4|z|) of the one before."""
+    return math.ceil((100 + 4 * abs(z)) / (2 * math.pi * (d or 1)))
+
+
+def _cosine_zeta(z: complex, a: float) -> complex:
+    """sum_{m != 0} e^{2 pi i a m} |m|^{-z} = 2 sum_{m >= 1} cos(2 pi a m) m^{-z},
+    the sum of the periodic zeta values Li_z(w) + Li_z(1/w), w = e^{2 pi i a},
+    for real a: Re z > 1, or Re z > 0 when a is not an integer.  The terms
+    m < N are summed directly and the rest by the Euler-Boole expansion
+    sum_{m >= N} w^m m^{-z} = w^N sum_j g_j (-1)^j (z)_j N^{-z-j},
+    g_j = [t^j] 1/(1 - w e^t), whose terms for w and 1/w are conjugate
+    but for the factor (z)_j N^{-z-j}; for w = 1 this is Euler-Maclaurin,
+    with 1/(1 - e^t) + 1/t in place of g and N^{1-z}/(z - 1) added.
+    At z = 1 it is -2 ln|2 sin(pi a)|."""
+    z, a = complex(z), a % 1.0
+    w = cmath.exp(2j * math.pi * a)
+    if z == 1 and a:
+        return -2 * math.log(abs(1 - w))
+    n = _dirichlet_terms(z, min(a, 1 - a))
+    total = 2 * sum(math.cos(2 * math.pi * (a * m % 1)) * cmath.exp(-z * math.log(m))
+                    for m in range(1, n))
+    # g(t/N) = 1/den(t) with den = 1 - w e^{t/N}; for w = 1,
+    # g(t/N) = -N sum_j q_{j+1} t^j with 1/q = den = (e^{t/N} - 1)/(t/N)
+    den, c = [1 - w if a else 1.0], 1.0
+    for k in range(1, 60):
+        c /= k * n
+        den.append(-w * c if a else c / (k + 1))
+    shift, scale = (0, 1) if a else (1, -n)
+    rate = 2 * math.pi * n * (min(a, 1 - a) if a else 1)
+    inv, series, rising, bound = [], 0j, 1 + 0j, 1.0
+    wn = cmath.exp(2j * math.pi * (a * n % 1))
+    for j in range(len(den) - 1):
+        while len(inv) <= j + shift:
+            k = len(inv)
+            inv.append((int(k == 0) - sum(inv[i] * den[k - i] for i in range(k)))
+                       / den[0])
+        series += 2 * (scale * wn * inv[j + shift]).real * rising
+        bound *= abs(z + j) / rate
+        if bound < 1e-17:
+            break
+        rising *= -(z + j)
+    else:
+        raise QuadratureFailure(f"zeta expansion at z = {z} did not converge")
+    tail = cmath.exp(-z * math.log(n)) * series
+    if not a:
+        tail += 2 * n ** (1 - z) / (z - 1)
+    return total + tail
+
+
+def _besselk(nu: complex, x: float) -> complex:
+    """K_nu(x) for x > 0 and complex order: (1/2) Integral of
+    exp(nu t - x cosh t) over the line Im t = theta, by the trapezoid
+    rule.  theta is the height of the saddle point, sinh t = nu/x, kept
+    delta = min(pi/2, 2/|Im nu|) below pi/2: on that line the integrand
+    has the e^{-pi |Im nu|/2} size of K, which on the real line comes
+    only out of cancellation, and the loss is bounded by e^2.  The step
+    keeps the discretisation error below about e^-44 of the result,
+    both against the strip width D = pi/2 - |theta| and against the
+    curvature |x cosh t| at the saddle."""
+    nu = complex(nu)
+    if nu == 0.5:
+        return math.sqrt(math.pi / (2 * x)) * math.exp(-x)
+    beta = abs(nu.imag)
+    delta = min(math.pi / 2, 2 / beta) if beta else math.pi / 2
+    saddle = cmath.asinh(nu / x)
+    theta = max(-(math.pi / 2 - delta), min(math.pi / 2 - delta, saddle.imag))
+    width = math.pi / 2 - abs(theta)
+    h = min(math.pi * width / (44 + beta * width / 2),
+            math.pi / math.sqrt(22 * abs(x * cmath.cosh(saddle))))
+    # |integrand| = e^{Re(nu) u - Im(nu) theta - x cos(theta) cosh u}
+    # peaks at sinh u = Re(nu)/(x cos theta)
+    peak = math.asinh(nu.real / (x * math.cos(theta)))
+
+    def node(u):
+        t = complex(u, theta)
+        return cmath.exp(nu * t - x * cmath.cosh(t))
+
+    total = node(peak)
+    top = abs(total)
+    if not top:
+        return 0j  # below the floating-point range
+    for step in (h, -h):
+        u = peak + step
+        while True:
+            v = node(u)
+            total += v
+            if abs(v) < 1e-19 * top:
+                break
+            u += step
+    return 0.5 * h * total
+
+
+# ---------------------------------------------------------------------------
 # atoms
 
 _KINDS = ("exp", "power", "theta", "digamma")

@@ -11,6 +11,7 @@ import pytest
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
 
 from conftest import FIXTURES
+from epstein_oracle import epstein_mpmath
 
 
 def invoke(capsys, *argv):
@@ -127,6 +128,14 @@ BAD_INPUTS = [
      "--trivial"),
     ("scattering-no-file", None, ["terms", "scattering"], EX_DATAERR,
      "poles JSON"),
+    ("epstein-near-trivial", dict(SQUARE, chi=[[1, 1e-7], [1, 1e-7]]),
+     ["epstein", "{in}", "--s", "0.5"], EX_SOFTWARE, "term evaluations"),
+    ("epstein-large-im-s", None, EPSTEIN + ["--s", "0.5+2000j"], EX_SOFTWARE,
+     "epstein at s = (0.5+2000j)"),
+    ("epstein-large-re-s", dict(SQUARE, b2=[0.5, 0.8660254037844386]),
+     ["epstein", "{in}", "--s", "100"], EX_SOFTWARE, "rounding estimate"),
+    ("epstein-tiny-s", None, EPSTEIN + ["--s", "1e-300"], EX_SOFTWARE,
+     "epstein at s = (1e-300+0j)"),
 ]
 
 
@@ -207,6 +216,17 @@ def test_epstein_output(capsys):
     assert abs(d["constant"] + 1.0887930451518402) < 1e-6
 
 
+def test_epstein_on_a_skewed_basis(capsys, tmp_path):
+    # covolume 1e-6; the basis is reduced before the expansion
+    p = tmp_path / "skewed.json"
+    p.write_text(json.dumps({"b1": [1, 0], "b2": [0.999999, 1e-6]}))
+    code, out, err = invoke(capsys, "epstein", str(p), "--s", "1")
+    assert (code, err) == (0, "")
+    value = complex(*json.loads(out)["value"])
+    want = epstein_mpmath(complex(0.999999 - 1, 1e-6), 1, 0, 0, 1)
+    assert abs(value - want) <= 1e-13 * abs(want)
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = invoke(capsys, "verify", str(FIXTURES / "fig8_zeta5.pres"))
     assert code == 0
@@ -269,7 +289,7 @@ def _python(code, *argv):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy is needed only by the lattice sums, scipy by nothing
+    # the runtime needs neither
     r = _python("import sys, cuspedzeta.cli; "
                 "print('scipy' in sys.modules, 'numpy' in sys.modules)")
     assert r.returncode == 0
@@ -280,10 +300,14 @@ def test_cli_import_leaves_scipy_unloaded():
     ("selftest",),
     ("epstein", str(FIXTURES / "square_lattice.json"), "--s", "1"),
     ("epstein", str(FIXTURES / "square_lattice.json"), "--residue"),
-], ids=["selftest", "epstein-value", "epstein-residue"])
+    ("epstein", str(FIXTURES / "square_lattice_signchi.json"), "--s", "0.3+1j"),
+    ("epstein", str(FIXTURES / "square_lattice_signchi.json"), "--residue"),
+], ids=["selftest", "epstein-value", "epstein-residue", "epstein-character-value",
+        "epstein-character-residue"])
 def test_runs_without_scipy_or_mpmath(capsys, argv):
     # a None entry in sys.modules makes any import of it fail
     r = _python("import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+                "sys.modules['numpy'] = None; "
                 "from cuspedzeta.cli import run; sys.exit(run(sys.argv[1:]))",
                 *argv)
     code, out, _ = invoke(capsys, *argv)

@@ -3,13 +3,15 @@ forms, Plancherel traces, and the lattice L-function."""
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from cuspedzeta.cli import _load_poles
-from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, _tail_shape,
+from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
                                   NontrivialRestriction, ScatteringPoles,
                                   TrivialRestriction, epstein,
                                   epstein_residue_and_constant, identity_heat,
@@ -17,10 +19,13 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, _tail_shape,
                                   j1_zero_lprime, plancherel_trace,
                                   scattering_lprime, threshold_lprime,
                                   unipotent_lprime)
-from cuspedzeta.errors import ConvergenceRegionError, PoleOnAxis
+from cuspedzeta.errors import (ConvergenceRegionError, PoleOnAxis,
+                               QuadratureFailure)
 from cuspedzeta.laplace import MeroSum, digamma, evaluate, residue_at
 
 from conftest import FIXTURES
+from epstein_oracle import _tail_shape, epstein_mpmath, kronecker_constant
+from epstein_oracle import epstein as shell_epstein
 from quadrature_oracle import quadrature_lprime, tail_shape_theta
 
 SQ = Lattice2D(1.0 + 0j, 1j)
@@ -217,3 +222,138 @@ def test_epstein_real_character_at_real_s_is_real():
     got = epstein(SQ, SIGN, 1.316485)
     assert abs(got.imag) < 1e-12
     assert abs(got.real - (-0.64208403242631)) < 1e-12
+
+
+# --- Chowla-Selberg expansion against independent oracles ------------------
+
+def _unit(phase) -> complex:
+    """e^{2 pi i phase}, exactly 1 and -1 at the phases 0 and 1/2."""
+    phase %= 1
+    if phase == 0:
+        return 1 + 0j
+    if phase == Fraction(1, 2):
+        return -1 + 0j
+    return cmath.exp(2j * math.pi * float(phase))
+
+
+BASES = {"square": (1, 1j), "hexagonal": (1, cmath.exp(1j * math.pi / 3)),
+         "skewed": (1, 3 + 0.3j), "random": (0.83, -0.41 + 1.37j)}
+CHARACTERS = {"trivial": (Fraction(0), Fraction(0)),
+              "sign": (Fraction(1, 2), Fraction(0)),
+              "order3": (Fraction(1, 3), Fraction(2, 3)),
+              "irrational": (Fraction(0.2371), Fraction(0.61803))}
+S_VALUES = (0.05 + 2j, 0.3, 1, 1.9 - 0.6j)
+# the shell route's own error, against epstein_mpmath, is above 1e-7 here
+# (up to 2.4e-6: its Aitken step meets a slowly damped oscillation); the
+# same points are in the 40-digit comparison below
+SHELL_ERROR = {("square", "irrational", 0.05 + 2j): 3e-6,
+               ("hexagonal", "irrational", 0.05 + 2j): 3e-6,
+               ("random", "irrational", 0.05 + 2j): 3e-6,
+               ("random", "irrational", 0.3): 3e-6,
+               ("random", "order3", 0.05 + 2j): 3e-6}
+
+
+def _case(basis, character):
+    (b1, b2), (a, c) = BASES[basis], CHARACTERS[character]
+    return (Lattice2D(complex(b1), complex(b2)),
+            LatticeCharacter(_unit(a), _unit(c)))
+
+
+@pytest.mark.parametrize("s", S_VALUES, ids=str)
+@pytest.mark.parametrize("character", CHARACTERS)
+@pytest.mark.parametrize("basis", BASES)
+def test_epstein_matches_shell_oracle(basis, character, s):
+    lat, chi = _case(basis, character)
+    want = shell_epstein(lat, chi, s)
+    got = epstein(lat, chi, s)
+    assert abs(got - want) <= SHELL_ERROR.get((basis, character, s), 1e-7) * abs(want)
+
+
+MPMATH_CASES = [(basis, character, s) for basis, character, s in SHELL_ERROR] + [
+    ("square", "sign", 0.5 + 10j), ("hexagonal", "order3", 0.2 - 7j),
+    ("random", "trivial", 1 + 9.5j), ("random", "irrational", 0.3 + 6j),
+    ("square", "sign", 0.3 + 15j), ("hexagonal", "trivial", 1.2 - 20j),
+    ("random", "order3", 0.5 + 20j)]
+
+
+@pytest.mark.parametrize("basis,character,s", MPMATH_CASES,
+                         ids=[f"{b}-{c}-{s}" for b, c, s in MPMATH_CASES])
+def test_epstein_matches_mpmath(basis, character, s):
+    lat, chi = _case(basis, character)
+    (b1, b2), (a, c) = BASES[basis], CHARACTERS[character]
+    want = epstein_mpmath(complex(b1), complex(b2), a, c, s)
+    tol = 1e-10 if abs(complex(s).imag) <= 10 else 1e-8
+    assert abs(epstein(lat, chi, s) - want) <= tol * abs(want)
+
+
+def test_epstein_classical_closed_forms():
+    square, _ = _case("square", "trivial")
+    hexagonal, _ = _case("hexagonal", "trivial")
+    # 4 zeta(2) G and 6 zeta(2) L(2, chi_-3) at s = 1
+    want = 4 * mpmath.zeta(2) * mpmath.catalan
+    assert abs(epstein(square, TRIV, 1) - float(want)) <= 1e-13 * want
+    want = 6 * mpmath.zeta(2) * (mpmath.zeta(2, 1 / 3.) - mpmath.zeta(2, 2 / 3.)) / 9
+    assert abs(epstein(hexagonal, TRIV, 1) - float(want)) <= 1e-13 * want
+    res, const = epstein_residue_and_constant(square, SIGN)
+    want = -(math.pi / 2) * math.log(2)
+    assert res == 0 and abs(const - want) <= 1e-13 * abs(want)
+    rng = random.Random(11)
+    for _ in range(3):
+        b1 = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+        b2 = b1 * complex(rng.uniform(-2, 2), rng.uniform(0.3, 2))
+        lat = Lattice2D(b1, b2)
+        res, const = epstein_residue_and_constant(lat, TRIV)
+        assert abs(res - math.pi / lat.covolume) <= 1e-13 * res
+        want = kronecker_constant(b1, b2)
+        assert abs(const - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("s", (0.3, 0.05 + 2j, 1))
+def test_epstein_near_trivial_character(s):
+    # chi = (e^{2 pi i/1000}, 1): along b1 the Bessel terms decay only
+    # like e^{-2 pi n y/1000}; Poisson summation runs along b2 instead
+    lat = Lattice2D(1 + 0j, 0.3 + 1.1j)
+    chi = LatticeCharacter(_unit(0.001), 1 + 0j)
+    want = epstein_mpmath(1, 0.3 + 1.1j, 0.001, 0, s)
+    assert abs(epstein(lat, chi, s) - want) <= 1e-12 * abs(want)
+
+
+SL2Z = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (2, 3, 1, 2), (-3, 5, 4, -7),
+        (7, -2, 11, -3), (13, 8, 5, 3)]
+
+
+@pytest.mark.parametrize("character", CHARACTERS)
+@pytest.mark.parametrize("basis", BASES)
+def test_epstein_invariant_under_basis_change(basis, character):
+    # (b1', b2') = (p b1 + q b2, r b1 + t b2) carries the phases along
+    (b1, b2), (a, c) = BASES[basis], CHARACTERS[character]
+    for s in (0.3, 0.05 + 2j):
+        want = epstein(*_case(basis, character), s)
+        for p, q, r, t in SL2Z:
+            lat = Lattice2D(complex(p * b1 + q * b2), complex(r * b1 + t * b2))
+            chi = LatticeCharacter(_unit(p * a + q * c), _unit(r * a + t * c))
+            assert abs(epstein(lat, chi, s) - want) <= 1e-13 * abs(want)
+
+
+def test_epstein_skewed_basis_is_reduced_first():
+    # covolume 1e-6: the shell sums ran in these basis coordinates and
+    # could not resolve their tail integral
+    lat = Lattice2D(1 + 0j, 0.999999 + 1e-6j)
+    short = complex(0.999999 - 1, 1e-6)
+    for chi, reduced_chi in ((TRIV, TRIV), (SIGN, LatticeCharacter(-1 + 0j, -1 + 0j))):
+        got = epstein(lat, chi, 1)
+        want = epstein(Lattice2D(short, 1 + 0j), reduced_chi, 1)
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert abs(got.imag) <= 1e-13 * abs(got)
+
+
+@pytest.mark.parametrize("v, s, message", [
+    (_unit(1e-7), 0.5, "term evaluations"),
+    (-1 + 0j, 0.5 + 2000j, "term evaluations"),
+    (1 + 0j, 100, "rounding estimate"),
+    (1 + 0j, 1e-300, "division by zero"),
+], ids=["near-trivial", "large-im-s", "large-re-s", "tiny-s"])
+def test_epstein_refuses_what_it_cannot_resolve(v, s, message):
+    lat = Lattice2D(1 + 0j, cmath.exp(1j * math.pi / 3))
+    with pytest.raises(QuadratureFailure, match=message):
+        epstein(lat, LatticeCharacter(v, v if v != -1 else 1 + 0j), s)

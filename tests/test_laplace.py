@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from cuspedzeta.errors import (PoleEvaluation, QuadratureFailure,
                                UnsupportedAtom)
-from cuspedzeta.laplace import (HeatAtom, MeroSum, atom_function,
+from cuspedzeta.laplace import (HeatAtom, MeroSum, _besselk, _cosine_zeta,
+                                _log_gamma, atom_function,
                                 closed_value, digamma, euler_gamma, evaluate,
                                 lprime_closed, mero_from_json, mero_to_json,
                                 quadrature_lprime, residue_at,
@@ -31,6 +32,33 @@ def test_digamma_against_mpmath():
         got = digamma(z)
         want = complex(mpmath.digamma(z))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_lattice_special_functions_against_mpmath():
+    # log-gamma, the cosine zeta sum and K-Bessel behind the lattice
+    # L-function, over the orders and arguments its expansion meets
+    rng = random.Random(3)
+    with mpmath.workdps(30):
+        _check_lattice_special_functions(rng)
+
+
+def _check_lattice_special_functions(rng):
+    for _ in range(30):
+        z = complex(rng.uniform(0.5, 4), rng.choice((0, rng.uniform(-25, 25))))
+        want = complex(mpmath.gamma(z))
+        assert abs(cmath.exp(_log_gamma(z)) - want) <= 1e-13 * abs(want)
+    for a in (0, 0.5, 1 / 3, 0.2371, 0.61803, 0.001):
+        for z in (1.05, 2.6, 1.6 + 1.4j, 3 - 40j, 1 if a else 2):
+            w = mpmath.expjpi(2 * mpmath.mpf(a))
+            want = 2 * complex(mpmath.zeta(z)) if a == 0 else \
+                complex(mpmath.polylog(z, w) + mpmath.polylog(z, 1 / w))
+            assert abs(_cosine_zeta(z, a) - want) <= 1e-13 * abs(want)
+    for _ in range(40):
+        nu = complex(rng.uniform(0.5, 3), rng.choice((0, rng.uniform(-2, 2),
+                                                      rng.uniform(-25, 25))))
+        x = math.exp(rng.uniform(math.log(0.005), math.log(100)))
+        want = complex(mpmath.besselk(nu, x))
+        assert abs(_besselk(nu, x) - want) <= 1e-12 * abs(want)
 
 
 def test_digamma_poles_raise():
