@@ -194,10 +194,10 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
         raise NotTorsion("H1")
     char1 = char_poly_from_divisors(list(divisors1)) if divisors1 else LaurentPoly.one(n)
 
-    if p.relators:
-        rank1 = sum(1 for d in smith_form(c.d1) if not d.is_zero())
-        if rank1 < c.d1.rows:
-            raise NotTorsion("H2")
+    # d1 d0 = 0 with d0 != 0 gives rank d1 <= g - 1, and torsion H1 gives
+    # rank d1 = g - 1, so H2 = ker d1 is torsion iff relators <= g - 1
+    if len(p.relators) > p.arity - 1:
+        raise NotTorsion("H2")
     char2 = LaurentPoly.one(n)
 
     ord1 = ord_at_one(char0) + ord_at_one(char2) - ord_at_one(char1)

@@ -265,7 +265,13 @@ class LaurentMatrix:
 
 
 def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
-    """Elementary divisors d1 | d2 | ... of the cokernel presented by m.
+    """Elementary divisors d1 | d2 | ... of the cokernel presented by m:
+    diagonalize, then gcd/lcm repair.
+
+    Row and column elimination with smallest-span pivots leaves a
+    diagonal matrix; one pass over pairs i < j then replaces
+    (d_i, d_j) by (gcd, lcm), as diag(a, b) is equivalent to
+    diag(gcd, lcm), which makes each divisor divide the next.
 
     Returns min(rows, cols) normalized divisors; trailing zeros signal a
     non-torsion quotient (rank deficiency).
@@ -273,8 +279,6 @@ def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
     e = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols
     size = min(rows, cols)
-    divisors = []
-    n = m.n
 
     def find_pivot(k):
         best = None
@@ -319,24 +323,17 @@ def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
             if all(e[i][k].is_zero() for i in range(k + 1, rows)) and \
                all(e[k][j].is_zero() for j in range(k + 1, cols)):
                 break
-        # pivot must divide the whole remaining block
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if not e[k][k].divides(e[i][j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            e[k] = [a + b for a, b in zip(e[k], e[offender])]
-            continue
-        divisors.append(e[k][k].normalize())
         k += 1
 
-    while len(divisors) < size:
-        divisors.append(LaurentPoly.zero(n))
-    return divisors
+    diag = [e[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = diag[i], diag[j]
+            if a.is_unit() or a.divides(b):
+                continue
+            g = a.gcd(b)
+            diag[i], diag[j] = g, a.exact_div(g) * b
+    return [d.normalize() for d in diag] + [LaurentPoly.zero(m.n)] * (size - k)
 
 
 def char_poly_from_divisors(divisors) -> LaurentPoly:

@@ -25,12 +25,12 @@ from cuspedzeta.laplace import (HeatAtom, atom_function, closed_value,
                                 digamma, evaluate, residue_at,
                                 spectral_lprime)
 from cuspedzeta.laurent import LaurentPoly
-from cuspedzeta.presentation import (GroupRingElement, evaluate_twisted,
-                                     fox_derivative, parse_presentation)
+from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
 
 from conftest import FIXTURES, read_fixture
 from quadrature_oracle import quadrature_lprime
+from wada_oracle import wada_holds
 
 
 def _verdict(n, ok, desc):
@@ -86,19 +86,6 @@ def _unit_equal(p, q):
     return p.divides(q) and q.divides(p)
 
 
-def _fox_oracle_ok(p, rho, eps, data):
-    r = p.relators[0]
-    one = GroupRingElement({(): 1})
-    fa = evaluate_twisted(fox_derivative(r, 0), rho, eps)
-    fb = evaluate_twisted(fox_derivative(r, 1), rho, eps)
-    pa = evaluate_twisted(GroupRingElement.of_word(((0, 1),)), rho, eps) \
-        - evaluate_twisted(one, rho, eps)
-    pb = evaluate_twisted(GroupRingElement.of_word(((1, 1),)), rho, eps) \
-        - evaluate_twisted(one, rho, eps)
-    return _unit_equal(fa * data.char0, data.char1 * pb) and \
-        _unit_equal(fb * data.char0, data.char1 * pa)
-
-
 def test_criterion_3_alexander_exactness():
     t0 = time.perf_counter()
     ok = True
@@ -108,7 +95,7 @@ def test_criterion_3_alexander_exactness():
         d = alexander_invariant(p, rho, eps)
         ok &= _unit_equal(d.char1, LaurentPoly.from_int_coeffs(1, coeffs))
         ok &= d.ord_at_one == 1 and d.h1 == 1
-        ok &= _fox_oracle_ok(p, rho, eps, d)
+        ok &= wada_holds(p, rho, eps, d)
     for name in ("trefoil_zeta5.pres", "fig8_zeta5.pres"):
         p, eps, rho = parse_presentation(read_fixture(name))
         d = alexander_invariant(p, rho, eps)
@@ -117,11 +104,11 @@ def test_criterion_3_alexander_exactness():
         ok &= chk["equalityExpected"] is d.semisimple_at_one
         if d.semisimple_at_one:
             ok &= d.ord_at_one == -d.h1
-        ok &= _fox_oracle_ok(p, rho, eps, d)
+        ok &= wada_holds(p, rho, eps, d)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5
     _verdict(3, ok, f"char1 = t^2-t+1 / t^2-3t+1, ord=1, h1=1; zeta5 "
-                    f"inequality; Fox-determinant oracle ({elapsed:.2f}s)")
+                    f"inequality; Wada determinant oracle ({elapsed:.2f}s)")
 
 
 # -- 4 ----------------------------------------------------------------------

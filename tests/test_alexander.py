@@ -1,50 +1,27 @@
-"""Twisted Alexander invariants on the knot-group fixtures.
+"""Twisted Alexander invariants on the knot-group fixtures and the
+torus knots T(2, k).
 
-All equalities here are exact (cyclotomic-rational arithmetic); the
-independent cross-check is the Fox-determinant identity for two-generator
-one-relator presentations:
-
-    Phi(dr/da) * char0  ==  char1 * (Phi(b) - 1)   up to a unit,
-
-which ties the computed characteristic polynomials to a single Fox
-derivative without going through Smith reduction.
+All equalities here are exact (cyclotomic-rational arithmetic).  Two
+oracles check the Smith-form route without going through it: Wada's
+determinant identity on deficiency-one presentations (`wada_oracle`),
+and the classical closed form (t^k + 1)/(t + 1) for T(2, k).
 """
 
 import pytest
 
 from cuspedzeta.alexander import (alexander_invariant, theorem12_check,
                                   twisted_betti)
-from cuspedzeta.errors import HypothesisNotMet
+from cuspedzeta.cyclotomic import CyclotomicNumber
+from cuspedzeta.errors import HypothesisNotMet, NotTorsion
 from cuspedzeta.laurent import LaurentPoly, ord_at_one
-from cuspedzeta.presentation import (GroupRingElement, evaluate_twisted,
-                                     fox_derivative, parse_presentation)
+from cuspedzeta.presentation import parse_presentation
 
 from conftest import read_fixture
+from wada_oracle import unit_equal, wada_holds
 
 
 def load(name):
     return parse_presentation(read_fixture(name))
-
-
-def unit_equal(p, q):
-    """Equality in the Laurent ring up to a unit c * t^k."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return p.divides(q) and q.divides(p)
-
-
-def fox_oracle(p, rho, eps, data):
-    """The determinant identity stated in the module docstring."""
-    r = p.relators[0]
-    fa = evaluate_twisted(fox_derivative(r, 0), rho, eps)
-    fb = evaluate_twisted(fox_derivative(r, 1), rho, eps)
-    one = GroupRingElement({(): 1})
-    phi_a = evaluate_twisted(GroupRingElement.of_word(((0, 1),)), rho, eps) \
-        - evaluate_twisted(one, rho, eps)
-    phi_b = evaluate_twisted(GroupRingElement.of_word(((1, 1),)), rho, eps) \
-        - evaluate_twisted(one, rho, eps)
-    assert unit_equal(fa * data.char0, data.char1 * phi_b)
-    assert unit_equal(fb * data.char0, data.char1 * phi_a)
 
 
 @pytest.mark.parametrize("name,char1_coeffs", [
@@ -61,7 +38,7 @@ def test_trivial_character_fixtures(name, char1_coeffs):
     assert data.ord_at_one == 1
     assert data.h0 == 1 and data.h1 == 1
     assert data.h0_infinity_vanishes is False
-    fox_oracle(p, rho, eps, data)
+    assert wada_holds(p, rho, eps, data)
 
 
 @pytest.mark.parametrize("name", ["trefoil_zeta5.pres", "fig8_zeta5.pres"])
@@ -77,7 +54,7 @@ def test_zeta5_fixtures(name):
     assert check["equalityExpected"] is data.semisimple_at_one
     if data.semisimple_at_one:
         assert data.ord_at_one == -data.h1
-    fox_oracle(p, rho, eps, data)
+    assert wada_holds(p, rho, eps, data)
 
 
 def test_ord_matches_divisor_factorization():
@@ -106,3 +83,69 @@ def test_theorem12_requires_vanishing_h0():
     data = alexander_invariant(p, rho, eps)
     with pytest.raises(HypothesisNotMet):
         theorem12_check(data)
+
+
+# --- modules that are not torsion ------------------------------------------
+
+TREFOIL_TWICE = "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n={n}: {e} {e}\n"
+
+
+@pytest.mark.parametrize("text,which", [
+    ("gens a b\neps 1 1\nrho n=1: 0 0\n", "H1"),
+    (TREFOIL_TWICE.format(n=1, e=0), "H2"),
+    (TREFOIL_TWICE.format(n=5, e=1), "H2"),
+], ids=["free-group", "trefoil-relator-twice", "trefoil-relator-twice-zeta5"])
+def test_not_torsion(text, which):
+    p, eps, rho = parse_presentation(text)
+    with pytest.raises(NotTorsion) as info:
+        alexander_invariant(p, rho, eps)
+    assert info.value.which == which
+
+
+# --- torus knots T(2, k) ---------------------------------------------------
+
+def torus_knot(k, n, e):
+    """Wirtinger presentation of T(2, k), the closure of the 2-braid
+    sigma^k, with character zeta_n^e on every meridian: arcs x_0..x_{k-1}
+    with x_{i+1} = x_i x_{i-1} x_i^{-1}, the last relation left out."""
+    names = "abcdefghijklmnopqrstuvwxyz"[:k]
+    rels = [names[i] + names[i - 1] + names[i].upper() + names[(i + 1) % k].upper()
+            for i in range(k - 1)]
+    text = "\n".join(["gens " + " ".join(names)] + ["rel " + r for r in rels]
+                     + ["eps " + " ".join("1" * k),
+                        f"rho n={n}: " + " ".join([str(e)] * k)]) + "\n"
+    return parse_presentation(text)
+
+
+def torus_alexander(k, n, e):
+    """Delta_k(zeta^e t) with Delta_k = (t^k + 1)/(t + 1) = sum (-t)^j."""
+    return LaurentPoly(n, 0, [CyclotomicNumber.zeta_power(n, e * j) * (-1) ** j
+                              for j in range(k)])
+
+
+def torus_vanishes_at_one(k, n, e):
+    """Delta_k(zeta^e) = 0: zeta^e is a root of t^k = -1 other than -1."""
+    return 2 * (e * k % n) == n and 2 * (e % n) != n
+
+
+# trivial, order-5 and order-3 characters on every k, plus characters at
+# which Delta_k vanishes (zeta^e of order 6, 10 or 14)
+TORUS_CASES = [(k, n, e) for k in range(3, 22, 2)
+               for n, e in ((1, 0), (5, 1 + k % 4), (3, 1 + k % 2))] \
+    + [(3, 6, 1), (9, 6, 5), (15, 6, 1), (21, 6, 1), (5, 10, 3), (15, 10, 7),
+       (7, 14, 3)]
+
+
+@pytest.mark.parametrize("k,n,e", TORUS_CASES)
+def test_torus_knot_closed_form(k, n, e):
+    p, eps, rho = torus_knot(k, n, e)
+    data = alexander_invariant(p, rho, eps)
+    assert unit_equal(data.char1, torus_alexander(k, n, e))
+    if e % n == 0:
+        assert (data.ord_at_one, data.h1) == (1, 1)
+    else:
+        vanish = int(torus_vanishes_at_one(k, n, e))
+        assert (data.ord_at_one, data.h1) == (-vanish, vanish)
+    if k <= 11:
+        # every deleted column gives the same invariant; the fixtures test all
+        assert wada_holds(p, rho, eps, data, columns=[k - 1])

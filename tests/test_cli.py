@@ -136,6 +136,13 @@ BAD_INPUTS = [
      ["epstein", "{in}", "--s", "100"], EX_SOFTWARE, "rounding estimate"),
     ("epstein-tiny-s", None, EPSTEIN + ["--s", "1e-300"], EX_SOFTWARE,
      "epstein at s = (1e-300+0j)"),
+    ("h1-not-torsion", "gens a b\neps 1 1\nrho n=1: 0 0\n",
+     ["alexander", "{in}"], EX_SOFTWARE, "module H1 is not torsion"),
+    ("h2-not-torsion", "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=1: 0 0\n",
+     ["alexander", "{in}"], EX_SOFTWARE, "module H2 is not torsion"),
+    ("h2-not-torsion-zeta5",
+     "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=5: 1 1\n",
+     ["alexander", "{in}"], EX_SOFTWARE, "module H2 is not torsion"),
 ]
 
 
@@ -162,6 +169,19 @@ def test_bad_input_gives_located_error(capsys, tmp_path, content, argv, want,
 
 
 # --- subcommand output -----------------------------------------------------
+
+GOLDEN = FIXTURES.parent / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_exact_side_output_matches_golden_bytes(capsys, golden):
+    """`alexander`, `betti` and `verify` print the recorded bytes on the
+    fixtures; the file ``<command>_<fixture>.json`` holds the output."""
+    command, fixture = golden[:-len(".json")].split("_", 1)
+    code, out, _ = invoke(capsys, command, str(FIXTURES / f"{fixture}.pres"))
+    assert code in (0, 2)
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
 
 def test_alexander_json(capsys):
     code, out, _ = invoke(capsys, "alexander", str(FIXTURES / "trefoil.pres"))
