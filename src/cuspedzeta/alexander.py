@@ -3,8 +3,8 @@ alternating-product Alexander invariant.
 
 The infinite cyclic cover is modelled by coefficients in the Laurent
 ring: a generator x maps to rho(x) * t^eps(x).  Homology of the twisted
-complex is computed over Q(zeta_n)[t, t^-1], a PID, via kernel bases
-and Smith forms; only orders and degrees at t=1 are contract values
+complex is computed over Q(zeta_n)[t, t^-1], a PID, from one Smith
+form of the Fox matrix; only orders and degrees at t=1 are contract values
 (characteristic polynomials carry the usual unit ambiguity).
 """
 
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicNumber
 from .errors import ComplexConditionViolation, HypothesisNotMet, NotTorsion
 from .laurent import (LaurentMatrix, LaurentPoly, char_poly_from_divisors,
                       ord_at_one, smith_form)
-from .presentation import (Epsilon, GroupPresentation, GroupRingElement,
-                           UnitCharacter, evaluate_twisted, fox_derivative)
+from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
+                           evaluate_twisted, fox_derivative)
 
 
 @dataclass(frozen=True)
@@ -59,72 +58,22 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) -> Twi
     return TwistedComplex(d1=d1, d0=d0)
 
 
-def _column_reduce(vec):
-    """Unimodular U with U @ vec = (gcd, 0, ..., 0); returns
-    (gcd, U, Uinv) with the inverse maintained alongside."""
-    n = vec[0].n
-    g = len(vec)
-    v = list(vec)
-    u = LaurentMatrix.identity(n, g)
-    vinv = LaurentMatrix.identity(n, g)
+def _homology(c: TwistedComplex, rho: UnitCharacter
+              ) -> tuple[tuple[LaurentPoly, ...], int, int]:
+    """(H1 divisors, h0, h1) from one Smith form of d1.
 
-    def swap(i, j):
-        v[i], v[j] = v[j], v[i]
-        u.entries[i], u.entries[j] = u.entries[j], u.entries[i]
-        for row in vinv.entries:
-            row[i], row[j] = row[j], row[i]
-
-    while True:
-        support = [i for i in range(g) if not v[i].is_zero()]
-        if not support:
-            raise ValueError("zero column has no gcd transform")
-        piv = min(support, key=lambda i: v[i].span)
-        if piv != 0:
-            swap(0, piv)
-        done = True
-        for i in range(1, g):
-            if v[i].is_zero():
-                continue
-            q, r = v[i].divmod(v[0])
-            v[i] = r
-            u.entries[i] = [a - q * b for a, b in zip(u.entries[i], u.entries[0])]
-            for row in vinv.entries:
-                row[0] = row[0] + q * row[i]
-            if not r.is_zero():
-                done = False
-        if done and all(v[i].is_zero() for i in range(1, g)):
-            break
-    return v[0], u, vinv
-
-
-def _h1_divisors(c: TwistedComplex):
-    """Elementary divisors of H1 = ker d0 / im d1, padded with zeros
-    when the image has deficient rank."""
-    n = c.d0.n
+    0 -> H1 -> C1/im d1 -> im d0 -> 0 splits when d0 != 0, as im d0 is
+    then a nonzero ideal of a PID and so free of rank one: the divisors
+    of coker d1, padded with zeros to one per generator, are those of H1
+    followed by one zero.  Unimodular matrices stay invertible at t = 1,
+    so rank d1(1) is the number of divisors that do not vanish there.
+    """
     g = c.d0.rows
-    if g == 1:
-        # kernel of multiplication by a nonzero element is zero
-        return ()
-    _, _, vinv = _column_reduce([c.d0.entries[j][0] for j in range(g)])
-    coords = []
-    for row in c.d1.entries:
-        crow = []
-        for j in range(g):
-            acc = LaurentPoly.zero(n)
-            for k in range(g):
-                acc = acc + row[k] * vinv.entries[k][j]
-            crow.append(acc)
-        if not crow[0].is_zero():
-            raise ComplexConditionViolation(
-                "relator image has a component outside ker d0")
-        coords.append(crow[1:])
-    if not coords:
-        return tuple(LaurentPoly.zero(n) for _ in range(g - 1))
-    pres = LaurentMatrix(n, coords)
-    divisors = smith_form(pres)
-    while len(divisors) < g - 1:
-        divisors.append(LaurentPoly.zero(n))
-    return tuple(divisors)
+    divisors = smith_form(c.d1)
+    divisors += [LaurentPoly.zero(c.d0.n)] * (g - len(divisors))
+    rank = sum(not d.at_one().is_zero() for d in divisors)
+    h0 = 1 if rho.is_trivial else 0
+    return tuple(divisors[:-1]), h0, (g - rank) - (1 - h0)
 
 
 def _char0(c: TwistedComplex) -> LaurentPoly:
@@ -135,45 +84,12 @@ def _char0(c: TwistedComplex) -> LaurentPoly:
     return acc.normalize()
 
 
-def _rank_cyclotomic(rows, ncols):
-    """Row rank of a matrix of CyclotomicNumber by exact elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = next((i for i in range(rank, len(mat)) if not mat[i][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def twisted_betti(p: GroupPresentation, rho: UnitCharacter) -> tuple[int, int]:
     """Dimensions (h0, h1) of the rho-twisted cohomology of the
-    presentation complex over Q(zeta_n), with no t variable."""
-    g = p.arity
-    n = rho.modulus
-
-    def char_of(e: GroupRingElement) -> CyclotomicNumber:
-        acc = CyclotomicNumber.zero(n)
-        for w, c in e.terms.items():
-            acc = acc + rho.value(w) * c
-        return acc
-
-    h0 = 1 if all(rho.exponents[j] % n == 0 for j in range(g)) else 0
-    rows = [[char_of(fox_derivative(r, j)) for j in range(g)] for r in p.relators]
-    rank_a = _rank_cyclotomic(rows, g) if rows else 0
-    h1 = (g - rank_a) - (1 - h0)
-    return h0, h1
+    presentation complex over Q(zeta_n), with no t variable: the
+    complex with every height 0 is the one at t = 1."""
+    flat = build_complex(p, rho, Epsilon((0,) * p.arity))
+    return _homology(flat, rho)[1:]
 
 
 def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) -> AlexanderData:
@@ -189,7 +105,7 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
     # which contributes nothing at t=1
     h0_inf_vanishes = ord_at_one(char0) == 0
 
-    divisors1 = _h1_divisors(c)
+    divisors1, h0, h1 = _homology(c, rho)
     if any(d.is_zero() for d in divisors1):
         raise NotTorsion("H1")
     char1 = char_poly_from_divisors(list(divisors1)) if divisors1 else LaurentPoly.one(n)
@@ -200,9 +116,8 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
         raise NotTorsion("H2")
     char2 = LaurentPoly.one(n)
 
-    ord1 = ord_at_one(char0) + ord_at_one(char2) - ord_at_one(char1)
+    ord1 = ord_at_one(char0) - ord_at_one(char1)
     semisimple = all(d.is_unit() or ord_at_one(d) <= 1 for d in divisors1)
-    h0, h1 = twisted_betti(p, rho)
     return AlexanderData(char0=char0, char1=char1, char2=char2,
                          ord_at_one=ord1, h0=h0, h1=h1,
                          semisimple_at_one=semisimple,

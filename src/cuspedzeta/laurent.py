@@ -238,13 +238,6 @@ class LaurentMatrix:
         z = LaurentPoly.zero(n)
         return cls(n, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n, size):
-        m = cls.zero(n, size, size)
-        for i in range(size):
-            m.entries[i][i] = LaurentPoly.one(n)
-        return m
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")

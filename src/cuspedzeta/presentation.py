@@ -194,7 +194,7 @@ def parse_presentation(text: str):
             need_gens(lineno)
             if len(parts) != 2:
                 raise PresentationSyntaxError(f"'{kw}' needs exactly one word", line=lineno)
-            col = raw.index(parts[1])
+            col = raw.index(parts[1], raw.index(kw) + len(kw))
             word = W.parse_letters(parts[1], len(names), names, line=lineno, col_offset=col)
             word = W.free_reduce(word)
             (relators if kw == "rel" else peripheral).append(word)
@@ -229,6 +229,8 @@ def parse_presentation(text: str):
                 raise PresentationSyntaxError(f"bad float in 'vol': {exc}", line=lineno)
             if not volume > 0:
                 raise PresentationSyntaxError("volume must be positive", line=lineno)
+            if not math.isfinite(volume):
+                raise PresentationSyntaxError("volume must be finite", line=lineno)
         else:
             raise PresentationSyntaxError(f"unknown keyword {kw!r}", line=lineno)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .alexander import alexander_invariant, twisted_betti
+from .alexander import alexander_invariant
 from .errors import InconsistentInput
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            peripheral_trivial, serialize_presentation)

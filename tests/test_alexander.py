@@ -4,18 +4,23 @@ torus knots T(2, k).
 All equalities here are exact (cyclotomic-rational arithmetic).  Two
 oracles check the Smith-form route without going through it: Wada's
 determinant identity on deficiency-one presentations (`wada_oracle`),
-and the classical closed form (t^k + 1)/(t + 1) for T(2, k).
+and the classical closed form (t^k + 1)/(t + 1) for T(2, k).  A third,
+`h1_oracle`, keeps the earlier kernel-basis and t = 1 rank routes.
 """
+
+import functools
 
 import pytest
 
-from cuspedzeta.alexander import (alexander_invariant, theorem12_check,
+from cuspedzeta.alexander import (_homology, alexander_invariant,
+                                  build_complex, theorem12_check,
                                   twisted_betti)
 from cuspedzeta.cyclotomic import CyclotomicNumber
 from cuspedzeta.errors import HypothesisNotMet, NotTorsion
 from cuspedzeta.laurent import LaurentPoly, ord_at_one
 from cuspedzeta.presentation import parse_presentation
 
+import h1_oracle
 from conftest import read_fixture
 from wada_oracle import unit_equal, wada_holds
 
@@ -149,3 +154,49 @@ def test_torus_knot_closed_form(k, n, e):
     if k <= 11:
         # every deleted column gives the same invariant; the fixtures test all
         assert wada_holds(p, rho, eps, data, columns=[k - 1])
+
+
+# --- one Smith form against the earlier routes ------------------------------
+
+ORACLE_TEXTS = {
+    "free-group": "gens a b\neps 1 1\nrho n=1: 0 0\n",
+    "free-group-zeta3": "gens a b c\neps 1 0 1\nrho n=3: 1 2 0\n",
+    "one-generator": "gens a\neps 1\nrho n=1: 0\n",
+    "one-generator-zeta5": "gens a\neps 1\nrho n=5: 2\n",
+    "one-generator-relator": "gens a\nrel aA\neps 1\nrho n=1: 0\n",
+    "trefoil-relator-twice": TREFOIL_TWICE.format(n=1, e=0),
+    "trefoil-relator-twice-zeta5": TREFOIL_TWICE.format(n=5, e=1),
+}
+# the two-component links T(2, k), k even, next to the knots
+ORACLE_INPUTS = {
+    **{name: functools.partial(load, name)
+       for name in ("trefoil.pres", "fig8.pres", "trefoil_zeta5.pres",
+                    "fig8_zeta5.pres")},
+    **{name: functools.partial(parse_presentation, text)
+       for name, text in ORACLE_TEXTS.items()},
+    **{f"T(2,{k})-n{n}-e{e}": functools.partial(torus_knot, k, n, e)
+       for k, n, e in TORUS_CASES + [(k, n, e) for k in (2, 4, 6)
+                                     for n, e in ((1, 0), (3, 1), (4, 2), (5, 2))]},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_h1_and_betti_match_old_routes(name):
+    """The padded Smith form of d1 gives the H1 divisors of the kernel-
+    basis route and the (h0, h1) of the t = 1 rank route, also where
+    H1 or H2 is not torsion."""
+    p, eps, rho = ORACLE_INPUTS[name]()
+    c = build_complex(p, rho, eps)
+    want_divisors = h1_oracle._h1_divisors(c)
+    want_betti = h1_oracle.twisted_betti(p, rho)
+    assert twisted_betti(p, rho) == want_betti
+    try:
+        data = alexander_invariant(p, rho, eps)
+    except NotTorsion as exc:
+        assert exc.which == ("H1" if any(d.is_zero() for d in want_divisors)
+                             else "H2")
+        divisors, h0, h1 = _homology(c, rho)
+    else:
+        divisors, h0, h1 = data.h1_divisors, data.h0, data.h1
+    assert repr(divisors) == repr(want_divisors)
+    assert (h0, h1) == want_betti

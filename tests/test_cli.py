@@ -1,16 +1,21 @@
 """Command-line interface: exit codes, subcommands, and deterministic
 byte-level output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, read_fixture
 from epstein_oracle import epstein_mpmath
 
 
@@ -136,6 +141,14 @@ BAD_INPUTS = [
      ["epstein", "{in}", "--s", "100"], EX_SOFTWARE, "rounding estimate"),
     ("epstein-tiny-s", None, EPSTEIN + ["--s", "1e-300"], EX_SOFTWARE,
      "epstein at s = (1e-300+0j)"),
+    ("pres-vol-inf", "gens a b\nrel abaBAB\nperi ab\neps 1 1\nrho n=1: 0 0\n"
+                     "vol inf\n", ["verify", "{in}"], EX_DATAERR,
+     "volume must be finite (line 6)"),
+    ("pres-vol-overflow", "gens a b\nrel abaBAB\nperi ab\neps 1 1\n"
+                          "rho n=1: 0 0\nvol 1e400\n", ["verify", "{in}"],
+     EX_DATAERR, "volume must be finite (line 6)"),
+    ("pres-word-inside-keyword", "gens a b\nrel rel\neps 1 1\nrho n=1: 0 0\n",
+     ["alexander", "{in}"], EX_DATAERR, "(line 2, col 5)"),
     ("h1-not-torsion", "gens a b\neps 1 1\nrho n=1: 0 0\n",
      ["alexander", "{in}"], EX_SOFTWARE, "module H1 is not torsion"),
     ("h2-not-torsion", "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=1: 0 0\n",
@@ -166,6 +179,52 @@ def test_bad_input_gives_located_error(capsys, tmp_path, content, argv, want,
     assert "Traceback" not in err
     assert needle in err
     assert "['" not in err  # messages are plain strings, not lists
+
+
+PRES_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.pres"))
+# letters, digits and separators of the grammar, plus a few it lacks
+MUTATION_ALPHABET = "abcABC xyz0129=:-#.\té"
+
+
+@st.composite
+def mutated_presentation(draw):
+    """A `.pres` fixture with one to three lines or letters dropped,
+    duplicated or changed."""
+    lines = read_fixture(draw(st.sampled_from(PRES_FIXTURES))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop-line", "dup-line", "drop", "dup",
+                                     "change"]))
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, lines[i])
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "change":
+                new = draw(st.sampled_from(MUTATION_ALPHABET))
+            else:
+                new = "" if kind == "drop" else lines[i][j] * 2
+            lines[i] = lines[i][:j] + new + lines[i][j + 1:]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_presentation(), st.sampled_from(["alexander", "betti", "verify"]))
+def test_mutated_presentations_keep_the_exit_code_contract(text, command):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.pres")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # an exception escaping run() is a traceback on the command line;
+        # here it fails the test
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, path])
+    assert code in (0, 2, 3, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- subcommand output -----------------------------------------------------
