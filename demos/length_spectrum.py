@@ -30,7 +30,7 @@ def main():
     rep = euler_product(spectrum, z)
     print(f"\nR(z={z}) truncated: {rep.value.real:.15f} "
           f"({rep.terms_used} primitive factors)")
-    print(f"factorization residual at z={z}: {fried_residual(spectrum, z):.2e}")
+    print(f"factorization residual at z={z}: {fried_residual(spectrum, z).value:.2e}")
     d_num = log_derivative(spectrum, 4.0)
     d_ser = log_derivative_series(spectrum, 4.0)
     print(f"d/dz log R at z=4: numeric {d_num.real:.12f} vs "

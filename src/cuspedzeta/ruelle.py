@@ -106,23 +106,23 @@ def y_series(s: Spectrum, j: int, z: complex) -> TruncationReport:
                             terms_used=len(s.classes))
 
 
-def s_log(s: Spectrum, j: int, z: complex) -> complex:
-    """log S_j(z) = -sum a_j(g) e^{-z l(g)} / l(g)."""
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    total = 0j
+def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
+    """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
+    truncated class set, with log S_j(w) = -sum a_j(g) e^{-w l(g)} / l(g);
+    zero up to the tail for a power-closed set.  One pass over the
+    classes feeds all four sums."""
+    tail = _tail_bound(s, z.real)
+    z1, z2 = z + 1, z + 2
+    log_r = s0 = s0_shift = s1 = 0j
     for c in s.classes:
         w = weights(c)
-        total -= (w.a0 if j == 0 else w.a1) * cmath.exp(-z * c.length) / c.length
-    return total
-
-
-def fried_residual(s: Spectrum, z: complex) -> float:
-    """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
-    truncated class set; zero up to the tail for a power-closed set."""
-    lhs = log_euler_product(s, z).value
-    rhs = s_log(s, 0, z) + s_log(s, 0, z + 2) - s_log(s, 1, z + 1)
-    return abs(lhs - rhs)
+        e = cmath.exp(-z * c.length)
+        log_r -= c.char_value * e * c.primitive_length / c.length
+        s0 -= w.a0 * e / c.length
+        s0_shift -= w.a0 * cmath.exp(-z2 * c.length) / c.length
+        s1 -= w.a1 * cmath.exp(-z1 * c.length) / c.length
+    return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
+                            tail_bound=tail, terms_used=len(s.classes))
 
 
 def hyperbolic_heat(s: Spectrum, j: int, t: float) -> complex:

@@ -117,6 +117,18 @@ class GeodesicClass:
                 f"length {self.length} is not multiplicity x primitive length")
         if abs(abs(self.char_value) - 1) > 1e-12:
             raise FormatError(f"character value {self.char_value} is off the unit circle")
+        if not self.length > 0:
+            raise FormatError(f"length {self.length} is not positive")
+        if self.multiplicity < 1:
+            raise FormatError(f"multiplicity {self.multiplicity} is below 1")
+        if not self.word:
+            raise FormatError("empty word")
+        # Delta = |1 - e^{-(l + i theta)}|^2, the denominator of the
+        # Ruelle weights, must not round to zero
+        el = math.exp(-self.length)
+        if not 1 - 2 * el * math.cos(self.holonomy) + el * el > 0:
+            raise FormatError(f"length {self.length} and holonomy {self.holonomy} "
+                              f"give det(1 - P) = 0 to rounding")
         return self
 
     @property
@@ -299,6 +311,7 @@ def _finite_float(text: str) -> float:
 
 
 def load_spectrum(path) -> Spectrum:
+    """Read a spectrum CSV in one pass; every error names its line."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
@@ -323,6 +336,8 @@ def load_spectrum(path) -> Spectrum:
         complete = meta.get("complete", "0") == "1"
         body_start = 2
     classes = []
+    limit = cutoff + 1e-9
+    last = -math.inf
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
         if not line.strip():
             continue
@@ -330,22 +345,32 @@ def load_spectrum(path) -> Spectrum:
         if len(parts) != 7:
             raise FormatError("expected 7 comma-separated fields", line=lineno)
         try:
-            length, theta, re_c, im_c, prim = (_finite_float(x) for x in parts[:5])
+            try:
+                nums = tuple(map(float, parts[:5]))
+                if not all(map(math.isfinite, nums)):
+                    raise ValueError
+            except ValueError:  # the first bad field gives the message
+                nums = tuple(map(_finite_float, parts[:5]))
+            length, theta, re_c, im_c, prim = nums
             mult = int(parts[5])
             word = W.parse_letters(parts[6], 26)
-        except Exception as exc:
-            raise FormatError(f"bad row: {exc}", line=lineno)
-        cls = GeodesicClass(length=length, holonomy=theta,
-                            char_value=complex(re_c, im_c),
-                            primitive_length=prim, multiplicity=mult, word=word)
-        try:
-            cls.validate()
+            cls = GeodesicClass(length=length, holonomy=theta,
+                                char_value=complex(re_c, im_c),
+                                primitive_length=prim, multiplicity=mult,
+                                word=word).validate()
         except FormatError as exc:
             raise FormatError(str(exc), line=lineno)
+        except Exception as exc:
+            raise FormatError(f"bad row: {exc}", line=lineno)
+        if length > limit:
+            raise FormatError(f"class length {length} beyond cutoff", line=lineno)
+        if length < last - 1e-12:
+            raise FormatError("classes are not sorted by length", line=lineno)
+        last = length
         classes.append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     lattice_covolume=covolume, volume=volume,
-                    max_word_len=max_word_len, complete=complete).validate()
+                    max_word_len=max_word_len, complete=complete)
 
 
 def figure_eight_generators():

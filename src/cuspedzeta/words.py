@@ -8,6 +8,8 @@ uppercase letter its inverse.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import PresentationSyntaxError
 
 Letter = tuple[int, int]
@@ -94,6 +96,18 @@ def necklace_walk(n_generators: int, max_len: int):
                               p if j == ref else n + 1))
 
 
+@functools.cache
+def _alphabet(n_generators: int) -> dict:
+    """Letter -> (generator, exponent) for the first ``n_generators``
+    lowercase letters and their uppercase inverses."""
+    table = {}
+    for i in range(min(n_generators, 26)):
+        low = chr(ord("a") + i)
+        table[low] = (i, 1)
+        table[low.upper()] = (i, -1)
+    return table
+
+
 def parse_letters(text: str, n_generators: int, names=None,
                   line=None, col_offset=0) -> GroupWord:
     """Parse a letter string like ``abAB`` into a word.
@@ -102,7 +116,10 @@ def parse_letters(text: str, n_generators: int, names=None,
     first ``n_generators`` letters of the alphabet are used.
     """
     if names is None:
-        names = [chr(ord("a") + i) for i in range(n_generators)]
+        try:
+            return tuple(map(_alphabet(n_generators).__getitem__, text))
+        except KeyError:  # the loop below names the offending letter
+            names = [chr(ord("a") + i) for i in range(n_generators)]
     index = {nm: i for i, nm in enumerate(names)}
     letters: list[Letter] = []
     for pos, ch in enumerate(text):

@@ -1,0 +1,119 @@
+"""The spectrum read path and the factorization check as they were
+before each became one pass, kept as test oracles.
+
+`load_spectrum` parses every number through `_finite_float`, every word
+through a letter index rebuilt per row (`parse_letters`), validates
+each row, and then `Spectrum.validate` checks the cutoff and the order
+and validates every row again.  `fried_residual` sums the log Euler
+product and each of the three `s_log` sums in a pass of its own, and
+`fried_check` evaluates a whole Euler product to read its tail bound.
+The only edit to the bodies is that `load_spectrum` calls the
+`parse_letters` below instead of `words.parse_letters`.
+"""
+
+import cmath
+import math
+
+from cuspedzeta import ruelle
+from cuspedzeta.errors import FormatError, PresentationSyntaxError
+from cuspedzeta.ruelle import log_euler_product, weights
+from cuspedzeta.spectrum import GeodesicClass, Spectrum
+
+
+def parse_letters(text: str, n_generators: int, names=None,
+                  line=None, col_offset=0):
+    if names is None:
+        names = [chr(ord("a") + i) for i in range(n_generators)]
+    index = {nm: i for i, nm in enumerate(names)}
+    letters = []
+    for pos, ch in enumerate(text):
+        low = ch.lower()
+        if low not in index:
+            raise PresentationSyntaxError(
+                f"unknown generator letter {ch!r}", line=line,
+                column=col_offset + pos + 1)
+        letters.append((index[low], 1 if ch.islower() else -1))
+    return tuple(letters)
+
+
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text!r}")
+    return v
+
+
+def load_spectrum(path) -> Spectrum:
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    if not raw or not raw[0].startswith("# cutoff="):
+        raise FormatError("missing spectrum header", line=1)
+    try:
+        head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
+        cutoff = _finite_float(head["cutoff"])
+        covolume = _finite_float(head["covolume"])
+        volume = _finite_float(head["volume"])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad header: {exc}", line=1)
+    max_word_len = None
+    complete = False
+    body_start = 1
+    if len(raw) > 1 and raw[1].startswith("# max_word_len="):
+        try:
+            meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
+            mwl = int(meta.get("max_word_len", -1))
+        except ValueError as exc:
+            raise FormatError(f"bad header: {exc}", line=2)
+        max_word_len = None if mwl < 0 else mwl
+        complete = meta.get("complete", "0") == "1"
+        body_start = 2
+    classes = []
+    for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise FormatError("expected 7 comma-separated fields", line=lineno)
+        try:
+            length, theta, re_c, im_c, prim = (_finite_float(x) for x in parts[:5])
+            mult = int(parts[5])
+            word = parse_letters(parts[6], 26)
+        except Exception as exc:
+            raise FormatError(f"bad row: {exc}", line=lineno)
+        cls = GeodesicClass(length=length, holonomy=theta,
+                            char_value=complex(re_c, im_c),
+                            primitive_length=prim, multiplicity=mult, word=word)
+        try:
+            cls.validate()
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno)
+        classes.append(cls)
+    return Spectrum(classes=classes, cutoff_length=cutoff,
+                    lattice_covolume=covolume, volume=volume,
+                    max_word_len=max_word_len, complete=complete).validate()
+
+
+def s_log(s: Spectrum, j: int, z: complex) -> complex:
+    """log S_j(z) = -sum a_j(g) e^{-z l(g)} / l(g)."""
+    if j not in (0, 1):
+        raise ValueError("j must be 0 or 1")
+    total = 0j
+    for c in s.classes:
+        w = weights(c)
+        total -= (w.a0 if j == 0 else w.a1) * cmath.exp(-z * c.length) / c.length
+    return total
+
+
+def fried_residual(s: Spectrum, z: complex) -> float:
+    """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
+    truncated class set; zero up to the tail for a power-closed set."""
+    lhs = log_euler_product(s, z).value
+    rhs = s_log(s, 0, z) + s_log(s, 0, z + 2) - s_log(s, 1, z + 1)
+    return abs(lhs - rhs)
+
+
+def fried_check(s: Spectrum, z: complex) -> tuple[float, float]:
+    """(residual, tail bound) as `fried check` printed them."""
+    residual = fried_residual(s, z)
+    tail = ruelle.euler_product(s, z).tail_bound
+    return residual, tail

@@ -115,12 +115,12 @@ def test_criterion_3_alexander_exactness():
 
 def test_criterion_4_factorization():
     orbit = ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
-    ok = ruelle.fried_residual(orbit, 4 + 0j) <= 1e-12
+    ok = ruelle.fried_residual(orbit, 4 + 0j).value <= 1e-12
     fig8 = enumerate_classes(figure_eight_generators(), [1.0, 1.0],
                              max_word_len=8, cutoff_length=3.0,
                              covolume=2 * math.sqrt(3),
                              volume=2.029883212819307, complete=False)
-    residual = ruelle.fried_residual(fig8, 5 + 0j)
+    residual = ruelle.fried_residual(fig8, 5 + 0j).value
     tail = ruelle.euler_product(fig8, 5 + 0j).tail_bound
     ok &= residual <= tail
     _verdict(4, ok, f"factorization residuals: orbit {1e-12:.0e} bound met, "

@@ -67,6 +67,9 @@ ENUM = ["spectrum", "enumerate", "{in}", "--max-word-len", "3", "--cutoff", "3"]
 RUELLE = ["ruelle", "eval", str(FIXTURES / "fig8_spectrum.csv")]
 FRIED = ["fried", "check", str(FIXTURES / "fig8_spectrum.csv")]
 EPSTEIN = ["epstein", str(FIXTURES / "square_lattice.json")]
+CSV_HEAD = "# cutoff=3 covolume=1 volume=1\n"
+RUELLE_IN = ["ruelle", "eval", "{in}", "--z", "5"]
+FRIED_IN = ["fried", "check", "{in}", "--z", "5"]
 
 # (case, input file content or None, argv with "{in}" for that file,
 #  exit code, text the message must hold)
@@ -113,6 +116,24 @@ BAD_INPUTS = [
      ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
     ("csv-nan-cutoff", "# cutoff=nan covolume=1 volume=1\n",
      ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 1)"),
+    ("csv-zero-length", CSV_HEAD + "0,0,1,0,0,1,a\n", FRIED_IN, EX_DATAERR,
+     "length 0.0 is not positive (line 2)"),
+    ("csv-delta-zero-eval", CSV_HEAD + "1e-320,0,1,0,1e-320,1,a\n", RUELLE_IN,
+     EX_DATAERR, "det(1 - P) = 0 to rounding (line 2)"),
+    ("csv-delta-zero-fried", CSV_HEAD + "1e-320,0,1,0,1e-320,1,a\n", FRIED_IN,
+     EX_DATAERR, "det(1 - P) = 0 to rounding (line 2)"),
+    ("csv-negative-length", CSV_HEAD + "-1,0,1,0,-1,1,a\n", RUELLE_IN,
+     EX_DATAERR, "length -1.0 is not positive (line 2)"),
+    ("csv-negative-multiplicity", CSV_HEAD + "1,0,1,0,-1,-1,a\n", RUELLE_IN,
+     EX_DATAERR, "multiplicity -1 is below 1 (line 2)"),
+    ("csv-empty-word", CSV_HEAD + "1,0,1,0,1,1,\n", RUELLE_IN, EX_DATAERR,
+     "empty word (line 2)"),
+    ("csv-beyond-cutoff", CSV_HEAD + "4,0,1,0,4,1,a\n", RUELLE_IN, EX_DATAERR,
+     "class length 4.0 beyond cutoff (line 2)"),
+    ("csv-unsorted", CSV_HEAD + "2,0,1,0,2,1,a\n1,0,1,0,1,1,b\n", FRIED_IN,
+     EX_DATAERR, "classes are not sorted by length (line 3)"),
+    ("csv-bad-letter", CSV_HEAD + "1,0,1,0,1,1,a1\n", RUELLE_IN, EX_DATAERR,
+     "bad row: unknown generator letter '1' (line 2)"),
     ("inf-in-output", None, ["terms", "identity", "--vol", "1e308"],
      EX_SOFTWARE, "non-finite number"),
     ("z-not-a-number", None, RUELLE + ["--z", "abc"], EX_USAGE, "--z"),
@@ -224,6 +245,61 @@ def test_mutated_presentations_keep_the_exit_code_contract(text, command):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([command, path])
     assert code in (0, 2, 3, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
+    assert "Traceback" not in err.getvalue()
+
+
+# digits, number syntax and letters of the CSV grammar, plus a few it lacks
+CSV_ALPHABET = "0123456789.-+e,abABxz #=é"
+CSV_TOKENS = ("nan", "0", "-1", "", "inf", "1e-320")
+
+
+@st.composite
+def mutated_spectrum(draw):
+    """`fig8_spectrum.csv` with one to three lines, fields or characters
+    dropped, duplicated or changed, or a field replaced by one of
+    `CSV_TOKENS` (the empty string makes an empty word)."""
+    lines = read_fixture("fig8_spectrum.csv").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop-line", "dup-line", "drop-field",
+                                     "dup-field", "token", "change"]))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, lines[i])
+        elif kind == "drop-field":
+            lines[i] = ",".join(fields[:j] + fields[j + 1:])
+        elif kind == "dup-field":
+            lines[i] = ",".join(fields[:j + 1] + fields[j:])
+        elif kind == "token":
+            fields[j] = draw(st.sampled_from(CSV_TOKENS))
+            lines[i] = ",".join(fields)
+        elif lines[i]:
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:k] + draw(st.sampled_from(CSV_ALPHABET)) \
+                + lines[i][k + 1:]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_spectrum(), st.sampled_from([["ruelle", "eval"],
+                                            ["fried", "check"]]),
+       st.sampled_from(["5", "2.5+1j", "1.5-2j", "0.01"]))
+def test_mutated_spectra_keep_the_exit_code_contract(text, command, z):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # an exception escaping run() is a traceback on the command line;
+        # here it fails the test
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*command, path, "--z", z])
+    assert code in (0, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
     assert "Traceback" not in err.getvalue()
 
 

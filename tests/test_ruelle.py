@@ -42,11 +42,11 @@ def test_log_euler_product_matches_product(fig8):
 
 
 def test_single_orbit_factorization_residual(orbit):
-    assert ruelle.fried_residual(orbit, 4 + 0j) <= 1e-12
+    assert ruelle.fried_residual(orbit, 4 + 0j).value <= 1e-12
 
 
 def test_fig8_factorization_residual(fig8):
-    residual = ruelle.fried_residual(fig8, 5 + 0j)
+    residual = ruelle.fried_residual(fig8, 5 + 0j).value
     # complete spectrum: residual is pure roundoff
     assert residual <= 1e-12
 
