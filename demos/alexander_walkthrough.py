@@ -1,8 +1,9 @@
 """From a knot-group presentation to its twisted Alexander data.
 
 Walks the exact-arithmetic half of the package: parse a presentation,
-take Fox derivatives, evaluate them through a unit character, and read
-off the characteristic polynomials and the order at t = 1.
+take Fox derivatives through a unit character and the height map, read
+off the characteristic polynomials and the order at t = 1, and compare
+orders where the cover's degree-zero cohomology vanishes.
 
 Run:  python3 demos/alexander_walkthrough.py
 """
@@ -10,8 +11,7 @@ Run:  python3 demos/alexander_walkthrough.py
 import pathlib
 
 from cuspedzeta import (alexander_invariant, fox_derivative, format_poly,
-                        parse_presentation, theorem12_check)
-from cuspedzeta.presentation import evaluate_twisted
+                        main_conjecture_report, parse_presentation)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,7 +24,7 @@ def show(name):
     # the Fox matrix row of the single relator
     r = p.relators[0]
     for j, g in enumerate(p.generator_names):
-        d = evaluate_twisted(fox_derivative(r, j), rho, eps)
+        d = fox_derivative(r, j, rho, eps)
         print(f"  d(relator)/d{g} -> {format_poly(d)}")
 
     data = alexander_invariant(p, rho, eps)
@@ -34,7 +34,11 @@ def show(name):
     print(f"ord at t=1: {data.ord_at_one}   h0={data.h0} h1={data.h1} "
           f"semisimple={data.semisimple_at_one}")
     if data.h0_infinity_vanishes:
-        print("order comparison:", theorem12_check(data))
+        report = main_conjecture_report(p, rho, eps)
+        print(f"order comparison: predicted Ruelle order "
+              f"{report.predicted_ruelle_order}, inequality holds: "
+              f"{report.inequality_holds}, equality expected: "
+              f"{report.equality_expected}")
     else:
         print("degree-zero cohomology of the cover is nonzero; "
               "order comparison is informational only")

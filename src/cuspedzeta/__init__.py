@@ -10,8 +10,7 @@ vanishing order of the Ruelle function at zero with the order of the
 Alexander invariant at ``t = 1``.
 """
 
-from .alexander import (AlexanderData, alexander_invariant, theorem12_check,
-                        twisted_betti)
+from .alexander import AlexanderData, alexander_invariant, twisted_betti
 from .cuspterms import (Lattice2D, LatticeCharacter, NontrivialRestriction,
                         ScatteringPoles, TrivialRestriction, epstein,
                         epstein_residue_and_constant, identity_lprime,
@@ -19,13 +18,13 @@ from .cuspterms import (Lattice2D, LatticeCharacter, NontrivialRestriction,
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
 from .errors import (ConvergenceRegionError, CuspedZetaError,
                      DiscretenessSuspect, FormatError,
-                     HypothesisNotMet, InconsistentInput, NotTorsion,
+                     InconsistentInput, NotTorsion,
                      PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
                      UnsupportedAtom, ValidationError)
 from .laplace import (HeatAtom, MeroSum, digamma, evaluate, lprime_closed,
-                      mero_from_json, mero_to_json, quadrature_lprime,
-                      residue_at, spectral_lprime)
+                      mero_to_json, quadrature_lprime, residue_at,
+                      spectral_lprime)
 from .laurent import LaurentMatrix, LaurentPoly, format_poly, ord_at_one, smith_form
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            fox_derivative, parse_presentation,
@@ -35,7 +34,7 @@ from .ruelle import (TruncationReport, euler_product, fried_residual,
                      single_orbit_spectrum)
 from .spectrum import (GeodesicClass, MoebiusMatrix, Spectrum, classify,
                        enumerate_classes, figure_eight_generators,
-                       load_spectrum, save_spectrum)
+                       format_spectrum, load_spectrum)
 from .verdict import (Report, l2_betti, main_conjecture_report,
                       ruelle_order_prediction)
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ComplexConditionViolation, HypothesisNotMet, NotTorsion
+from .errors import ComplexConditionViolation, NotTorsion
 from .laurent import (LaurentMatrix, LaurentPoly, char_poly_from_divisors,
                       ord_at_one, smith_form)
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
-                           evaluate_twisted, fox_derivative)
+                           fox_derivative)
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class AlexanderData:
 def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) -> TwistedComplex:
     n = rho.modulus
     g = p.arity
-    d1 = LaurentMatrix(n, [[evaluate_twisted(fox_derivative(r, j), rho, eps)
-                            for j in range(g)]
+    d1 = LaurentMatrix(n, [[fox_derivative(r, j, rho, eps) for j in range(g)]
                            for r in p.relators]) if p.relators else LaurentMatrix(n, [])
     col = []
     for j in range(g):
@@ -124,13 +123,3 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
                          h0_infinity_vanishes=h0_inf_vanishes,
                          h1_divisors=divisors1)
 
-
-def theorem12_check(a: AlexanderData) -> dict:
-    """Order inequality against minus the first twisted Betti number,
-    with expected equality under the semisimplicity criterion."""
-    if not a.h0_infinity_vanishes:
-        raise HypothesisNotMet("H0 of the infinite cover is nonzero")
-    return {
-        "inequalityHolds": a.ord_at_one <= -a.h1,
-        "equalityExpected": a.semisimple_at_one,
-    }

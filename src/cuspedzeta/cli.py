@@ -31,7 +31,7 @@ EX_SOFTWARE = 70
 _INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
                  PoleOnAxis, UnicodeDecodeError)
 _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
-                   PoleEvaluation, UnsupportedAtom)
+                   PoleEvaluation, UnsupportedAtom, OverflowError)
 
 
 def _jdump(obj, out):

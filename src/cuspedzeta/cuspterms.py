@@ -85,33 +85,6 @@ def identity_lprime(vol: float):
     return m0, m1
 
 
-def identity_heat(vol: float, t: float, j: int) -> float:
-    """Plancherel heat contributions of the identity:
-    I0 = vol (sqrt(pi)/4) t^{-3/2} e^{-t},
-    I1 = 2 vol (sqrt(pi)/2)(t^{-1/2} + t^{-3/2}/2)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if j == 0:
-        return vol * math.sqrt(math.pi) / 4 * t ** -1.5 * math.exp(-t)
-    if j == 1:
-        return 2 * vol * math.sqrt(math.pi) / 2 * (t ** -0.5 + t ** -1.5 / 2)
-    raise ValueError("j must be 0 or 1")
-
-
-def plancherel_trace(j: int, t: float) -> float:
-    """The sigma-integrated unipotent kernel traces:
-    j=0: (e^{-t}/4 pi^2) sqrt(pi/t);  j=1: adds (1/2 pi^2) sqrt(pi/t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    g = math.sqrt(math.pi / t)
-    zero = math.exp(-t) / (4 * math.pi ** 2) * g
-    if j == 0:
-        return zero
-    if j == 1:
-        return g / (2 * math.pi ** 2) + zero
-    raise ValueError("j must be 0 or 1")
-
-
 # ---------------------------------------------------------------------------
 # Epstein L-function
 

@@ -7,8 +7,6 @@ polynomial.  All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -193,11 +191,6 @@ class CyclotomicNumber:
             if c:
                 out = out + CyclotomicNumber.zeta_power(self.n, -k) * c
         return out
-
-    # conversions -----------------------------------------------------
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * math.pi / self.n)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):

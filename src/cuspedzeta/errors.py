@@ -42,10 +42,6 @@ class ComplexConditionViolation(CuspedZetaError):
     pass
 
 
-class HypothesisNotMet(CuspedZetaError):
-    pass
-
-
 class FormatError(CuspedZetaError):
     def __init__(self, message, line=None):
         if line is not None:

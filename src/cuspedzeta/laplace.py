@@ -349,22 +349,6 @@ def lprime_closed(atom: HeatAtom) -> MeroSum:
     return MeroSum.build(digamma_atoms=[(2 * math.pi * c, atom.param)])
 
 
-def closed_value(atom: HeatAtom, z: complex) -> complex:
-    """The closed-form transform of one atom evaluated at z.
-
-    Unlike lprime_closed this also covers power atoms whose transform
-    2 Gamma(1+nu) z^{-(1+2nu)} is a higher-order pole at 0 (nu >= 1),
-    which has no simple-pole MeroSum representation.
-    """
-    if atom.kind == "power":
-        nu = Fraction(atom.param)
-        if nu + 1 <= 0 and (nu + 1).denominator == 1:
-            raise UnsupportedAtom(f"Gamma pole at 1 + nu = {nu + 1}")
-        e = -(1 + 2 * nu)
-        return 2 * _gamma(nu + 1) * atom.coefficient * complex(z) ** int(e)
-    return evaluate(lprime_closed(atom), z)
-
-
 def atom_function(atom: HeatAtom):
     """The atom as a plain callable of t, for quadrature cross-checks."""
     c, p, kind = atom.coefficient, atom.param, atom.kind
@@ -455,12 +439,3 @@ def mero_to_json(m: MeroSum) -> dict:
         "expAtoms": [[_cx(c), complex(r).real] for c, r in m.exp_atoms],
     }
 
-
-def mero_from_json(d: dict) -> MeroSum:
-    un = lambda p: complex(p[0], p[1])
-    return MeroSum.build(
-        poly=[un(c) for c in d.get("polyPart", [])],
-        poles=[(un(l), un(r)) for l, r in d.get("poles", [])],
-        digamma_atoms=[(un(c), un(s)) for c, s in d.get("digammaAtoms", [])],
-        exp_atoms=[(un(c), r) for c, r in d.get("expAtoms", [])],
-    )

@@ -1,5 +1,5 @@
 """Group presentations with an integral height map, a root-of-unity
-character, peripheral data, and Fox calculus.
+character, peripheral data, and the twisted Fox derivative.
 
 The presentation file grammar (UTF-8, line oriented)::
 
@@ -71,81 +71,34 @@ class GroupPresentation:
         return len(self.generator_names)
 
 
-class GroupRingElement:
-    """Finite integer combination of group words; the carrier of Fox
-    derivatives.  Zero coefficients are never stored."""
+def fox_derivative(word: GroupWord, i: int, rho: UnitCharacter,
+                   eps: Epsilon) -> LaurentPoly:
+    """The Fox derivative of `word` with respect to generator i, under
+    the ring map sending a word w to rho(w) t^eps(w).
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[GroupWord, int] = {}
-        if terms:
-            for w, c in dict(terms).items():
-                if c:
-                    self.terms[tuple(w)] = c
-
-    @classmethod
-    def of_word(cls, word: GroupWord, coeff: int = 1):
-        return cls({tuple(word): coeff})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def left_mul(self, word: GroupWord):
-        """Multiply every term on the left by the given word."""
-        out: dict[GroupWord, int] = {}
-        for w, c in self.terms.items():
-            key = W.concat(word, w)
-            out[key] = out.get(key, 0) + c
-        return GroupRingElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items()):
-            parts.append(f"{c}*[{W.format_letters(w)}]")
-        return " + ".join(parts)
-
-
-def fox_derivative(w: GroupWord, i: int) -> GroupRingElement:
-    """Free-group Fox derivative with respect to generator i.
-
-    Satisfies d(uv) = du + u dv, d(x) = 1 and d(x^-1) = -x^-1.
+    One pass over the word, carrying the prefix's character exponent
+    mod n and its height: a letter x_i after the prefix p adds
+    rho(p) t^eps(p), and a letter x_i^-1 subtracts rho(p x_i^-1)
+    t^eps(p x_i^-1).  Satisfies d(uv) = du + rho(u) t^eps(u) dv.
     """
-    out = GroupRingElement()
-    prefix: GroupWord = ()
-    for g, e in w:
-        if g == i:
-            if e == 1:
-                out = out + GroupRingElement.of_word(prefix)
-            else:
-                out = out - GroupRingElement.of_word(W.concat(prefix, ((g, -1),)))
-        prefix = W.concat(prefix, ((g, e),))
-    return out
-
-
-def evaluate_twisted(e: GroupRingElement, rho: UnitCharacter, eps: Epsilon) -> LaurentPoly:
-    """Ring homomorphism sending word w to rho(w) * t^eps(w), extended
-    linearly over the integers."""
     n = rho.modulus
-    out = LaurentPoly.zero(n)
-    for w, c in e.terms.items():
-        coeff = rho.value(w) * c
-        out = out + LaurentPoly(n, eps.of(w), [coeff])
-    return out
+    # height -> integer coefficient of each power of zeta_n
+    terms: dict[int, list[int]] = {}
+    r = h = 0
+    for g, e in word:
+        if e < 0:
+            r = (r - rho.exponents[g]) % n
+            h -= eps.values[g]
+        if g == i:
+            terms.setdefault(h, [0] * n)[r] += e
+        if e > 0:
+            r = (r + rho.exponents[g]) % n
+            h += eps.values[g]
+    if not terms:
+        return LaurentPoly.zero(n)
+    low = min(terms)
+    return LaurentPoly(n, low, [CyclotomicNumber(n, terms.get(k, ()))
+                                for k in range(low, max(terms) + 1)])
 
 
 def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:

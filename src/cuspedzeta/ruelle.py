@@ -125,24 +125,6 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
                             tail_bound=tail, terms_used=len(s.classes))
 
 
-def hyperbolic_heat(s: Spectrum, j: int, t: float) -> complex:
-    """Truncated heat-trace contribution of the length spectrum:
-    H0(t) = sum a0(g) (4 pi t)^{-1/2} exp(-(l^2/4t + t + l)),
-    H1(t) the a1-weighted variant without the e^{-t} factor."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    pref = 1 / math.sqrt(4 * math.pi * t)
-    total = 0j
-    for c in s.classes:
-        w = weights(c)
-        a = w.a0 if j == 0 else w.a1
-        ex = c.length ** 2 / (4 * t) + c.length + (t if j == 0 else 0.0)
-        total += a * pref * math.exp(-ex)
-    return total
-
-
 def log_derivative(s: Spectrum, z: complex, step: float = 1e-4) -> complex:
     """d/dz log R_rho(z) by Richardson-extrapolated central differences."""
     def d(h):

@@ -18,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import DiscretenessSuspect, FormatError, ValidationError
+from .errors import (CuspedZetaError, DiscretenessSuspect, FormatError,
+                     ValidationError)
 from .words import GroupWord
 
 TRACE_TOL = 1e-9
@@ -195,7 +196,9 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     Completeness is only relative to max_word_len; the flag is a caller
     assertion, recorded in the metadata.  A max_word_len below 1 raises
     ValueError; a generator of determinant other than 1, or a character
-    value count other than the generator count, raises ValidationError.
+    value count other than the generator count, raises ValidationError;
+    a word whose matrix product leaves the float range raises
+    CuspedZetaError.
     """
     for i, g in enumerate(gens):
         if abs(g.det - 1) > DET_TOL:
@@ -218,6 +221,10 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
         prods[n] = m
         if not is_class:
             continue
+        # an entry past the float range, or inf - inf, makes the sum non-finite
+        if not cmath.isfinite(m.a + m.b + m.c + m.d):
+            raise CuspedZetaError(
+                f"the matrix product of word {W.format_letters(word)} is not finite")
         et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
         if et.kind != "loxodromic" or et.length > cutoff_length:
             continue
@@ -295,12 +302,6 @@ def format_spectrum(s: Spectrum) -> str:
             W.format_letters(c.word),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def save_spectrum(s: Spectrum, path):
-    s.validate()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_spectrum(s))
 
 
 def _finite_float(text: str) -> float:

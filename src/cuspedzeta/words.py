@@ -41,13 +41,6 @@ def inverse(word: GroupWord) -> GroupWord:
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def concat(*words: GroupWord) -> GroupWord:
-    letters: list[Letter] = []
-    for w in words:
-        letters.extend(w)
-    return free_reduce(letters)
-
-
 def cyclic_rotations(word: GroupWord):
     for i in range(max(1, len(word))):
         yield word[i:] + word[:i]

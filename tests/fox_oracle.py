@@ -1,0 +1,97 @@
+"""Fox calculus in the integral free-group ring, an oracle for the
+one-pass twisted Fox derivative in `cuspedzeta.presentation`.
+
+`fox_derivative` here returns the derivative as a combination of
+freely reduced words, and `evaluate_twisted` then applies the ring map
+w -> rho(w) t^eps(w).  The library computes the composite in one pass
+over the word without ever forming the words.
+"""
+
+from cuspedzeta import words as W
+from cuspedzeta.laurent import LaurentPoly
+from cuspedzeta.presentation import Epsilon, UnitCharacter
+from cuspedzeta.words import GroupWord, Letter
+
+
+def concat(*words: GroupWord) -> GroupWord:
+    letters: list[Letter] = []
+    for w in words:
+        letters.extend(w)
+    return W.free_reduce(letters)
+
+
+class GroupRingElement:
+    """Finite integer combination of group words; the carrier of Fox
+    derivatives.  Zero coefficients are never stored."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms: dict[GroupWord, int] = {}
+        if terms:
+            for w, c in dict(terms).items():
+                if c:
+                    self.terms[tuple(w)] = c
+
+    @classmethod
+    def of_word(cls, word: GroupWord, coeff: int = 1):
+        return cls({tuple(word): coeff})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupRingElement(out)
+
+    def __neg__(self):
+        return GroupRingElement({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def left_mul(self, word: GroupWord):
+        """Multiply every term on the left by the given word."""
+        out: dict[GroupWord, int] = {}
+        for w, c in self.terms.items():
+            key = concat(word, w)
+            out[key] = out.get(key, 0) + c
+        return GroupRingElement(out)
+
+    def __eq__(self, other):
+        return isinstance(other, GroupRingElement) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for w, c in sorted(self.terms.items()):
+            parts.append(f"{c}*[{W.format_letters(w)}]")
+        return " + ".join(parts)
+
+
+def fox_derivative(w: GroupWord, i: int) -> GroupRingElement:
+    """Free-group Fox derivative with respect to generator i.
+
+    Satisfies d(uv) = du + u dv, d(x) = 1 and d(x^-1) = -x^-1.
+    """
+    out = GroupRingElement()
+    prefix: GroupWord = ()
+    for g, e in w:
+        if g == i:
+            if e == 1:
+                out = out + GroupRingElement.of_word(prefix)
+            else:
+                out = out - GroupRingElement.of_word(concat(prefix, ((g, -1),)))
+        prefix = concat(prefix, ((g, e),))
+    return out
+
+
+def evaluate_twisted(e: GroupRingElement, rho: UnitCharacter, eps: Epsilon) -> LaurentPoly:
+    """Ring homomorphism sending word w to rho(w) * t^eps(w), extended
+    linearly over the integers."""
+    n = rho.modulus
+    out = LaurentPoly.zero(n)
+    for w, c in e.terms.items():
+        coeff = rho.value(w) * c
+        out = out + LaurentPoly(n, eps.of(w), [coeff])
+    return out

@@ -15,8 +15,9 @@ from cuspedzeta.alexander import TwistedComplex
 from cuspedzeta.cyclotomic import CyclotomicNumber
 from cuspedzeta.errors import ComplexConditionViolation
 from cuspedzeta.laurent import LaurentPoly, smith_form
-from cuspedzeta.presentation import (GroupPresentation, GroupRingElement,
-                                     UnitCharacter, fox_derivative)
+from cuspedzeta.presentation import GroupPresentation, UnitCharacter
+
+from fox_oracle import GroupRingElement, fox_derivative
 
 
 class LaurentMatrix(laurent.LaurentMatrix):

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from cuspedzeta import laplace, ruelle
-from cuspedzeta.alexander import alexander_invariant, theorem12_check
+from cuspedzeta.alexander import alexander_invariant
 from cuspedzeta.cli import run as cli_run
 from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
                                   NontrivialRestriction, TrivialRestriction,
@@ -21,14 +21,15 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
                                   identity_lprime, j1_pm_lprime,
                                   j1_zero_lprime, threshold_lprime,
                                   unipotent_lprime)
-from cuspedzeta.laplace import (HeatAtom, atom_function, closed_value,
-                                digamma, evaluate, residue_at,
-                                spectral_lprime)
+from cuspedzeta.laplace import (HeatAtom, atom_function, digamma, evaluate,
+                                residue_at, spectral_lprime)
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
+from cuspedzeta.verdict import main_conjecture_report
 
 from conftest import FIXTURES, read_fixture
+from heat_oracle import closed_value, hyperbolic_heat
 from quadrature_oracle import quadrature_lprime
 from wada_oracle import wada_holds
 
@@ -99,9 +100,11 @@ def test_criterion_3_alexander_exactness():
     for name in ("trefoil_zeta5.pres", "fig8_zeta5.pres"):
         p, eps, rho = parse_presentation(read_fixture(name))
         d = alexander_invariant(p, rho, eps)
-        chk = theorem12_check(d)
-        ok &= chk["inequalityHolds"] is True
-        ok &= chk["equalityExpected"] is d.semisimple_at_one
+        ok &= d.h0_infinity_vanishes and d.ord_at_one <= -d.h1
+        if p.peripheral_words:  # trefoil_zeta5.pres has none, so no report
+            rep = main_conjecture_report(p, rho, eps)
+            ok &= rep.inequality_holds is True
+            ok &= rep.equality_expected is d.semisimple_at_one
         if d.semisimple_at_one:
             ok &= d.ord_at_one == -d.h1
         ok &= wada_holds(p, rho, eps, d)
@@ -135,9 +138,9 @@ def test_criterion_5_heat_and_derivative_identities():
 
     def transform(j):
         re = quadrature_lprime(
-            lambda t: ruelle.hyperbolic_heat(orbit, j, t).real, z)
+            lambda t: hyperbolic_heat(orbit, j, t).real, z)
         im = quadrature_lprime(
-            lambda t: ruelle.hyperbolic_heat(orbit, j, t).imag, z)
+            lambda t: hyperbolic_heat(orbit, j, t).imag, z)
         return re + 1j * im
 
     w = math.sqrt(z * z + 1)

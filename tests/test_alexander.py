@@ -13,12 +13,12 @@ import functools
 import pytest
 
 from cuspedzeta.alexander import (_homology, alexander_invariant,
-                                  build_complex, theorem12_check,
-                                  twisted_betti)
+                                  build_complex, twisted_betti)
 from cuspedzeta.cyclotomic import CyclotomicNumber
-from cuspedzeta.errors import HypothesisNotMet, NotTorsion
+from cuspedzeta.errors import NotTorsion
 from cuspedzeta.laurent import LaurentPoly, ord_at_one
 from cuspedzeta.presentation import parse_presentation
+from cuspedzeta.verdict import main_conjecture_report
 
 import h1_oracle
 from conftest import read_fixture
@@ -54,9 +54,12 @@ def test_zeta5_fixtures(name):
     assert not data.char0.at_one().is_zero()
     assert data.h0 == 0
     assert data.h0_infinity_vanishes is True
-    check = theorem12_check(data)
-    assert check["inequalityHolds"] is True
-    assert check["equalityExpected"] is data.semisimple_at_one
+    # the order inequality, with equality expected when semisimple at t = 1
+    assert data.ord_at_one <= -data.h1
+    if p.peripheral_words:  # trefoil_zeta5.pres has none, so no report
+        report = main_conjecture_report(p, rho, eps)
+        assert report.inequality_holds is True
+        assert report.equality_expected is data.semisimple_at_one
     if data.semisimple_at_one:
         assert data.ord_at_one == -data.h1
     assert wada_holds(p, rho, eps, data)
@@ -83,11 +86,12 @@ def test_betti_matches_invariant():
         assert twisted_betti(p, rho) == (data.h0, data.h1)
 
 
-def test_theorem12_requires_vanishing_h0():
+def test_nonvanishing_h0_leaves_the_comparison_informational():
     p, eps, rho = load("fig8.pres")
-    data = alexander_invariant(p, rho, eps)
-    with pytest.raises(HypothesisNotMet):
-        theorem12_check(data)
+    assert alexander_invariant(p, rho, eps).h0_infinity_vanishes is False
+    report = main_conjecture_report(p, rho, eps)
+    assert report.corollary_branch == "hypothesisNotMet"
+    assert report.exit_code == 2
 
 
 # --- modules that are not torsion ------------------------------------------

@@ -134,6 +134,18 @@ BAD_INPUTS = [
      EX_DATAERR, "classes are not sorted by length (line 3)"),
     ("csv-bad-letter", CSV_HEAD + "1,0,1,0,1,1,a1\n", RUELLE_IN, EX_DATAERR,
      "bad row: unknown generator letter '1' (line 2)"),
+    ("csv-overflow-eval", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
+     ["ruelle", "eval", "{in}", "--z", "3"], EX_SOFTWARE, "computation failed"),
+    ("csv-overflow-fried", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
+     ["fried", "check", "{in}", "--z", "3"], EX_SOFTWARE, "computation failed"),
+    ("z-overflow", None, RUELLE + ["--z", "-1000"], EX_SOFTWARE,
+     "computation failed"),
+    ("epstein-overflow", {"b1": [1e300, 0], "b2": [0, 1e300]}, ["epstein", "{in}"],
+     EX_SOFTWARE, "computation failed"),
+    ("enumerate-overflow", {"generators": [[[1e200, 0], [0, 0], [0, 0], [1e-200, 0]],
+                                           [[1, 0], [1, 0], [0, 0], [1, 0]]]},
+     ["spectrum", "enumerate", "{in}", "--max-word-len", "4", "--cutoff", "3"],
+     EX_SOFTWARE, "word AA is not finite"),
     ("inf-in-output", None, ["terms", "identity", "--vol", "1e308"],
      EX_SOFTWARE, "non-finite number"),
     ("z-not-a-number", None, RUELLE + ["--z", "abc"], EX_USAGE, "--z"),

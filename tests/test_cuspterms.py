@@ -14,11 +14,10 @@ from cuspedzeta.cli import _load_poles
 from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
                                   NontrivialRestriction, ScatteringPoles,
                                   TrivialRestriction, epstein,
-                                  epstein_residue_and_constant, identity_heat,
+                                  epstein_residue_and_constant,
                                   identity_lprime, j1_pm_lprime,
-                                  j1_zero_lprime, plancherel_trace,
-                                  scattering_lprime, threshold_lprime,
-                                  unipotent_lprime)
+                                  j1_zero_lprime, scattering_lprime,
+                                  threshold_lprime, unipotent_lprime)
 from cuspedzeta.errors import (ConvergenceRegionError, PoleOnAxis,
                                QuadratureFailure)
 from cuspedzeta.laplace import MeroSum, digamma, evaluate, residue_at
@@ -27,6 +26,33 @@ from conftest import FIXTURES
 from epstein_oracle import _tail_shape, epstein_mpmath, kronecker_constant
 from epstein_oracle import epstein as shell_epstein
 from quadrature_oracle import quadrature_lprime, tail_shape_theta
+
+
+def identity_heat(vol: float, t: float, j: int) -> float:
+    """Plancherel heat contributions of the identity:
+    I0 = vol (sqrt(pi)/4) t^{-3/2} e^{-t},
+    I1 = 2 vol (sqrt(pi)/2)(t^{-1/2} + t^{-3/2}/2)."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if j == 0:
+        return vol * math.sqrt(math.pi) / 4 * t ** -1.5 * math.exp(-t)
+    if j == 1:
+        return 2 * vol * math.sqrt(math.pi) / 2 * (t ** -0.5 + t ** -1.5 / 2)
+    raise ValueError("j must be 0 or 1")
+
+
+def plancherel_trace(j: int, t: float) -> float:
+    """The sigma-integrated unipotent kernel traces:
+    j=0: (e^{-t}/4 pi^2) sqrt(pi/t);  j=1: adds (1/2 pi^2) sqrt(pi/t)."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    g = math.sqrt(math.pi / t)
+    zero = math.exp(-t) / (4 * math.pi ** 2) * g
+    if j == 0:
+        return zero
+    if j == 1:
+        return g / (2 * math.pi ** 2) + zero
+    raise ValueError("j must be 0 or 1")
 
 SQ = Lattice2D(1.0 + 0j, 1j)
 TRIV = LatticeCharacter(1.0 + 0j, 1.0 + 0j)

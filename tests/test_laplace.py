@@ -14,13 +14,23 @@ from hypothesis import strategies as st
 from cuspedzeta.errors import (PoleEvaluation, QuadratureFailure,
                                UnsupportedAtom)
 from cuspedzeta.laplace import (HeatAtom, MeroSum, _besselk, _cosine_zeta,
-                                _log_gamma, atom_function,
-                                closed_value, digamma, euler_gamma, evaluate,
-                                lprime_closed, mero_from_json, mero_to_json,
-                                quadrature_lprime, residue_at,
+                                _log_gamma, atom_function, digamma,
+                                euler_gamma, evaluate, lprime_closed,
+                                mero_to_json, quadrature_lprime, residue_at,
                                 spectral_lprime)
 
 import quadrature_oracle
+from heat_oracle import closed_value
+
+
+def mero_from_json(d: dict) -> MeroSum:
+    un = lambda p: complex(p[0], p[1])
+    return MeroSum.build(
+        poly=[un(c) for c in d.get("polyPart", [])],
+        poles=[(un(l), un(r)) for l, r in d.get("poles", [])],
+        digamma_atoms=[(un(c), un(s)) for c, s in d.get("digammaAtoms", [])],
+        exp_atoms=[(un(c), r) for c, r in d.get("expAtoms", [])],
+    )
 
 # --- special functions -----------------------------------------------------
 

@@ -17,6 +17,11 @@ from cuspedzeta.laurent import (LaurentMatrix, LaurentPoly, format_poly,
 
 from smith_oracle import smith_form_per_pivot
 
+
+def to_complex(x: CyclotomicNumber) -> complex:
+    z = cmath.exp(2j * math.pi / x.n)
+    return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
 # --- cyclotomic numbers ----------------------------------------------------
 
 KNOWN_PHI = {
@@ -66,7 +71,7 @@ def test_field_inverse():
 
 def test_complex_embedding():
     z = CyclotomicNumber.zeta_power(12, 1)
-    assert abs(z.to_complex() - cmath.exp(1j * math.pi / 6)) < 1e-14
+    assert abs(to_complex(z) - cmath.exp(1j * math.pi / 6)) < 1e-14
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -81,7 +86,7 @@ def test_cyclotomic_ring_axioms(a, b):
     assert x + y == y + x
     assert x * y == y * x
     assert (x - y) + y == x
-    assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-10
+    assert abs(to_complex(x * y) - to_complex(x) * to_complex(y)) < 1e-10
 
 
 # --- Laurent polynomials ---------------------------------------------------

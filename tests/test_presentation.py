@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from cuspedzeta import words as W
 from cuspedzeta.errors import PresentationSyntaxError, ValidationError
-from cuspedzeta.presentation import (Epsilon, GroupRingElement, UnitCharacter,
-                                     evaluate_twisted, fox_derivative,
+from cuspedzeta.laurent import LaurentPoly
+from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_derivative,
                                      parse_presentation, peripheral_trivial,
                                      serialize_presentation)
 
+import fox_oracle
 from conftest import read_fixture
-
-letters = st.lists(
-    st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
-    min_size=0, max_size=8).map(tuple)
-
+from fox_oracle import GroupRingElement, evaluate_twisted
 
 def test_round_trip_is_identity():
     for name in ("trefoil.pres", "fig8.pres", "fig8_zeta5.pres"):
@@ -76,42 +73,69 @@ def test_epsilon_and_character_values():
 
 # --- Fox calculus -----------------------------------------------------------
 
+@st.composite
+def twisted(draw, max_size=12):
+    """A freely reduced word on 1-4 generators with a character mod n
+    and heights in [-2, 2]."""
+    g = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((1, 2, 3, 5, 6, 7, 12)))
+    rho = UnitCharacter(n, tuple(draw(st.lists(st.integers(0, n - 1),
+                                               min_size=g, max_size=g))))
+    eps = Epsilon(tuple(draw(st.lists(st.integers(-2, 2),
+                                      min_size=g, max_size=g))))
+    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+    word = W.free_reduce(draw(st.lists(letter, max_size=max_size)))
+    return word, rho, eps
+
+
+def unit(w, rho, eps):
+    """rho(w) t^eps(w)."""
+    return LaurentPoly(rho.modulus, eps.of(w), [rho.value(w)])
+
+
 def test_fox_derivative_on_generators():
-    a = ((0, 1),)
-    assert fox_derivative(a, 0) == GroupRingElement({(): 1})
-    assert fox_derivative(a, 1) == GroupRingElement({})
-    a_inv = ((0, -1),)
-    assert fox_derivative(a_inv, 0) == GroupRingElement({a_inv: -1})
+    _, eps, rho = parse_presentation(read_fixture("fig8_zeta5.pres"))
+    a, a_inv = ((0, 1),), ((0, -1),)
+    assert fox_derivative(a, 0, rho, eps) == LaurentPoly.one(5)
+    assert fox_derivative(a, 1, rho, eps).is_zero()
+    assert fox_derivative(a_inv, 0, rho, eps) == -unit(a_inv, rho, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisted(max_size=16))
+def test_fox_derivative_matches_free_group_ring_oracle(case):
+    w, rho, eps = case
+    for i in range(len(rho.exponents)):
+        got = fox_derivative(w, i, rho, eps)
+        want = evaluate_twisted(fox_oracle.fox_derivative(w, i), rho, eps)
+        assert (got.low, got.coeffs) == (want.low, want.coeffs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(letters, letters)
-def test_fox_product_rule(u, v):
-    u, v = W.free_reduce(u), W.free_reduce(v)
-    uv = W.concat(u, v)
-    for i in range(2):
-        lhs = fox_derivative(uv, i)
-        rhs = fox_derivative(u, i) + fox_derivative(v, i).left_mul(u)
+@given(twisted(max_size=8), st.data())
+def test_fox_product_rule(case, data):
+    # d(uv) = du + rho(u) t^eps(u) dv
+    u, rho, eps = case
+    g = len(rho.exponents)
+    v = W.free_reduce(data.draw(st.lists(
+        st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1))), max_size=8)))
+    uv = W.free_reduce(u + v)
+    for i in range(g):
+        lhs = fox_derivative(uv, i, rho, eps)
+        rhs = fox_derivative(u, i, rho, eps) \
+            + unit(u, rho, eps) * fox_derivative(v, i, rho, eps)
         assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
-@given(letters)
-def test_fundamental_fox_identity(w):
-    # sum_j Phi(dw/dx_j) (Phi(x_j) - 1) == Phi(w) - 1 after twisting
-    w = W.free_reduce(w)
-    _, eps, rho = parse_presentation(read_fixture("fig8_zeta5.pres"))
-
-    def ev(e):
-        return evaluate_twisted(e, rho, eps)
-
-    one = GroupRingElement({(): 1})
-    total = None
-    for j in range(2):
-        gen = ev(GroupRingElement({((j, 1),): 1})) - ev(one)
-        term = ev(fox_derivative(w, j)) * gen
-        total = term if total is None else total + term
-    assert total == ev(GroupRingElement({w: 1})) - ev(one)
+@given(twisted())
+def test_fundamental_fox_identity(case):
+    # sum_j dw/dx_j (rho(x_j) t^eps(x_j) - 1) == rho(w) t^eps(w) - 1
+    w, rho, eps = case
+    total = LaurentPoly.zero(rho.modulus)
+    for j in range(len(rho.exponents)):
+        total = total + fox_derivative(w, j, rho, eps) * (unit(((j, 1),), rho, eps) - 1)
+    assert total == unit(w, rho, eps) - 1
 
 
 def test_evaluate_twisted_is_multiplicative_on_units():
@@ -120,7 +144,7 @@ def test_evaluate_twisted_is_multiplicative_on_units():
     v = W.parse_letters("Bab", 2)
     pu = evaluate_twisted(GroupRingElement.of_word(u), rho, eps)
     pv = evaluate_twisted(GroupRingElement.of_word(v), rho, eps)
-    puv = evaluate_twisted(GroupRingElement.of_word(W.concat(u, v)), rho, eps)
+    puv = evaluate_twisted(GroupRingElement.of_word(fox_oracle.concat(u, v)), rho, eps)
     assert pu * pv == puv
 
 

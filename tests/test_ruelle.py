@@ -11,6 +11,7 @@ from cuspedzeta.errors import ConvergenceRegionError
 from cuspedzeta.spectrum import load_spectrum
 
 from conftest import FIXTURES
+from heat_oracle import hyperbolic_heat
 from quadrature_oracle import quadrature_lprime
 
 
@@ -63,9 +64,9 @@ def test_heat_transforms_match_y_series(orbit):
 
     def transform(j):
         re = quadrature_lprime(
-            lambda t: ruelle.hyperbolic_heat(orbit, j, t).real, z)
+            lambda t: hyperbolic_heat(orbit, j, t).real, z)
         im = quadrature_lprime(
-            lambda t: ruelle.hyperbolic_heat(orbit, j, t).imag, z)
+            lambda t: hyperbolic_heat(orbit, j, t).imag, z)
         return re + 1j * im
 
     w = math.sqrt(z * z + 1)

@@ -12,8 +12,8 @@ from cuspedzeta import words as W
 from cuspedzeta.errors import FormatError, ValidationError
 from cuspedzeta.spectrum import (GeodesicClass, MoebiusMatrix, Spectrum,
                                  classify, enumerate_classes,
-                                 figure_eight_generators, load_spectrum,
-                                 save_spectrum)
+                                 figure_eight_generators, format_spectrum,
+                                 load_spectrum)
 
 from conftest import FIXTURES
 
@@ -226,14 +226,14 @@ def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
 def test_round_trip_is_byte_identical(fig8, tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    save_spectrum(fig8, p1)
-    save_spectrum(load_spectrum(p1), p2)
+    p1.write_text(format_spectrum(fig8), encoding="utf-8")
+    p2.write_text(format_spectrum(load_spectrum(p1)), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_frozen_fixture_matches_enumeration(fig8, tmp_path):
     p = tmp_path / "fresh.csv"
-    save_spectrum(fig8, p)
+    p.write_text(format_spectrum(fig8), encoding="utf-8")
     assert p.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
 
 

@@ -1,0 +1,78 @@
+"""Every public function and method in the package has a caller in the
+package.
+
+A function that only tests or demos reach belongs in the tests: the
+package's code is what the subcommands run.  A name counts as used when
+it appears, as a name or an attribute, anywhere in ``src/cuspedzeta``
+outside its own body and outside ``__init__.py`` (whose re-exports are
+not calls).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cuspedzeta"
+
+# public names that nothing in the package calls, and why they stay
+ALLOWED = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "figure_eight_generators": "the library's generator pair for the "
+                               "figure-eight group, used by the demos and tests",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for each public module-level
+    function and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> dict[str, int]:
+    """How often each identifier is named, as a Name or an Attribute,
+    outside the subtree `skip`."""
+    counts: dict[str, int] = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            counts[node.id] = counts.get(node.id, 0) + 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] = counts.get(node.attr, 0) + 1
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
+
+
+def _uncalled() -> list[str]:
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    totals: dict[str, int] = {}
+    for tree in trees.values():
+        for name, n in _uses(tree).items():
+            totals[name] = totals.get(name, 0) + n
+    out = []
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            inside = _uses(node).get(name, 0)
+            if totals.get(name, 0) - inside == 0:
+                out.append(qualified)
+    return out
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    assert sorted(set(_uncalled()) - set(ALLOWED)) == []
+
+
+def test_allowlist_names_only_uncalled_functions():
+    assert set(ALLOWED) <= set(_uncalled())

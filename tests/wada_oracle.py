@@ -13,8 +13,8 @@ With two generators W_k is a single Fox derivative.
 """
 
 from cuspedzeta.laurent import LaurentPoly
-from cuspedzeta.presentation import (GroupRingElement, evaluate_twisted,
-                                     fox_derivative)
+
+from fox_oracle import GroupRingElement, evaluate_twisted, fox_derivative
 
 
 def unit_equal(p, q):
