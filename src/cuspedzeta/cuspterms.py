@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ class Lattice2D:
     b2: complex
 
     def __post_init__(self):
-        if self.covolume <= 0:
+        b1, b2 = self.b1, self.b2
+        if Fraction(b1.real) * Fraction(b2.imag) == Fraction(b1.imag) * Fraction(b2.real):
             raise ValidationError("lattice basis is linearly dependent over the reals")
 
     @property
@@ -98,7 +100,9 @@ def _reduced(lat: Lattice2D, chi: LatticeCharacter):
     """The Gauss-reduced basis, |b1| <= |b2| and |Re(b2/b1)| <= 1/2, as
     ((b1, a1), (b2, a2)) with chi(b_i) = e^{2 pi i a_i}, 0 <= a_i < 1.
     The steps run exactly on the float inputs, so a phase that is an
-    integer stays exactly 0."""
+    integer stays exactly 0.  A lattice whose covolume, |b1|^2 or
+    y = Im(b2/b1) is not a normal float is refused: the expansion
+    divides by each of them."""
     def vec(b, a):
         return (Fraction(b.real), Fraction(b.imag), a)
 
@@ -115,7 +119,17 @@ def _reduced(lat: Lattice2D, chi: LatticeCharacter):
         if dot(q, q) >= dot(p, p):
             break
         p, q = q, p
-    return tuple((complex(float(x), float(y)), a % 1) for x, y, a in (p, q))
+    basis = tuple((complex(float(x), float(y)), a % 1) for x, y, a in (p, q))
+    b1 = basis[0][0]
+    norm = b1.real * b1.real + b1.imag * b1.imag
+    for name, value in (("covolume", lat.covolume),
+                        ("|b1|^2 of the reduced basis", norm),
+                        ("y = Im(b2/b1) of the reduced basis",
+                         lat.covolume / norm if norm else math.inf)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise QuadratureFailure(f"lattice b1 = {lat.b1}, b2 = {lat.b2}: {name} "
+                                    f"is {value:.3g}, outside the normal float range")
+    return basis
 
 
 def _cutoff(sigma: complex) -> float:

@@ -1,76 +1,55 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Elements are stored on the power basis 1, zeta, ..., zeta^(phi(n)-1)
-with rational coefficients, reduced against the n-th cyclotomic
-polynomial.  All arithmetic is exact; nothing here ever rounds.
+as integer numerators over one positive denominator, in lowest terms,
+so equal elements are stored alike.  Phi_n is monic over Z, so
+reduction runs in integers; the inverse is the product of the other
+Galois conjugates over the rational norm.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    """Exact division with remainder over Q; b must be nonzero."""
+def _divmod_monic(a, b):
+    """Quotient and remainder of integer polynomials (ascending degree)
+    by a monic b; the remainder has at most len(b) - 1 terms."""
     a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = _ONE / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        _poly_trim(a)
-    return _poly_trim(q), a
+    m = len(b) - 1
+    q = [0] * max(len(a) - m, 0)
+    for k in range(len(a) - m - 1, -1, -1):
+        c = q[k] = a[k + m]
+        if c:
+            for i in range(m):
+                a[k + i] -= c * b[i]
+    return q, a[:m]
+
+
+def _mulmod(a, b, phi):
+    """a * b mod phi for integer polynomials of len(phi) - 1 terms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_monic(out, phi)[1]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree."""
     if n < 1:
         raise ValueError("n must be positive")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
-    den = [_ONE]
+    # x^n - 1 divided in turn by Phi_d for each proper divisor d of n
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r, "cyclotomic division must be exact"
-    return tuple(q)
+            p, r = _divmod_monic(p, cyclotomic_polynomial(d))
+            assert not any(r), "cyclotomic division must be exact"
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
@@ -79,35 +58,39 @@ def euler_phi(n: int) -> int:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_n) on the power basis."""
+    """An element num / den of Q(zeta_n) on the power basis."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs):
+    def __new__(cls, n: int, coeffs, den: int = 1):
+        """sum coeffs[k] zeta^k / den; rational input is cleared here, once."""
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            qs = [Fraction(c) / den for c in cs]
+            den = lcm(*(q.denominator for q in qs))
+            cs = [q.numerator * (den // q.denominator) for q in qs]
         deg = euler_phi(n)
-        cs = [Fraction(c) for c in coeffs]
         if len(cs) > deg:
-            cs = self._reduce(n, cs)
-        cs += [_ZERO] * (deg - len(cs))
-        self.n = n
-        self.coeffs = tuple(cs)
+            cs = _divmod_monic(cs, cyclotomic_polynomial(n))[1]
+        return cls._make(n, cs + [0] * (deg - len(cs)), den)
 
     @staticmethod
-    def _reduce(n, cs):
-        phi = list(cyclotomic_polynomial(n))
-        _, r = _poly_divmod(list(cs), phi)
-        return r
+    def _make(n, num, den):
+        """num / den from phi(n) integers, stored in lowest terms, den > 0."""
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        x = object.__new__(CyclotomicNumber)
+        x.n, x.num, x.den = n, tuple(c // g for c in num), den // g
+        return x
 
     # constructors ----------------------------------------------------
     @classmethod
     def from_rational(cls, n, q):
-        return cls(n, [Fraction(q)])
+        return cls(n, [q])
 
     @classmethod
     def zeta_power(cls, n, k):
         """zeta_n^k."""
-        k %= n
-        return cls(n, [_ZERO] * k + [_ONE])
+        return cls(n, [0] * (k % n) + [1])
 
     @classmethod
     def zero(cls, n):
@@ -115,11 +98,11 @@ class CyclotomicNumber:
 
     @classmethod
     def one(cls, n):
-        return cls(n, [_ONE])
+        return cls(n, [1])
 
     # predicates ------------------------------------------------------
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # arithmetic ------------------------------------------------------
     def _check(self, other):
@@ -131,77 +114,57 @@ class CyclotomicNumber:
             raise ValueError(f"mixed cyclotomic moduli {self.n} and {other.n}")
         return other
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        num = [a * db + sign * b * da for a, b in zip(self.num, other.num)]
+        return CyclotomicNumber._make(self.n, num, da * db)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber(self.n, [-a for a in self.coeffs])
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def __neg__(self):
+        return CyclotomicNumber._make(self.n, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CyclotomicNumber(self.n, prod)
-
-    __rmul__ = __mul__
+        prod = _mulmod(self.num, other.num, cyclotomic_polynomial(self.n))
+        return CyclotomicNumber._make(self.n, prod, self.den * other.den)
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_n over Q[x]."""
+        """x^-1 = p / N(x): p is the product of the conjugates zeta -> zeta^k,
+        k a unit mod n other than 1, and x p is the rational norm N(x).
+        On the numerators a over d: (a / d)^-1 = d p(a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended gcd of self (as poly) and Phi_n
-        a = _poly_trim(list(self.coeffs))
-        b = list(cyclotomic_polynomial(self.n))
-        s0, s1 = [_ONE], []
-        while b:
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # a is now a nonzero constant gcd (Phi_n irreducible)
-        assert len(a) == 1, "Phi_n must be coprime to any nonzero element"
-        inv_c = _ONE / a[0]
-        return CyclotomicNumber(self.n, [c * inv_c for c in s0])
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def conjugate(self):
-        """Complex conjugation zeta -> zeta^(n-1)."""
-        out = CyclotomicNumber.zero(self.n)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + CyclotomicNumber.zeta_power(self.n, -k) * c
-        return out
+        n, a = self.n, self.num
+        phi = cyclotomic_polynomial(n)
+        p = [1] + [0] * (len(a) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * n
+                for j, c in enumerate(a):
+                    conj[j * k % n] += c
+                p = _mulmod(p, _divmod_monic(conj, phi)[1], phi)
+        norm, *rest = _mulmod(a, p, phi)
+        assert not any(rest), "the norm must be rational"
+        return CyclotomicNumber._make(n, [c * self.den for c in p], norm)
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(self.n, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
-        return f"[{','.join(str(c) for c in self.coeffs)}]@{self.n}"
+        return f"[{','.join(str(Fraction(c, self.den)) for c in self.num)}]@{self.n}"

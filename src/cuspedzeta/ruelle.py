@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceRegionError
-from .spectrum import GeodesicClass, Spectrum
+from .spectrum import GeodesicClass, Spectrum, _canonical_angle
 
 
 @dataclass(frozen=True)
@@ -48,35 +48,50 @@ def counting_constant(s: Spectrum) -> float:
         return 1.0
     num = 0.0
     den = 0.0
-    for i, c in enumerate(s.classes, start=1):
-        w = math.exp(2 * c.length)
-        num += i * w
-        den += w * w
+    try:
+        for i, c in enumerate(s.classes, start=1):
+            w = math.exp(2 * c.length)
+            num += i * w
+            den += w * w
+    except OverflowError:
+        raise _overflow("e^(2 l) in the counting constant", c) from None
     return max(num / den, 1e-300)
 
 
-def _tail_bound(s: Spectrum, x: float) -> float:
+def _overflow(term: str, c: GeodesicClass) -> OverflowError:
+    """A float overflow located at the term and the class that raised it."""
+    return OverflowError(f"{term} overflows at the class of length {c.length!r}")
+
+
+def _tail_bound(s: Spectrum, z: complex) -> float:
     """Heuristic truncation tail for geometric sums over the spectrum at
-    Re z = x; zero for a complete spectrum, monotone decreasing in both
-    x and the cutoff."""
+    z; zero for a complete spectrum, monotone decreasing in both Re z
+    and the cutoff."""
     if s.complete:
         return 0.0
+    x = z.real
     if x <= 2:
         raise ConvergenceRegionError(
             f"Re z = {x} is not in the convergence region Re z > 2")
-    c = counting_constant(s)
+    try:
+        c = counting_constant(s)
+    except OverflowError as exc:
+        raise OverflowError(f"tail bound at z = {z}: {exc}") from None
     return 4 * c * math.exp(-(x - 2) * s.cutoff_length) / (x - 2) ** 2
 
 
 def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     """R_rho(z) truncated to the spectrum: product of
     1 - rho(g0) e^{-z l(g0)} over primitive classes."""
-    tail = _tail_bound(s, z.real)
+    tail = _tail_bound(s, z)
     value = 1 + 0j
     n = 0
-    for c in s.primitives():
-        value *= 1 - c.char_value * cmath.exp(-z * c.length)
-        n += 1
+    try:
+        for c in s.primitives():
+            value *= 1 - c.char_value * cmath.exp(-z * c.length)
+            n += 1
+    except OverflowError:
+        raise _overflow(f"e^(-z l) at z = {z}", c) from None
     return TruncationReport(value=value, tail_bound=tail, terms_used=n)
 
 
@@ -84,7 +99,7 @@ def log_euler_product(s: Spectrum, z: complex) -> TruncationReport:
     """log R_rho(z) summed per class: the class g0^k contributes
     -rho(g)^k e^{-z k l0}/k = -rho(g) e^{-z l} l0/l, so the full class
     list (powers included) gives the principal branch sum directly."""
-    tail = _tail_bound(s, z.real)
+    tail = _tail_bound(s, z)
     total = 0j
     for c in s.classes:
         total -= c.char_value * cmath.exp(-z * c.length) \
@@ -97,7 +112,7 @@ def y_series(s: Spectrum, j: int, z: complex) -> TruncationReport:
     """Y_j(z) = sum over all classes of a_j(g) e^{-z l(g)}."""
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
-    tail = _tail_bound(s, z.real)
+    tail = _tail_bound(s, z)
     total = 0j
     for c in s.classes:
         w = weights(c)
@@ -111,16 +126,19 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
     truncated class set, with log S_j(w) = -sum a_j(g) e^{-w l(g)} / l(g);
     zero up to the tail for a power-closed set.  One pass over the
     classes feeds all four sums."""
-    tail = _tail_bound(s, z.real)
+    tail = _tail_bound(s, z)
     z1, z2 = z + 1, z + 2
     log_r = s0 = s0_shift = s1 = 0j
-    for c in s.classes:
-        w = weights(c)
-        e = cmath.exp(-z * c.length)
-        log_r -= c.char_value * e * c.primitive_length / c.length
-        s0 -= w.a0 * e / c.length
-        s0_shift -= w.a0 * cmath.exp(-z2 * c.length) / c.length
-        s1 -= w.a1 * cmath.exp(-z1 * c.length) / c.length
+    try:
+        for c in s.classes:
+            w = weights(c)
+            e = cmath.exp(-z * c.length)
+            log_r -= c.char_value * e * c.primitive_length / c.length
+            s0 -= w.a0 * e / c.length
+            s0_shift -= w.a0 * cmath.exp(-z2 * c.length) / c.length
+            s1 -= w.a1 * cmath.exp(-z1 * c.length) / c.length
+    except OverflowError:
+        raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", c) from None
     return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
                             tail_bound=tail, terms_used=len(s.classes))
 
@@ -147,14 +165,9 @@ def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,
     1..powers, flagged complete (truncation in k is the only defect)."""
     classes = []
     for k in range(1, powers + 1):
-        theta = holonomy * k
-        theta = math.fmod(theta, 2 * math.pi)
-        if theta <= -math.pi:
-            theta += 2 * math.pi
-        elif theta > math.pi:
-            theta -= 2 * math.pi
         classes.append(GeodesicClass(
-            length=k * length, holonomy=theta, char_value=char_value ** k,
+            length=k * length, holonomy=_canonical_angle(holonomy * k),
+            char_value=char_value ** k,
             primitive_length=length, multiplicity=k, word=((0, 1),) * k))
     return Spectrum(classes=classes, cutoff_length=powers * length,
                     complete=True).validate()

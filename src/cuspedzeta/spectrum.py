@@ -197,11 +197,11 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     assertion, recorded in the metadata.  A max_word_len below 1 raises
     ValueError; a generator of determinant other than 1, or a character
     value count other than the generator count, raises ValidationError;
-    a word whose matrix product leaves the float range raises
-    CuspedZetaError.
+    a word whose matrix product leaves the float range, or whose
+    determinant rounds to 0, raises CuspedZetaError.
     """
     for i, g in enumerate(gens):
-        if abs(g.det - 1) > DET_TOL:
+        if not abs(g.det - 1) <= DET_TOL:
             raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")
     if len(rho_values) != len(gens):
         raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
@@ -225,7 +225,11 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
         if not cmath.isfinite(m.a + m.b + m.c + m.d):
             raise CuspedZetaError(
                 f"the matrix product of word {W.format_letters(word)} is not finite")
-        et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
+        try:
+            et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
+        except ZeroDivisionError:
+            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
+                                  f"has determinant 0 to rounding") from None
         if et.kind != "loxodromic" or et.length > cutoff_length:
             continue
         char = 1 + 0j

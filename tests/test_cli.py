@@ -2,6 +2,7 @@
 byte-level output."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -189,7 +190,48 @@ BAD_INPUTS = [
     ("h2-not-torsion-zeta5",
      "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=5: 1 1\n",
      ["alexander", "{in}"], EX_SOFTWARE, "module H2 is not torsion"),
+    ("csv-overflow-eval-located", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
+     ["ruelle", "eval", "{in}", "--z", "3"], EX_SOFTWARE,
+     "tail bound at z = (3+0j): e^(2 l) in the counting constant overflows at the "
+     "class of length 400.0"),
+    ("csv-overflow-fried-located", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
+     ["fried", "check", "{in}", "--z", "3"], EX_SOFTWARE,
+     "tail bound at z = (3+0j): e^(2 l) in the counting constant overflows at the "
+     "class of length 400.0"),
+    ("z-overflow-eval-located", None, RUELLE + ["--z", "-1000"], EX_SOFTWARE,
+     "e^(-z l) at z = (-1000+0j) overflows at the class of length 1.08707"),
+    ("z-overflow-fried-located", None, FRIED + ["--z", "-1000"], EX_SOFTWARE,
+     "e^(-z l) in the Fried sums at z = (-1000+0j) overflows at the class of length 1.08707"),
+    ("enumerate-det-rounds-to-0",
+     {"generators": [[[1, 0], [1, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [1e200, 0], [1, 0]]]},
+     ["spectrum", "enumerate", "{in}", "--max-word-len", "4", "--cutoff", "3"],
+     EX_SOFTWARE, "has determinant 0 to rounding"),
+    ("enumerate-det-nan",
+     {"generators": [[[1e160, 0]] * 4, [[1, 0], [1, 0], [0, 0], [1, 0]]]},
+     ["spectrum", "enumerate", "{in}", "--max-word-len", "4", "--cutoff", "3"],
+     EX_DATAERR, "generators[0]: determinant (nan+0j) is not 1"),
 ]
+
+# lattices on which the covolume, |b1|^2 or y = Im(b2/b1) of the reduced
+# basis is not a normal float: (case, lattice, what the message names)
+FLOAT_RANGE_LATTICES = [
+    ("lattice-long-short", {"b1": [1e200, 0], "b2": [0, 1e-200]},
+     "lattice b1 = (1e+200+0j), b2 = 1e-200j: |b1|^2 of the reduced basis is 0,"),
+    ("lattice-short-long", {"b1": [1e-200, 0], "b2": [0, 1e200]},
+     "lattice b1 = (1e-200+0j), b2 = 1e+200j: |b1|^2 of the reduced basis is 0,"),
+    ("lattice-tiny-b2", {"b1": [1, 0], "b2": [1e-300, 1e-300]},
+     "|b1|^2 of the reduced basis is 0, outside the normal float range"),
+    ("lattice-subnormal-b1", {"b1": [5e-324, 0], "b2": [0, 1]},
+     "covolume is 4.94e-324, outside the normal float range"),
+    ("lattice-covolume-overflow", {"b1": [1e160, 0], "b2": [0, 1e160]},
+     "covolume is inf, outside the normal float range"),
+    ("lattice-covolume-underflow", {"b1": [1e-170, 0], "b2": [0, 1e-170]},
+     "covolume is 0, outside the normal float range"),
+]
+BAD_INPUTS += [(name + flag, lattice, ["epstein", "{in}"] + ([flag] if flag else []),
+                EX_SOFTWARE, needle)
+               for name, lattice, needle in FLOAT_RANGE_LATTICES
+               for flag in ("", "--residue")]
 
 
 @pytest.mark.parametrize("content,argv,want,needle",
@@ -311,6 +353,93 @@ def test_mutated_spectra_keep_the_exit_code_contract(text, command, z):
         # here it fails the test
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([*command, path, "--z", z])
+    assert code in (0, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
+    assert "Traceback" not in err.getvalue()
+
+
+# (fixture, command) pairs of the JSON inputs; `{in}` is the mutated file
+JSON_CASES = (
+    ("square_lattice.json", ["epstein", "{in}"]),
+    ("square_lattice.json", ["epstein", "{in}", "--residue"]),
+    ("square_lattice_signchi.json", ["epstein", "{in}"]),
+    ("square_lattice_signchi.json", ["epstein", "{in}", "--residue"]),
+    ("fig8_matrices.json", ENUM[:2] + ["{in}", "--max-word-len", "4", "--cutoff", "3"]),
+    ("scattering_example.json", ["terms", "scattering", "{in}"]),
+)
+JSON_TOKENS = ("0", "-0.0", "1e200", "1e-200", "5e-324", "1e308", "true", "[]", '"x"')
+
+
+class _Members(list):
+    """A JSON object as a list of [key, value] members, so that a key
+    can be dropped or written twice."""
+
+
+def _json_tree(v):
+    if isinstance(v, dict):
+        return _Members([k, _json_tree(x)] for k, x in v.items())
+    if isinstance(v, list):
+        return [_json_tree(x) for x in v]
+    return json.dumps(v)
+
+
+def _json_text(t) -> str:
+    if isinstance(t, _Members):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(x)}" for k, x in t) + "}"
+    if isinstance(t, list):
+        return "[" + ", ".join(_json_text(x) for x in t) + "]"
+    return t
+
+
+def _json_slots(tree):
+    """(container, index) of every object member and array item."""
+    slots, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        for i, x in enumerate(node):
+            slots.append((node, i))
+            child = x[1] if isinstance(node, _Members) else x
+            if isinstance(child, list):
+                stack.append(child)
+    return slots
+
+
+@st.composite
+def mutated_json(draw):
+    """A JSON fixture with one to three keys or items dropped or written
+    twice, or numbers replaced by one of `JSON_TOKENS`; with the argv
+    that reads it."""
+    name, argv = draw(st.sampled_from(JSON_CASES))
+    tree = _json_tree(json.loads(read_fixture(name)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _json_slots(tree)
+        if not slots:
+            break
+        node, i = draw(st.sampled_from(slots))
+        kind = draw(st.sampled_from(["drop", "dup", "token"]))
+        if kind == "drop":
+            del node[i]
+        elif kind == "dup":
+            node.insert(i, copy.deepcopy(node[i]))
+        elif isinstance(node, _Members) and isinstance(node[i][1], str):
+            node[i] = [node[i][0], draw(st.sampled_from(JSON_TOKENS))]
+        elif isinstance(node[i], str):
+            node[i] = draw(st.sampled_from(JSON_TOKENS))
+    return _json_text(tree), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_json())
+def test_mutated_json_keeps_the_exit_code_contract(case):
+    text, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # an exception escaping run() is a traceback on the command line;
+        # here it fails the test
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([a.replace("{in}", path) for a in argv])
     assert code in (0, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
     assert "Traceback" not in err.getvalue()
 

@@ -20,7 +20,7 @@ from smith_oracle import smith_form_per_pivot
 
 def to_complex(x: CyclotomicNumber) -> complex:
     z = cmath.exp(2j * math.pi / x.n)
-    return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+    return sum(c / x.den * z ** k for k, c in enumerate(x.num))
 
 # --- cyclotomic numbers ----------------------------------------------------
 
