@@ -25,7 +25,7 @@ from .errors import (ConvergenceRegionError, CuspedZetaError,
 from .laplace import (HeatAtom, MeroSum, digamma, evaluate, lprime_closed,
                       mero_to_json, quadrature_lprime, residue_at,
                       spectral_lprime)
-from .laurent import LaurentMatrix, LaurentPoly, format_poly, ord_at_one, smith_form
+from .laurent import LaurentPoly, format_poly, ord_at_one, smith_form
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            fox_derivative, parse_presentation,
                            peripheral_trivial, serialize_presentation)

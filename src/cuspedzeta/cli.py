@@ -20,7 +20,7 @@ from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
                      NotTorsion, PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
                      UnsupportedAtom, ValidationError)
-from .laplace import mero_to_json
+from .laplace import complex_to_json, mero_to_json
 from .laurent import format_poly
 from .presentation import parse_presentation, peripheral_trivial
 
@@ -140,10 +140,6 @@ def _load_poles(path: str):
         _real(d.get("c1", 0.0), f"{path}: c1"))
 
 
-def _complex_json(z: complex):
-    return [z.real, z.imag]
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -185,7 +181,7 @@ def _cmd_ruelle_eval(args, out):
     sp = spectrum.load_spectrum(args.spectrum)
     rep = ruelle.euler_product(sp, args.z)
     _jdump({"tailBound": rep.tail_bound, "termsUsed": rep.terms_used,
-            "value": _complex_json(rep.value)}, out)
+            "value": complex_to_json(rep.value)}, out)
     return 0
 
 
@@ -228,7 +224,7 @@ def _cmd_epstein(args, out):
         _jdump({"constant": complex(const).real, "residue": res}, out)
     else:
         v = cuspterms.epstein(lat, chi, args.s)
-        _jdump({"value": _complex_json(v)}, out)
+        _jdump({"value": complex_to_json(v)}, out)
     return 0
 
 

@@ -58,9 +58,6 @@ class LatticeCharacter:
     def is_trivial(self) -> bool:
         return self.phases == (0, 0)
 
-    def value(self, m: int, n: int) -> complex:
-        return self.v1 ** m * self.v2 ** n
-
 
 @dataclass(frozen=True)
 class ScatteringPoles:

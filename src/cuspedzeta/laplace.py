@@ -426,16 +426,17 @@ def spectral_lprime(eigen0, eigen1):
 # ---------------------------------------------------------------------------
 # JSON form
 
-def _cx(v):
+def complex_to_json(v) -> list[float]:
     v = complex(v)
     return [v.real, v.imag]
 
 
 def mero_to_json(m: MeroSum) -> dict:
     return {
-        "polyPart": [_cx(c) for c in m.poly_part],
-        "poles": [[_cx(l), _cx(r)] for l, r in m.poles],
-        "digammaAtoms": [[_cx(c), _cx(s)] for c, s in m.digamma_atoms],
-        "expAtoms": [[_cx(c), complex(r).real] for c, r in m.exp_atoms],
+        "polyPart": [complex_to_json(c) for c in m.poly_part],
+        "poles": [[complex_to_json(l), complex_to_json(r)] for l, r in m.poles],
+        "digammaAtoms": [[complex_to_json(c), complex_to_json(s)]
+                         for c, s in m.digamma_atoms],
+        "expAtoms": [[complex_to_json(c), complex(r).real] for c, r in m.exp_atoms],
     }
 

@@ -1,5 +1,6 @@
-"""Laurent polynomials in t over a cyclotomic field, matrices over that
-ring, and elementary-divisor (Smith form) computation.
+"""Laurent polynomials in t over a cyclotomic field and the
+elementary divisors (Smith form) of a matrix of them, given as a list
+of rows.
 
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
@@ -8,10 +9,8 @@ clearing powers of t, which are units.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CyclotomicNumber
-from .errors import NotTorsion, ZeroPolynomial
+from .errors import ZeroPolynomial
 
 
 class LaurentPoly:
@@ -45,12 +44,6 @@ class LaurentPoly:
         return cls(n, 0, [CyclotomicNumber.one(n)])
 
     @classmethod
-    def monomial(cls, n, coeff, exp=0):
-        if isinstance(coeff, (int, Fraction)):
-            coeff = CyclotomicNumber.from_rational(n, coeff)
-        return cls(n, exp, [coeff])
-
-    @classmethod
     def from_int_coeffs(cls, n, coeffs, low=0):
         return cls(n, low, [CyclotomicNumber.from_rational(n, c) for c in coeffs])
 
@@ -77,13 +70,11 @@ class LaurentPoly:
 
     # arithmetic ------------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return LaurentPoly.monomial(self.n, other)
-        if isinstance(other, LaurentPoly):
-            if other.n != self.n:
-                raise ValueError("mixed cyclotomic moduli")
-            return other
-        return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("mixed cyclotomic moduli")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -103,8 +94,6 @@ class LaurentPoly:
             cs[other.low - low + i] = cs[other.low - low + i] + c
         return LaurentPoly(self.n, low, cs)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly(self.n, self.low, [-c for c in self.coeffs])
 
@@ -113,9 +102,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -131,8 +117,6 @@ class LaurentPoly:
             for j, b in enumerate(other.coeffs):
                 cs[i + j] = cs[i + j] + a * b
         return LaurentPoly(self.n, self.low + other.low, cs)
-
-    __rmul__ = __mul__
 
     def divmod(self, other):
         """a = q*b + r with span(r) < span(b)."""
@@ -222,44 +206,9 @@ def ord_at_one(f: LaurentPoly) -> int:
     return k
 
 
-class LaurentMatrix:
-    """Rectangular matrix of LaurentPoly entries."""
-
-    def __init__(self, n, entries):
-        self.n = n
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def zero(cls, n, rows, cols):
-        z = LaurentPoly.zero(n)
-        return cls(n, [[z] * cols for _ in range(rows)])
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        z = LaurentPoly.zero(self.n)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.n, out)
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-
-def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
-    """Elementary divisors d1 | d2 | ... of the cokernel presented by m:
-    diagonalize, then gcd/lcm repair.
+def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
+    """Elementary divisors d1 | d2 | ... of the cokernel presented by a
+    matrix, given as its list of rows: diagonalize, then gcd/lcm repair.
 
     Row and column elimination with smallest-span pivots leaves a
     diagonal matrix; one pass over pairs i < j then replaces
@@ -269,8 +218,8 @@ def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
     Returns min(rows, cols) normalized divisors; trailing zeros signal a
     non-torsion quotient (rank deficiency).
     """
-    e = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
+    e = [row[:] for row in matrix]
+    rows, cols = len(e), len(e[0]) if e else 0
     size = min(rows, cols)
 
     def find_pivot(k):
@@ -326,20 +275,5 @@ def smith_form(m: LaurentMatrix) -> list[LaurentPoly]:
                 continue
             g = a.gcd(b)
             diag[i], diag[j] = g, a.exact_div(g) * b
-    return [d.normalize() for d in diag] + [LaurentPoly.zero(m.n)] * (size - k)
-
-
-def char_poly_from_divisors(divisors) -> LaurentPoly:
-    """Characteristic polynomial of the t-action on the torsion module
-    with the given elementary divisors: the product of the nonunit
-    ones, normalized."""
-    if not divisors:
-        raise ValueError("empty divisor list")
-    n = divisors[0].n
-    out = LaurentPoly.one(n)
-    for d in divisors:
-        if d.is_zero():
-            raise NotTorsion("module with zero elementary divisor")
-        if not d.is_unit():
-            out = out * d
-    return out.normalize()
+    # no pivot was left, so the diagonal from k on is zero
+    return [d.normalize() for d in diag] + [e[i][i] for i in range(k, size)]

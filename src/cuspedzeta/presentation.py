@@ -26,6 +26,11 @@ from .errors import MissingPeripheralData, PresentationSyntaxError, ValidationEr
 from .laurent import LaurentPoly
 from .words import GroupWord
 
+# Largest rho modulus a presentation file may ask for.  The exact side
+# costs grow fast with n (inverting in Q(zeta_n) multiplies phi(n) - 1
+# conjugates), and cyclotomic_polynomial(n) alone builds n + 1 terms.
+MAX_MODULUS = 500
+
 
 @dataclass(frozen=True)
 class Epsilon:
@@ -173,6 +178,9 @@ def parse_presentation(text: str):
                 raise PresentationSyntaxError(f"bad integer in 'rho': {exc}", line=lineno)
             if rho_mod < 1:
                 raise PresentationSyntaxError("rho modulus must be positive", line=lineno)
+            if rho_mod > MAX_MODULUS:
+                raise PresentationSyntaxError(
+                    f"rho modulus {rho_mod} is above the limit {MAX_MODULUS}", line=lineno)
         elif kw == "vol":
             if len(parts) != 2:
                 raise PresentationSyntaxError("'vol' needs one float", line=lineno)

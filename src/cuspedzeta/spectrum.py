@@ -195,11 +195,14 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
 
     Completeness is only relative to max_word_len; the flag is a caller
     assertion, recorded in the metadata.  A max_word_len below 1 raises
-    ValueError; a generator of determinant other than 1, or a character
-    value count other than the generator count, raises ValidationError;
-    a word whose matrix product leaves the float range, or whose
-    determinant rounds to 0, raises CuspedZetaError.
+    ValueError; more than 26 generators, a generator of determinant other
+    than 1, or a character value count other than the generator count,
+    raises ValidationError; a word whose matrix product leaves the float
+    range, or whose determinant rounds to 0, raises CuspedZetaError.
     """
+    if len(gens) > 26:
+        # the spectrum file spells words in the letters a-z
+        raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
     for i, g in enumerate(gens):
         if not abs(g.det - 1) <= DET_TOL:
             raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")

@@ -10,8 +10,6 @@ elimination with the route in `cuspedzeta.alexander` apart from
 `smith_form` on a different matrix.
 """
 
-from cuspedzeta import laurent
-from cuspedzeta.alexander import TwistedComplex
 from cuspedzeta.cyclotomic import CyclotomicNumber
 from cuspedzeta.errors import ComplexConditionViolation
 from cuspedzeta.laurent import LaurentPoly, smith_form
@@ -20,16 +18,10 @@ from cuspedzeta.presentation import GroupPresentation, UnitCharacter
 from fox_oracle import GroupRingElement, fox_derivative
 
 
-class LaurentMatrix(laurent.LaurentMatrix):
-    """The library matrix plus the identity constructor that only
-    `_column_reduce` needs."""
-
-    @classmethod
-    def identity(cls, n, size):
-        m = cls.zero(n, size, size)
-        for i in range(size):
-            m.entries[i][i] = LaurentPoly.one(n)
-        return m
+def _identity(n, size):
+    """The size x size identity matrix as a list of rows."""
+    return [[LaurentPoly.one(n) if i == j else LaurentPoly.zero(n)
+             for j in range(size)] for i in range(size)]
 
 
 def _column_reduce(vec):
@@ -38,13 +30,13 @@ def _column_reduce(vec):
     n = vec[0].n
     g = len(vec)
     v = list(vec)
-    u = LaurentMatrix.identity(n, g)
-    vinv = LaurentMatrix.identity(n, g)
+    u = _identity(n, g)
+    vinv = _identity(n, g)
 
     def swap(i, j):
         v[i], v[j] = v[j], v[i]
-        u.entries[i], u.entries[j] = u.entries[j], u.entries[i]
-        for row in vinv.entries:
+        u[i], u[j] = u[j], u[i]
+        for row in vinv:
             row[i], row[j] = row[j], row[i]
 
     while True:
@@ -60,8 +52,8 @@ def _column_reduce(vec):
                 continue
             q, r = v[i].divmod(v[0])
             v[i] = r
-            u.entries[i] = [a - q * b for a, b in zip(u.entries[i], u.entries[0])]
-            for row in vinv.entries:
+            u[i] = [a - q * b for a, b in zip(u[i], u[0])]
+            for row in vinv:
                 row[0] = row[0] + q * row[i]
             if not r.is_zero():
                 done = False
@@ -70,22 +62,22 @@ def _column_reduce(vec):
     return v[0], u, vinv
 
 
-def _h1_divisors(c: TwistedComplex):
+def _h1_divisors(d1, d0):
     """Elementary divisors of H1 = ker d0 / im d1, padded with zeros
     when the image has deficient rank."""
-    n = c.d0.n
-    g = c.d0.rows
+    n = d0[0].n
+    g = len(d0)
     if g == 1:
         # kernel of multiplication by a nonzero element is zero
         return ()
-    _, _, vinv = _column_reduce([c.d0.entries[j][0] for j in range(g)])
+    _, _, vinv = _column_reduce(d0)
     coords = []
-    for row in c.d1.entries:
+    for row in d1:
         crow = []
         for j in range(g):
             acc = LaurentPoly.zero(n)
             for k in range(g):
-                acc = acc + row[k] * vinv.entries[k][j]
+                acc = acc + row[k] * vinv[k][j]
             crow.append(acc)
         if not crow[0].is_zero():
             raise ComplexConditionViolation(
@@ -93,8 +85,7 @@ def _h1_divisors(c: TwistedComplex):
         coords.append(crow[1:])
     if not coords:
         return tuple(LaurentPoly.zero(n) for _ in range(g - 1))
-    pres = LaurentMatrix(n, coords)
-    divisors = smith_form(pres)
+    divisors = smith_form(coords)
     while len(divisors) < g - 1:
         divisors.append(LaurentPoly.zero(n))
     return tuple(divisors)

@@ -10,20 +10,20 @@ the rest, so it reaches the normalized elementary divisors without the
 gcd/lcm pass.
 """
 
-from cuspedzeta.laurent import LaurentMatrix, LaurentPoly
+from cuspedzeta.laurent import LaurentPoly
 
 
-def smith_form_per_pivot(m: LaurentMatrix) -> list[LaurentPoly]:
-    """Elementary divisors d1 | d2 | ... of the cokernel presented by m.
+def smith_form_per_pivot(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
+    """Elementary divisors d1 | d2 | ... of the cokernel presented by a
+    matrix, given as its list of rows.
 
     Returns min(rows, cols) normalized divisors; trailing zeros signal a
     non-torsion quotient (rank deficiency).
     """
-    e = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
+    e = [row[:] for row in matrix]
+    rows, cols = len(e), len(e[0]) if e else 0
     size = min(rows, cols)
     divisors = []
-    n = m.n
 
     def find_pivot(k):
         best = None
@@ -84,5 +84,5 @@ def smith_form_per_pivot(m: LaurentMatrix) -> list[LaurentPoly]:
         k += 1
 
     while len(divisors) < size:
-        divisors.append(LaurentPoly.zero(n))
+        divisors.append(LaurentPoly.zero(e[0][0].n))
     return divisors

@@ -15,9 +15,10 @@ import pytest
 from cuspedzeta.alexander import (_homology, alexander_invariant,
                                   build_complex, twisted_betti)
 from cuspedzeta.cyclotomic import CyclotomicNumber
-from cuspedzeta.errors import NotTorsion
+from cuspedzeta.errors import ComplexConditionViolation, NotTorsion
 from cuspedzeta.laurent import LaurentPoly, ord_at_one
-from cuspedzeta.presentation import parse_presentation
+from cuspedzeta.presentation import (Epsilon, GroupPresentation, UnitCharacter,
+                                     parse_presentation)
 from cuspedzeta.verdict import main_conjecture_report
 
 import h1_oracle
@@ -111,6 +112,17 @@ def test_not_torsion(text, which):
     assert info.value.which == which
 
 
+def test_complex_condition_violation():
+    """The relator ab is not killed by eps = (1, 1), which the parser
+    refuses; built directly, its Fox row times d0 is t^2 - 1, not 0."""
+    p = GroupPresentation(("a", "b"), (((0, 1), (1, 1)),))
+    rho, eps = UnitCharacter(1, (0, 0)), Epsilon((1, 1))
+    with pytest.raises(ComplexConditionViolation):
+        build_complex(p, rho, eps)
+    with pytest.raises(ComplexConditionViolation):
+        alexander_invariant(p, rho, eps)
+
+
 # --- torus knots T(2, k) ---------------------------------------------------
 
 def torus_knot(k, n, e):
@@ -191,7 +203,7 @@ def test_h1_and_betti_match_old_routes(name):
     H1 or H2 is not torsion."""
     p, eps, rho = ORACLE_INPUTS[name]()
     c = build_complex(p, rho, eps)
-    want_divisors = h1_oracle._h1_divisors(c)
+    want_divisors = h1_oracle._h1_divisors(*c)
     want_betti = h1_oracle.twisted_betti(p, rho)
     assert twisted_betti(p, rho) == want_betti
     try:
@@ -199,7 +211,7 @@ def test_h1_and_betti_match_old_routes(name):
     except NotTorsion as exc:
         assert exc.which == ("H1" if any(d.is_zero() for d in want_divisors)
                              else "H2")
-        divisors, h0, h1 = _homology(c, rho)
+        divisors, h0, h1 = _homology(*c, rho)
     else:
         divisors, h0, h1 = data.h1_divisors, data.h0, data.h1
     assert repr(divisors) == repr(want_divisors)

@@ -210,6 +210,12 @@ BAD_INPUTS = [
      {"generators": [[[1e160, 0]] * 4, [[1, 0], [1, 0], [0, 0], [1, 0]]]},
      ["spectrum", "enumerate", "{in}", "--max-word-len", "4", "--cutoff", "3"],
      EX_DATAERR, "generators[0]: determinant (nan+0j) is not 1"),
+    # generator 27 has no letter in the spectrum file
+    ("enumerate-27-generators",
+     {"generators": [[[2, 0.1], [0, 0], [0, 0],
+                      [(1 / (2 + 0.1j)).real, (1 / (2 + 0.1j)).imag]]] * 27},
+     ["spectrum", "enumerate", "{in}", "--max-word-len", "1", "--cutoff", "3"],
+     EX_DATAERR, "generators: 27 given, at most 26 allowed"),
 ]
 
 # lattices on which the covolume, |b1|^2 or y = Im(b2/b1) of the reduced

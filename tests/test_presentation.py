@@ -38,6 +38,8 @@ def test_comments_and_blank_lines_ignored():
     ("gens a b\nrel ab!\neps 1 1\nrho n=1: 0 0", "!", 2),
     ("gens a b\nrel ab\neps 1 1\nrho 5: 1 1", "rho n=", 4),
     ("gens a b\nrel ab\neps 1 1\nrho n=0: 0 0", "positive", 4),
+    ("gens a b\nrel aB\neps 1 1\nrho n=10000000000000000000000: 0 0",
+     "rho modulus 10000000000000000000000 is above the limit", 4),
     ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nvol x", "float", 5),
     ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nbogus 1", "bogus", 5),
 ])
@@ -132,10 +134,11 @@ def test_fox_product_rule(case, data):
 def test_fundamental_fox_identity(case):
     # sum_j dw/dx_j (rho(x_j) t^eps(x_j) - 1) == rho(w) t^eps(w) - 1
     w, rho, eps = case
+    one = LaurentPoly.one(rho.modulus)
     total = LaurentPoly.zero(rho.modulus)
     for j in range(len(rho.exponents)):
-        total = total + fox_derivative(w, j, rho, eps) * (unit(((j, 1),), rho, eps) - 1)
-    assert total == unit(w, rho, eps) - 1
+        total = total + fox_derivative(w, j, rho, eps) * (unit(((j, 1),), rho, eps) - one)
+    assert total == unit(w, rho, eps) - one
 
 
 def test_evaluate_twisted_is_multiplicative_on_units():

@@ -1,7 +1,7 @@
-"""Every public function and method in the package has a caller in the
-package.
+"""Every public class, function and method in the package has a caller
+in the package.
 
-A function that only tests or demos reach belongs in the tests: the
+A function or class that only tests or demos reach belongs in the tests: the
 package's code is what the subcommands run.  A name counts as used when
 it appears, as a name or an attribute, anywhere in ``src/cuspedzeta``
 outside its own body and outside ``__init__.py`` (whose re-exports are
@@ -25,12 +25,12 @@ ALLOWED = {
 
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, node) for each public module-level
-    function and each public method of a module-level class."""
+    function or class and each public method of a module-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.name, node.name, node
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not item.name.startswith("_"):

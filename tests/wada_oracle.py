@@ -44,7 +44,7 @@ def bareiss_det(rows, n):
             for j in range(k + 1, size):
                 m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
         prev = m[k][k]
-    return m[-1][-1] * sign
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def wada_determinant(p, rho, eps, k):
