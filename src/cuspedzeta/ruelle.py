@@ -34,7 +34,8 @@ class TruncationReport:
 
 def weights(c: GeodesicClass) -> HyperbolicWeights:
     """Per-class weights a0 = rho(g) l0 / Delta, a1 = a0 * 2 cos(theta),
-    where Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta) + e^{-2l}."""
+    where Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta) + e^{-2l}.
+    `fried_residual` repeats these expressions inline; keep the two alike."""
     el = math.exp(-c.length)
     delta = 1 - 2 * el * math.cos(c.holonomy) + el * el
     a0 = c.char_value * c.primitive_length / delta
@@ -54,13 +55,14 @@ def counting_constant(s: Spectrum) -> float:
             num += i * w
             den += w * w
     except OverflowError:
-        raise _overflow("e^(2 l) in the counting constant", c) from None
+        raise _overflow("e^(2 l) in the counting constant", c.length) from None
     return max(num / den, 1e-300)
 
 
-def _overflow(term: str, c: GeodesicClass) -> OverflowError:
-    """A float overflow located at the term and the class that raised it."""
-    return OverflowError(f"{term} overflows at the class of length {c.length!r}")
+def _overflow(term: str, length: float) -> OverflowError:
+    """A float overflow located at the term and the length of the class
+    that raised it."""
+    return OverflowError(f"{term} overflows at the class of length {length!r}")
 
 
 def _tail_bound(s: Spectrum, z: complex) -> float:
@@ -77,12 +79,15 @@ def _tail_bound(s: Spectrum, z: complex) -> float:
         c = counting_constant(s)
     except OverflowError as exc:
         raise OverflowError(f"tail bound at z = {z}: {exc}") from None
-    return 4 * c * math.exp(-(x - 2) * s.cutoff_length) / (x - 2) ** 2
+    # a product, not ** 2, so a huge Re z saturates to inf and the tail to 0
+    return 4 * c * math.exp(-(x - 2) * s.cutoff_length) / ((x - 2) * (x - 2))
 
 
 def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     """R_rho(z) truncated to the spectrum: product of
-    1 - rho(g0) e^{-z l(g0)} over primitive classes."""
+    1 - rho(g0) e^{-z l(g0)} over primitive classes.  An exponent z l
+    past the float range, in its real part (OverflowError) or its
+    imaginary part (ValueError), raises a located OverflowError."""
     tail = _tail_bound(s, z)
     value = 1 + 0j
     n = 0
@@ -90,8 +95,8 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
         for c in s.primitives():
             value *= 1 - c.char_value * cmath.exp(-z * c.length)
             n += 1
-    except OverflowError:
-        raise _overflow(f"e^(-z l) at z = {z}", c) from None
+    except (OverflowError, ValueError):
+        raise _overflow(f"e^(-z l) at z = {z}", c.length) from None
     return TruncationReport(value=value, tail_bound=tail, terms_used=n)
 
 
@@ -125,20 +130,25 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
     """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
     truncated class set, with log S_j(w) = -sum a_j(g) e^{-w l(g)} / l(g);
     zero up to the tail for a power-closed set.  One pass over the
-    classes feeds all four sums."""
+    classes feeds all four sums; the weights are `weights` inline, with
+    the same expressions in the same order, so the sums are bit-identical
+    to sums over `weights(c)`.  An exponent past the float range raises
+    a located OverflowError, as in `euler_product`."""
     tail = _tail_bound(s, z)
     z1, z2 = z + 1, z + 2
     log_r = s0 = s0_shift = s1 = 0j
     try:
-        for c in s.classes:
-            w = weights(c)
-            e = cmath.exp(-z * c.length)
-            log_r -= c.char_value * e * c.primitive_length / c.length
-            s0 -= w.a0 * e / c.length
-            s0_shift -= w.a0 * cmath.exp(-z2 * c.length) / c.length
-            s1 -= w.a1 * cmath.exp(-z1 * c.length) / c.length
-    except OverflowError:
-        raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", c) from None
+        for length, holonomy, char, prim, _, _ in s.classes:
+            el = math.exp(-length)
+            cos_t = math.cos(holonomy)
+            a0 = char * prim / (1 - 2 * el * cos_t + el * el)
+            e = cmath.exp(-z * length)
+            log_r -= char * e * prim / length
+            s0 -= a0 * e / length
+            s0_shift -= a0 * cmath.exp(-z2 * length) / length
+            s1 -= a0 * 2 * cos_t * cmath.exp(-z1 * length) / length
+    except (OverflowError, ValueError):
+        raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", length) from None
     return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
                             tail_bound=tail, terms_used=len(s.classes))
 

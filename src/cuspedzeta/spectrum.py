@@ -16,6 +16,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import words as W
 from .errors import (CuspedZetaError, DiscretenessSuspect, FormatError,
@@ -103,8 +104,9 @@ def classify(m: MoebiusMatrix) -> ElementType:
     return ElementType("loxodromic", length=length, holonomy=theta)
 
 
-@dataclass(frozen=True)
-class GeodesicClass:
+class GeodesicClass(NamedTuple):
+    """One row of the spectrum: a tuple, so it unpacks positionally and
+    costs one allocation to build."""
     length: float
     holonomy: float
     char_value: complex
@@ -113,22 +115,23 @@ class GeodesicClass:
     word: GroupWord
 
     def validate(self):
-        if abs(self.length - self.multiplicity * self.primitive_length) > 1e-9:
+        length, holonomy, char_value, primitive_length, multiplicity, word = self
+        if abs(length - multiplicity * primitive_length) > 1e-9:
             raise FormatError(
-                f"length {self.length} is not multiplicity x primitive length")
-        if abs(abs(self.char_value) - 1) > 1e-12:
-            raise FormatError(f"character value {self.char_value} is off the unit circle")
-        if not self.length > 0:
-            raise FormatError(f"length {self.length} is not positive")
-        if self.multiplicity < 1:
-            raise FormatError(f"multiplicity {self.multiplicity} is below 1")
-        if not self.word:
+                f"length {length} is not multiplicity x primitive length")
+        if abs(abs(char_value) - 1) > 1e-12:
+            raise FormatError(f"character value {char_value} is off the unit circle")
+        if not length > 0:
+            raise FormatError(f"length {length} is not positive")
+        if multiplicity < 1:
+            raise FormatError(f"multiplicity {multiplicity} is below 1")
+        if not word:
             raise FormatError("empty word")
         # Delta = |1 - e^{-(l + i theta)}|^2, the denominator of the
         # Ruelle weights, must not round to zero
-        el = math.exp(-self.length)
-        if not 1 - 2 * el * math.cos(self.holonomy) + el * el > 0:
-            raise FormatError(f"length {self.length} and holonomy {self.holonomy} "
+        el = math.exp(-length)
+        if not 1 - 2 * el * math.cos(holonomy) + el * el > 0:
+            raise FormatError(f"length {length} and holonomy {holonomy} "
                               f"give det(1 - P) = 0 to rounding")
         return self
 
@@ -318,8 +321,33 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _row(line: str, lineno: int) -> GeodesicClass | None:
+    """One spectrum row checked field by field, for the rows the fast
+    path of `load_spectrum` refuses: None for a blank line, else the
+    class or a FormatError that names the line and the first bad field."""
+    if not line.strip():
+        return None
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise FormatError("expected 7 comma-separated fields", line=lineno)
+    try:
+        length, theta, re_c, im_c, prim = map(_finite_float, parts[:5])
+        mult = int(parts[5])
+        word = W.parse_letters(parts[6], 26)
+        return GeodesicClass(length, theta, complex(re_c, im_c), prim, mult,
+                             word).validate()
+    except FormatError as exc:
+        raise FormatError(str(exc), line=lineno)
+    except Exception as exc:
+        raise FormatError(f"bad row: {exc}", line=lineno)
+
+
 def load_spectrum(path) -> Spectrum:
-    """Read a spectrum CSV in one pass; every error names its line."""
+    """Read a spectrum CSV in one pass; every error names its line.
+
+    Each row is split, unpacked and parsed once; a row that fails in
+    any way, a blank line included, goes to `_row`, which skips it or
+    raises the located message."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
@@ -346,35 +374,27 @@ def load_spectrum(path) -> Spectrum:
     classes = []
     limit = cutoff + 1e-9
     last = -math.inf
+    letter = W._alphabet(26).__getitem__
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise FormatError("expected 7 comma-separated fields", line=lineno)
         try:
-            try:
-                nums = tuple(map(float, parts[:5]))
-                if not all(map(math.isfinite, nums)):
-                    raise ValueError
-            except ValueError:  # the first bad field gives the message
-                nums = tuple(map(_finite_float, parts[:5]))
-            length, theta, re_c, im_c, prim = nums
-            mult = int(parts[5])
-            word = W.parse_letters(parts[6], 26)
-            cls = GeodesicClass(length=length, holonomy=theta,
-                                char_value=complex(re_c, im_c),
-                                primitive_length=prim, multiplicity=mult,
-                                word=word).validate()
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno)
-        except Exception as exc:
-            raise FormatError(f"bad row: {exc}", line=lineno)
-        if length > limit:
-            raise FormatError(f"class length {length} beyond cutoff", line=lineno)
-        if length < last - 1e-12:
+            l, th, re_c, im_c, pl, m, text = line.split(",")
+            length, theta, re_c, im_c, prim = \
+                float(l), float(th), float(re_c), float(im_c), float(pl)
+            # a sum of finite numbers is finite unless it overflows,
+            # which only sends the row to the slow path
+            if not math.isfinite(length + theta + re_c + im_c + prim):
+                raise ValueError
+            cls = GeodesicClass(length, theta, complex(re_c, im_c), prim,
+                                int(m), tuple(map(letter, text))).validate()
+        except Exception:
+            cls = _row(line, lineno)
+            if cls is None:
+                continue
+        if cls.length > limit:
+            raise FormatError(f"class length {cls.length} beyond cutoff", line=lineno)
+        if cls.length < last - 1e-12:
             raise FormatError("classes are not sorted by length", line=lineno)
-        last = length
+        last = cls.length
         classes.append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     lattice_covolume=covolume, volume=volume,

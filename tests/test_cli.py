@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
+from cuspedzeta.errors import FormatError
+from cuspedzeta.spectrum import load_spectrum
 
+import spectrum_oracle
 from conftest import FIXTURES, read_fixture
 from epstein_oracle import epstein_mpmath
 
@@ -202,6 +205,13 @@ BAD_INPUTS = [
      "e^(-z l) at z = (-1000+0j) overflows at the class of length 1.08707"),
     ("z-overflow-fried-located", None, FRIED + ["--z", "-1000"], EX_SOFTWARE,
      "e^(-z l) in the Fried sums at z = (-1000+0j) overflows at the class of length 1.08707"),
+    # |Im z| l past the float range: cmath.exp raises ValueError, not
+    # OverflowError
+    ("z-imag-overflow-eval-located", None, RUELLE + ["--z", "3+1e308j"], EX_SOFTWARE,
+     "e^(-z l) at z = (3+1e+308j) overflows at the class of length 2.4161132869099617"),
+    ("z-imag-overflow-fried-located", None, FRIED + ["--z", "3+1e308j"], EX_SOFTWARE,
+     "e^(-z l) in the Fried sums at z = (3+1e+308j) overflows at the class of length "
+     "2.1741402899914783"),
     ("enumerate-det-rounds-to-0",
      {"generators": [[[1, 0], [1, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [1e200, 0], [1, 0]]]},
      ["spectrum", "enumerate", "{in}", "--max-word-len", "4", "--cutoff", "3"],
@@ -308,21 +318,24 @@ def test_mutated_presentations_keep_the_exit_code_contract(text, command):
     assert "Traceback" not in err.getvalue()
 
 
-# digits, number syntax and letters of the CSV grammar, plus a few it lacks
-CSV_ALPHABET = "0123456789.-+e,abABxz #=é"
-CSV_TOKENS = ("nan", "0", "-1", "", "inf", "1e-320")
+# digits, number syntax and letters of the CSV grammar, plus a few it
+# lacks; the form feed splits a row in two (`str.splitlines`)
+CSV_ALPHABET = "0123456789.-+e,abABxz #=é\x0c"
+# padding, a sign and an underscore are accepted by `float` and `int`
+CSV_TOKENS = ("nan", "0", "-1", "", "inf", "1e-320", " 1.0", "+1", "1_0")
 
 
 @st.composite
 def mutated_spectrum(draw):
     """`fig8_spectrum.csv` with one to three lines, fields or characters
-    dropped, duplicated or changed, or a field replaced by one of
-    `CSV_TOKENS` (the empty string makes an empty word)."""
+    dropped, duplicated or changed, a field replaced by one of
+    `CSV_TOKENS` (the empty string makes an empty word), or a
+    whitespace-only line inserted."""
     lines = read_fixture("fig8_spectrum.csv").splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["drop-line", "dup-line", "drop-field",
-                                     "dup-field", "token", "change"]))
+                                     "dup-field", "token", "change", "blank"]))
         fields = lines[i].split(",")
         j = draw(st.integers(0, len(fields) - 1))
         if kind == "drop-line":
@@ -336,6 +349,8 @@ def mutated_spectrum(draw):
         elif kind == "token":
             fields[j] = draw(st.sampled_from(CSV_TOKENS))
             lines[i] = ",".join(fields)
+        elif kind == "blank":
+            lines.insert(i, " \t ")
         elif lines[i]:
             k = draw(st.integers(0, len(lines[i]) - 1))
             lines[i] = lines[i][:k] + draw(st.sampled_from(CSV_ALPHABET)) \
@@ -348,7 +363,7 @@ def mutated_spectrum(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated_spectrum(), st.sampled_from([["ruelle", "eval"],
                                             ["fried", "check"]]),
-       st.sampled_from(["5", "2.5+1j", "1.5-2j", "0.01"]))
+       st.sampled_from(["5", "2.5+1j", "1.5-2j", "0.01", "3+1e308j", "1e200"]))
 def test_mutated_spectra_keep_the_exit_code_contract(text, command, z):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -361,6 +376,64 @@ def test_mutated_spectra_keep_the_exit_code_contract(text, command, z):
             code = run([*command, path, "--z", z])
     assert code in (0, EX_USAGE, EX_DATAERR, EX_SOFTWARE)
     assert "Traceback" not in err.getvalue()
+
+
+def _load_both(text: str):
+    """The spectra that `load_spectrum` and the loader it replaced
+    (`spectrum_oracle`) read from `text`; None where one raises
+    FormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = []
+        for load in (load_spectrum, spectrum_oracle.load_spectrum):
+            try:
+                out.append(load(path))
+            except FormatError:
+                out.append(None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_spectrum())
+def test_mutated_spectra_load_as_the_oracle_loads_them(text):
+    got, want = _load_both(text)
+    assert got == want
+
+
+# rows on which a split-and-unpack loop could part from a field-by-field
+# parse: padding, signs and underscores that `float` and `int` accept, a
+# whitespace-only line, a form feed, 6 and 8 fields, a multiplicity
+# `int` refuses, non-finite numbers, and a sum of fields past the float
+# range
+DRIFT_ROWS = [" 1.0,0,1,0, 1.0,1,a", "1,0,+1,-0,1,+1,a", "1_0,0,1,0,1_0,1,a",
+              "1,0,1,0,1,1_0,a", "1,0,1,0,1,1, a", " \t ", "1,0,1,0\x0c1,1,a",
+              "1,0,1,0,1,1", "1,0,1,0,1,1,a,a", "1,0,1,0,1,1,a\x0c",
+              "1,0,1,0,1,01,a", "1,0,1,0,1,1.0,a", "1,0,1,0,1,1,a1",
+              "1,0,nan,0,1,1,a", "1,0,1,1e308,1,1,a", "1e308,0,1,0,1e308,1,a"]
+
+
+@pytest.mark.parametrize("row", DRIFT_ROWS)
+def test_drift_rows_load_as_the_oracle_loads_them(row):
+    got, want = _load_both("# cutoff=1e308 covolume=1 volume=1\n" + row + "\n")
+    assert got == want
+
+
+@pytest.mark.parametrize("command", [["ruelle", "eval"], ["fried", "check"]])
+@pytest.mark.parametrize("z", ["1e200", "1e308", "1e308+5j"])
+def test_huge_real_z_gives_the_limit_value(capsys, tmp_path, command, z):
+    # the tail bound 4 C e^{-(x - 2) L} / (x - 2)^2 tends to 0 and every
+    # factor e^{-z l} underflows to 0
+    path = tmp_path / "incomplete.csv"
+    path.write_text(CSV_HEAD + "1,0,1,0,1,1,a\n2,0,1,0,1,2,aa\n")
+    code, out, err = invoke(capsys, *command, str(path), "--z", z)
+    assert (code, err) == (0, "")
+    if command[0] == "ruelle":
+        assert json.loads(out) == {"tailBound": 0, "termsUsed": 1, "value": [1, 0]}
+    else:
+        assert json.loads(out) == {"residual": 0, "tailBound": 0,
+                                   "withinBound": True}
 
 
 # (fixture, command) pairs of the JSON inputs; `{in}` is the mutated file

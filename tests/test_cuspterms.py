@@ -25,6 +25,8 @@ from cuspedzeta.laplace import MeroSum, digamma, evaluate, residue_at
 from conftest import FIXTURES
 from epstein_oracle import _tail_shape, epstein_mpmath, kronecker_constant
 from epstein_oracle import epstein as shell_epstein
+from mpmath_references import NEAR_TRIVIAL, NEAR_TRIVIAL_S, epstein_case_id
+from mpmath_references import load as load_references
 from quadrature_oracle import quadrature_lprime, tail_shape_theta
 
 
@@ -307,12 +309,33 @@ MPMATH_CASES = [(basis, character, s) for basis, character, s in SHELL_ERROR] + 
     ("random", "order3", 0.5 + 20j)]
 
 
+# the cheapest case of each lattice computes its reference live; the
+# others read the table `mpmath_references.py` wrote
+LIVE_MPMATH_CASES = {("square", "sign", 0.3 + 15j), ("hexagonal", "order3", 0.2 - 7j),
+                     ("random", "irrational", 0.3)}
+
+
+def _live_reference(want: complex, live: complex) -> complex:
+    """The live 40-digit value, after checking that the table holds it."""
+    assert abs(live - want) <= 1e-15 * abs(live)
+    return live
+
+
+def test_mpmath_table_covers_every_case():
+    refs = load_references()
+    assert set(refs["epstein"]) == {epstein_case_id(*case) for case in MPMATH_CASES}
+    assert LIVE_MPMATH_CASES <= set(MPMATH_CASES)
+    assert set(refs["near_trivial"]) == {str(s) for s in NEAR_TRIVIAL_S}
+
+
 @pytest.mark.parametrize("basis,character,s", MPMATH_CASES,
-                         ids=[f"{b}-{c}-{s}" for b, c, s in MPMATH_CASES])
+                         ids=[epstein_case_id(*case) for case in MPMATH_CASES])
 def test_epstein_matches_mpmath(basis, character, s):
     lat, chi = _case(basis, character)
-    (b1, b2), (a, c) = BASES[basis], CHARACTERS[character]
-    want = epstein_mpmath(complex(b1), complex(b2), a, c, s)
+    want = load_references()["epstein"][epstein_case_id(basis, character, s)]
+    if (basis, character, s) in LIVE_MPMATH_CASES:
+        (b1, b2), (a, c) = BASES[basis], CHARACTERS[character]
+        want = _live_reference(want, epstein_mpmath(complex(b1), complex(b2), a, c, s))
     tol = 1e-10 if abs(complex(s).imag) <= 10 else 1e-8
     assert abs(epstein(lat, chi, s) - want) <= tol * abs(want)
 
@@ -339,13 +362,15 @@ def test_epstein_classical_closed_forms():
         assert abs(const - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("s", (0.3, 0.05 + 2j, 1))
+@pytest.mark.parametrize("s", NEAR_TRIVIAL_S)
 def test_epstein_near_trivial_character(s):
     # chi = (e^{2 pi i/1000}, 1): along b1 the Bessel terms decay only
     # like e^{-2 pi n y/1000}; Poisson summation runs along b2 instead
     lat = Lattice2D(1 + 0j, 0.3 + 1.1j)
     chi = LatticeCharacter(_unit(0.001), 1 + 0j)
-    want = epstein_mpmath(1, 0.3 + 1.1j, 0.001, 0, s)
+    want = load_references()["near_trivial"][str(s)]
+    if s == 1:  # the cheap one stays live
+        want = _live_reference(want, epstein_mpmath(*NEAR_TRIVIAL, s))
     assert abs(epstein(lat, chi, s) - want) <= 1e-12 * abs(want)
 
 

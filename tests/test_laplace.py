@@ -19,6 +19,7 @@ from cuspedzeta.laplace import (HeatAtom, MeroSum, _besselk, _cosine_zeta,
                                 mero_to_json, quadrature_lprime, residue_at,
                                 spectral_lprime)
 
+import mpmath_references as references
 import quadrature_oracle
 from heat_oracle import closed_value
 
@@ -46,29 +47,29 @@ def test_digamma_against_mpmath():
 
 def test_lattice_special_functions_against_mpmath():
     # log-gamma, the cosine zeta sum and K-Bessel behind the lattice
-    # L-function, over the orders and arguments its expansion meets
-    rng = random.Random(3)
-    with mpmath.workdps(30):
-        _check_lattice_special_functions(rng)
-
-
-def _check_lattice_special_functions(rng):
-    for _ in range(30):
-        z = complex(rng.uniform(0.5, 4), rng.choice((0, rng.uniform(-25, 25))))
-        want = complex(mpmath.gamma(z))
+    # L-function, over the orders and arguments its expansion meets,
+    # against the 40-digit table
+    refs = references.load()
+    for z, want in refs["gamma"]:
         assert abs(cmath.exp(_log_gamma(z)) - want) <= 1e-13 * abs(want)
-    for a in (0, 0.5, 1 / 3, 0.2371, 0.61803, 0.001):
-        for z in (1.05, 2.6, 1.6 + 1.4j, 3 - 40j, 1 if a else 2):
-            w = mpmath.expjpi(2 * mpmath.mpf(a))
-            want = 2 * complex(mpmath.zeta(z)) if a == 0 else \
-                complex(mpmath.polylog(z, w) + mpmath.polylog(z, 1 / w))
-            assert abs(_cosine_zeta(z, a) - want) <= 1e-13 * abs(want)
-    for _ in range(40):
-        nu = complex(rng.uniform(0.5, 3), rng.choice((0, rng.uniform(-2, 2),
-                                                      rng.uniform(-25, 25))))
-        x = math.exp(rng.uniform(math.log(0.005), math.log(100)))
-        want = complex(mpmath.besselk(nu, x))
+    for z, a, want in refs["cosine_zeta"]:
+        assert abs(_cosine_zeta(z, a) - want) <= 1e-13 * abs(want)
+    for nu, x, want in refs["besselk"]:
         assert abs(_besselk(nu, x) - want) <= 1e-12 * abs(want)
+
+
+def test_lattice_special_function_table_holds_the_seeded_points():
+    # the table's points are the seeded ones, and its first value of
+    # each function is what mpmath gives now
+    refs = references.load()
+    gamma, cosine_zeta, besselk = references.lattice_special_function_points()
+    assert [row[0] for row in refs["gamma"]] == gamma
+    assert [row[:2] for row in refs["cosine_zeta"]] == cosine_zeta
+    assert [row[:2] for row in refs["besselk"]] == besselk
+    for (*args, want), live in ((refs["gamma"][0], references.gamma_ref),
+                                (refs["cosine_zeta"][0], references.cosine_zeta_ref),
+                                (refs["besselk"][0], references.besselk_ref)):
+        assert abs(live(*args) - want) <= 1e-15 * abs(want)
 
 
 def test_digamma_poles_raise():
