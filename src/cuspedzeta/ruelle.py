@@ -87,7 +87,8 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     """R_rho(z) truncated to the spectrum: product of
     1 - rho(g0) e^{-z l(g0)} over primitive classes.  An exponent z l
     past the float range, in its real part (OverflowError) or its
-    imaginary part (ValueError), raises a located OverflowError."""
+    imaginary part (ValueError), or a product past it, raises a located
+    OverflowError."""
     tail = _tail_bound(s, z)
     value = 1 + 0j
     n = 0
@@ -97,6 +98,14 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
             n += 1
     except (OverflowError, ValueError):
         raise _overflow(f"e^(-z l) at z = {z}", c.length) from None
+    if not cmath.isfinite(value):
+        # complex multiplication overflows without raising: find the
+        # first factor that takes the product out of the float range
+        value = 1 + 0j
+        for c in s.primitives():
+            value *= 1 - c.char_value * cmath.exp(-z * c.length)
+            if not cmath.isfinite(value):
+                raise _overflow(f"e^(-z l) at z = {z}", c.length)
     return TruncationReport(value=value, tail_bound=tail, terms_used=n)
 
 

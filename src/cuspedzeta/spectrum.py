@@ -2,12 +2,17 @@
 
 Conjugacy classes of loxodromic elements are enumerated as cyclically
 reduced necklaces (``words.necklace_walk``), one canonical word per free
-conjugacy class, with the matrix product carried down the walk; classes
-that are conjugate in the group but not freely are merged by trace
-clustering.  Each class carries its complex length (l, theta),
-character value, and multiplicity data.  Orientation convention: a
-class and its inverse are kept as two classes (the Euler product runs
-over oriented geodesics).
+conjugacy class, with the matrix product carried down the walk as a
+tuple (a, b, c, d).  A class word is classified only if its trace can
+put it under the length cutoff L: the larger eigenvalue
+lambda = e^{(l + i theta)/2} of the normalized product gives
+|tr| = |lambda + 1/lambda| <= 2 cosh(l/2), so a product with
+|tr|^2 > (2 cosh(L/2))^2 |det| (1 + 1e-6) has l > L and is skipped
+unclassified.  Classes that are conjugate in the group but not freely
+are merged by trace clustering.  Each class carries its complex length
+(l, theta), character value, and multiplicity data.  Orientation
+convention: a class and its inverse are kept as two classes (the Euler
+product runs over oriented geodesics).
 """
 
 from __future__ import annotations
@@ -51,17 +56,6 @@ class MoebiusMatrix:
     def normalized(cls, a, b, c, d):
         s = cmath.sqrt(a * d - b * c)
         return cls(a / s, b / s, c / s, d / s)
-
-    def __matmul__(self, other):
-        return MoebiusMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self):
-        return MoebiusMatrix(self.d, -self.b, -self.c, self.a)
 
 
 @dataclass(frozen=True)
@@ -214,8 +208,17 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
                               f"{len(gens)} generator(s)")
     mats = {}
     for i, g in enumerate(gens):
-        mats[(i, 1)] = g
-        mats[(i, -1)] = g.inverse()
+        mats[(i, 1)] = (g.a, g.b, g.c, g.d)
+        mats[(i, -1)] = (g.d, -g.b, -g.c, g.a)
+    # |tr|^2 of a product above this times |det| puts its length above the
+    # cutoff; the margin is far above rounding, and no elliptic, parabolic
+    # or identity trace (|tr| <= 2 + TRACE_TOL) reaches it.  |tr|^2
+    # overflows near length 709, so a cutoff past 700 filters nothing.
+    if abs(cutoff_length) > 700:
+        bound = math.inf
+    else:
+        bound = 2 * math.cosh(cutoff_length / 2)
+        bound = bound * bound * (1 + 1e-6)
 
     found = []  # (canonical word, trace_key, length, theta, char)
     # prods[n] is the product of the last walked word of length n,
@@ -223,25 +226,37 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     prods = [None] * (max_word_len + 1)
     for word, is_class in W.necklace_walk(len(gens), max_word_len):
         n = len(word)
-        m = mats[word[-1]] if n == 1 else prods[n - 1] @ mats[word[-1]]
+        if n == max_word_len and not is_class:
+            continue  # a leaf that is not a class needs no product
+        if n == 1:
+            m = mats[word[0]]
+        else:
+            # (a b; c d)(e f; g h)
+            a, b, c, d = prods[n - 1]
+            e, f, g, h = mats[word[-1]]
+            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         prods[n] = m
         if not is_class:
             continue
+        a, b, c, d = m
         # an entry past the float range, or inf - inf, makes the sum non-finite
-        if not cmath.isfinite(m.a + m.b + m.c + m.d):
+        if not cmath.isfinite(a + b + c + d):
             raise CuspedZetaError(
                 f"the matrix product of word {W.format_letters(word)} is not finite")
-        try:
-            et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
-        except ZeroDivisionError:
+        det = a * d - b * c
+        if det == 0:
             raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
-                                  f"has determinant 0 to rounding") from None
+                                  f"has determinant 0 to rounding")
+        tr = a + d
+        if tr.real * tr.real + tr.imag * tr.imag > bound * abs(det):
+            continue
+        et = classify(MoebiusMatrix.normalized(a, b, c, d))
         if et.kind != "loxodromic" or et.length > cutoff_length:
             continue
         char = 1 + 0j
         for g, e in word:
             char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
-        found.append((word, _trace_key(m.trace), et.length, et.holonomy, char))
+        found.append((word, _trace_key(tr), et.length, et.holonomy, char))
 
     # merge words that are conjugate in the group but not freely
     # conjugate.  The trace cannot separate a class from its inverse, so

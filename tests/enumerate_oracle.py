@@ -1,0 +1,111 @@
+"""The class enumeration without the trace prefilter, kept as a test
+oracle, plus the matrix product and inverse that the tests build
+matrices with.
+
+`enumerate_classes` carries the word products as `MoebiusMatrix`
+values and normalizes and classifies every class word, so a word is
+dropped only on its computed length.  The trace-cluster merge and the
+power-root matching are the package's, copied or called unchanged.
+"""
+
+import cmath
+import warnings
+
+from cuspedzeta import words as W
+from cuspedzeta.errors import (CuspedZetaError, DiscretenessSuspect,
+                               ValidationError)
+from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass,
+                                 MoebiusMatrix, Spectrum, _power_root,
+                                 _trace_key, classify)
+
+
+def matmul(m: MoebiusMatrix, n: MoebiusMatrix) -> MoebiusMatrix:
+    """The matrix product m n."""
+    return MoebiusMatrix(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                         m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def inverse(m: MoebiusMatrix) -> MoebiusMatrix:
+    """The inverse of a matrix of determinant 1."""
+    return MoebiusMatrix(m.d, -m.b, -m.c, m.a)
+
+
+def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
+                      covolume: float = 1.0, volume: float = 1.0,
+                      complete: bool = False) -> Spectrum:
+    if len(gens) > 26:
+        raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
+    for i, g in enumerate(gens):
+        if not abs(g.det - 1) <= DET_TOL:
+            raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")
+    if len(rho_values) != len(gens):
+        raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
+                              f"{len(gens)} generator(s)")
+    mats = {}
+    for i, g in enumerate(gens):
+        mats[(i, 1)] = g
+        mats[(i, -1)] = inverse(g)
+
+    found = []  # (canonical word, trace_key, length, theta, char)
+    prods = [None] * (max_word_len + 1)
+    for word, is_class in W.necklace_walk(len(gens), max_word_len):
+        n = len(word)
+        m = mats[word[-1]] if n == 1 else matmul(prods[n - 1], mats[word[-1]])
+        prods[n] = m
+        if not is_class:
+            continue
+        if not cmath.isfinite(m.a + m.b + m.c + m.d):
+            raise CuspedZetaError(
+                f"the matrix product of word {W.format_letters(word)} is not finite")
+        try:
+            et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
+        except ZeroDivisionError:
+            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
+                                  f"has determinant 0 to rounding") from None
+        if et.kind != "loxodromic" or et.length > cutoff_length:
+            continue
+        char = 1 + 0j
+        for g, e in word:
+            char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
+        found.append((word, _trace_key(m.trace), et.length, et.holonomy, char))
+
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    kept = []
+    clusters = []  # (trace key, char, canonical inverse word or None)
+    for cand in found:
+        canon, trk, length, theta, char = cand
+        hit = None
+        for cl in clusters:
+            if abs(trk - cl[0]) <= TRACE_TOL:
+                hit = cl
+                break
+        if hit is None:
+            inv = W.canonical_conjugacy_form(W.inverse(canon))
+            clusters.append([trk, char, inv if inv != canon else None])
+            kept.append(cand)
+        elif canon == hit[2]:
+            hit[2] = None
+            kept.append(cand)
+        elif min(abs(char - hit[1]), abs(char - hit[1].conjugate())) > 1e-6:
+            warnings.warn(
+                f"near-equal traces with incompatible character values: "
+                f"word {W.format_letters(canon)}",
+                DiscretenessSuspect)
+            kept.append(cand)
+
+    classes = []
+    primitives = []
+    kept.sort(key=lambda f: (f[2], len(f[0]), f[0]))
+    for canon, trk, length, theta, char in kept:
+        mult, prim_len = _power_root((length, theta, char), primitives)
+        cls = GeodesicClass(length=length, holonomy=theta, char_value=char,
+                            primitive_length=prim_len, multiplicity=mult,
+                            word=canon)
+        classes.append(cls)
+        if mult == 1:
+            primitives.append(cls)
+
+    classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
+    return Spectrum(classes=classes, cutoff_length=cutoff_length,
+                    lattice_covolume=covolume, volume=volume,
+                    max_word_len=max_word_len, complete=complete).validate()

@@ -205,6 +205,10 @@ BAD_INPUTS = [
      "e^(-z l) at z = (-1000+0j) overflows at the class of length 1.08707"),
     ("z-overflow-fried-located", None, FRIED + ["--z", "-1000"], EX_SOFTWARE,
      "e^(-z l) in the Fried sums at z = (-1000+0j) overflows at the class of length 1.08707"),
+    # every factor is finite, but their product leaves the float range,
+    # and complex multiplication overflows to inf without raising
+    ("z-product-overflow-eval-located", None, RUELLE + ["--z", "-240"], EX_SOFTWARE,
+     "e^(-z l) at z = (-240+0j) overflows at the class of length 1.0870701449957394"),
     # |Im z| l past the float range: cmath.exp raises ValueError, not
     # OverflowError
     ("z-imag-overflow-eval-located", None, RUELLE + ["--z", "3+1e308j"], EX_SOFTWARE,

@@ -7,6 +7,8 @@ import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspedzeta import words as W
 from cuspedzeta.errors import FormatError, ValidationError
@@ -16,6 +18,8 @@ from cuspedzeta.spectrum import (GeodesicClass, MoebiusMatrix, Spectrum,
                                  load_spectrum)
 
 from conftest import FIXTURES
+from enumerate_oracle import enumerate_classes as reference_enumeration
+from enumerate_oracle import inverse, matmul
 
 # frozen first length values of the figure-eight spectrum (oracle:
 # tr = 2 cosh((l + i theta)/2) inverted on the shortest loxodromic traces)
@@ -45,10 +49,10 @@ def test_classification_of_long_word_products():
     # |a d| + |b c| is about 6.5e3 here and a d - b c rounds to
     # 1 + 1.4e-12 after normalization
     a, b = figure_eight_generators()
-    mats = {(0, 1): a, (0, -1): a.inverse(), (1, 1): b, (1, -1): b.inverse()}
+    mats = {(0, 1): a, (0, -1): inverse(a), (1, 1): b, (1, -1): inverse(b)}
     m = mats[(0, -1)]
     for l in W.parse_letters("Abbaababaab", 2):
-        m = m @ mats[l]
+        m = matmul(m, mats[l])
     assert classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d)).kind == "loxodromic"
 
 
@@ -68,7 +72,7 @@ def test_classification_is_conjugation_invariant():
     for _ in range(25):
         m = _random_loxodromic(rng)
         g = MoebiusMatrix(1, rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2), 0, 1)
-        conj = (g @ m) @ g.inverse()
+        conj = matmul(matmul(g, m), inverse(g))
         a, b = classify(m), classify(conj)
         assert abs(a.length - b.length) < 1e-9
         assert abs(a.holonomy - b.holonomy) < 1e-9
@@ -78,7 +82,7 @@ def test_inverse_has_same_length_and_holonomy():
     rng = random.Random(9)
     for _ in range(25):
         m = _random_loxodromic(rng)
-        a, b = classify(m), classify(m.inverse())
+        a, b = classify(m), classify(inverse(m))
         assert abs(a.length - b.length) < 1e-10
         assert abs(a.holonomy - b.holonomy) < 1e-10
 
@@ -219,6 +223,78 @@ def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
     fast = [run(*c) for c in cases]
     monkeypatch.setattr(W, "necklace_walk", _reduced_word_walk)
     assert [run(*c) for c in cases] == fast
+
+
+# --- trace prefilter -------------------------------------------------------
+
+CHARACTERS = [
+    (1.0 + 0j, 1.0 + 0j),
+    (cmath.exp(0.4j * math.pi), cmath.exp(0.4j * math.pi)),
+    (cmath.exp(0.8j * math.pi), cmath.exp(2j * math.pi / 3)),
+    (1j, -1.0 + 0j),
+    (cmath.exp(0.7j), cmath.exp(-2.1j)),
+]
+
+
+def _with_warnings(enumerate_fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sp = enumerate_fn(*args)
+    return sp, [(w.category, str(w.message)) for w in caught]
+
+
+def _fixture_lengths():
+    rows = (FIXTURES / "fig8_spectrum.csv").read_text().splitlines()
+    return sorted({float(r.split(",")[0]) for r in rows if not r.startswith("#")})
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
+def test_prefilter_keeps_classes_on_the_cutoff(offset):
+    # cutoffs at the fixture's class lengths: a class exactly on the
+    # cutoff, or 1e-12 inside it, must survive the trace bound
+    gens = figure_eight_generators()
+    lengths = _fixture_lengths()
+    assert len(lengths) > 5
+    for length in lengths:
+        args = (gens, [1.0, 1.0], 8, length + offset)
+        fast = enumerate_classes(*args)
+        assert fast == reference_enumeration(*args)
+        assert (length in {c.length for c in fast.classes}) == (offset >= 0)
+
+
+@pytest.mark.parametrize("rho", CHARACTERS)
+def test_prefilter_matches_the_unfiltered_enumeration(rho):
+    gens = figure_eight_generators()
+    # a cutoff past 700 turns the trace bound off
+    for max_word_len in range(1, 9):
+        for cutoff in (0.5, 2.0, 3.0, 3.5, 1500.0):
+            args = (gens, list(rho), max_word_len, cutoff)
+            assert _with_warnings(enumerate_classes, *args) == \
+                _with_warnings(reference_enumeration, *args)
+
+
+@st.composite
+def loxodromic(draw):
+    """g diag(lambda, 1/lambda) g^-1 with 0.05 <= log|lambda| <= 5 and g
+    of determinant 1 with entries of modulus about 2 or less."""
+    lam = cmath.rect(math.exp(draw(st.floats(0.05, 5.0))),
+                     draw(st.floats(-math.pi, math.pi)))
+    x = st.floats(-2.0, 2.0)
+    a, b, c = (complex(draw(x), draw(x)) for _ in range(3))
+    if abs(a) < 0.1:
+        a += 1
+    g = MoebiusMatrix(a, b, c, (1 + b * c) / a)
+    return matmul(matmul(g, MoebiusMatrix(lam, 0, 0, 1 / lam)), inverse(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loxodromic())
+def test_length_is_at_least_the_trace_bound(m):
+    # |tr| = |lambda + 1/lambda| <= 2 cosh(l/2): the bound the
+    # enumeration uses to skip words above the cutoff unclassified
+    et = classify(m)
+    assert et.kind == "loxodromic"
+    assert et.length >= 2 * math.acosh(max(1.0, abs(m.trace) / 2)) - 1e-12
 
 
 # --- persistence -----------------------------------------------------------
