@@ -9,7 +9,7 @@ import math
 from cuspedzeta import (Lattice2D, LatticeCharacter, TrivialRestriction,
                         epstein, epstein_residue_and_constant,
                         identity_lprime, threshold_lprime, unipotent_lprime)
-from cuspedzeta.laplace import evaluate, mero_to_json
+from cuspedzeta.laplace import mero_to_json
 
 
 def main():
@@ -19,8 +19,8 @@ def main():
     print("  M0:", mero_to_json(m0)["polyPart"])
     print("  M1:", mero_to_json(m1)["polyPart"])
 
-    print("\nthreshold term -1/(2z) at z=2:",
-          evaluate(threshold_lprime(), 2.0))
+    print("\nthreshold term -1/(2z), as a pole at 0:",
+          mero_to_json(threshold_lprime())["poles"])
 
     u0s, u1, comb = unipotent_lprime(TrivialRestriction())
     print("unipotent three-term combination vanishes structurally:",

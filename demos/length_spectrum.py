@@ -7,8 +7,7 @@ Run:  python3 demos/length_spectrum.py
 import math
 
 from cuspedzeta import enumerate_classes, figure_eight_generators
-from cuspedzeta.ruelle import euler_product, fried_residual, log_derivative, \
-    log_derivative_series
+from cuspedzeta.ruelle import euler_product, fried_residual
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -31,10 +30,6 @@ def main():
     print(f"\nR(z={z}) truncated: {rep.value.real:.15f} "
           f"({rep.terms_used} primitive factors)")
     print(f"factorization residual at z={z}: {fried_residual(spectrum, z).value:.2e}")
-    d_num = log_derivative(spectrum, 4.0)
-    d_ser = log_derivative_series(spectrum, 4.0)
-    print(f"d/dz log R at z=4: numeric {d_num.real:.12f} vs "
-          f"series {d_ser.real:.12f} (diff {abs(d_num - d_ser):.2e})")
 
 
 if __name__ == "__main__":

@@ -21,16 +21,13 @@ from .errors import (ConvergenceRegionError, CuspedZetaError,
                      InconsistentInput, NotTorsion,
                      PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
-                     UnsupportedAtom, ValidationError)
-from .laplace import (HeatAtom, MeroSum, digamma, evaluate, lprime_closed,
-                      mero_to_json, quadrature_lprime, residue_at,
-                      spectral_lprime)
+                     ValidationError)
+from .laplace import MeroSum, digamma, mero_to_json
 from .laurent import LaurentPoly, format_poly, ord_at_one, smith_form
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            fox_derivative, parse_presentation,
                            peripheral_trivial, serialize_presentation)
 from .ruelle import (TruncationReport, euler_product, fried_residual,
-                     log_derivative, log_derivative_series,
                      single_orbit_spectrum)
 from .spectrum import (GeodesicClass, MoebiusMatrix, Spectrum, classify,
                        enumerate_classes, figure_eight_generators,

@@ -13,13 +13,14 @@ import cmath
 import json
 import math
 import sys
+import warnings
 
-from . import cuspterms, laplace, ruelle, spectrum, verdict
+from . import cuspterms, ruelle, spectrum, verdict
 from .alexander import alexander_invariant, twisted_betti
 from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
                      NotTorsion, PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
-                     UnsupportedAtom, ValidationError)
+                     ValidationError)
 from .laplace import complex_to_json, mero_to_json
 from .laurent import format_poly
 from .presentation import parse_presentation, peripheral_trivial
@@ -31,7 +32,7 @@ EX_SOFTWARE = 70
 _INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
                  PoleOnAxis, UnicodeDecodeError)
 _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
-                   PoleEvaluation, UnsupportedAtom, OverflowError)
+                   PoleEvaluation, OverflowError)
 
 
 def _jdump(obj, out):
@@ -236,8 +237,6 @@ def _cmd_verify(args, out):
 
 
 def _cmd_selftest(args, out):
-    import random
-    rng = random.Random(20260826)
     failures = []
 
     def check(name, ok):
@@ -256,33 +255,10 @@ def _cmd_selftest(args, out):
                 ok &= verdict.ruelle_order_prediction(h0, h1, d) == 2 * (2 * b0 - b1)
     check("order prediction matches Betti route", ok)
 
-    # transform closed forms vs quadrature
-    ok = True
-    for atom in (laplace.HeatAtom("exp", 1.0), laplace.HeatAtom("theta", 1.0),
-                 laplace.HeatAtom("power", 0)):
-        m = laplace.lprime_closed(atom)
-        f = laplace.atom_function(atom)
-        for z in (1.0, 2.0):
-            ok &= abs(laplace.quadrature_lprime(f, z)
-                      - laplace.evaluate(m, z)) < 1e-8
-    check("closed transforms match quadrature", ok)
-
-    # spectral transform symmetries
-    e0 = [0.0] + [rng.uniform(0.1, 4) for _ in range(5)]
-    e1 = [0.0, 0.0] + [rng.uniform(0.1, 4) for _ in range(5)]
-    l0, l1 = laplace.spectral_lprime(e0, e1)
-    z = complex(rng.uniform(0.2, 1), rng.uniform(-1, 1))
-    ok = abs(laplace.evaluate(l1, -z) + laplace.evaluate(l1, z)) < 1e-9
-    ok &= abs(laplace.evaluate(l0, 1 + z) + laplace.evaluate(l0, 1 - z)) < 1e-9
-    ok &= abs(laplace.residue_at(l1, 0) - 2 * (2 - 1)) < 1e-12
-    check("spectral transform symmetries", ok)
-
     # factorization identity on a synthetic orbit
     sp = ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 50)
-    ok = ruelle.fried_residual(sp, 4 + 0j).value < 1e-12
-    ok &= abs(ruelle.log_derivative(sp, 4 + 0j)
-              - ruelle.log_derivative_series(sp, 4 + 0j)) < 1e-6
-    check("factorization and log-derivative identities", ok)
+    check("factorization identity",
+          ruelle.fried_residual(sp, 4 + 0j).value < 1e-12)
 
     # vanishing combinations
     u = cuspterms.unipotent_lprime(cuspterms.NontrivialRestriction(2.0, 1.3))
@@ -393,7 +369,9 @@ def _build_parser() -> _Parser:
     p.add_argument("presentation")
     p.set_defaults(func=_cmd_verify)
 
-    p = with_output(sub.add_parser("selftest", help="run the property suites"))
+    p = with_output(sub.add_parser(
+        "selftest", help="check the order prediction, the factorization "
+                         "identity and the unipotent combinations"))
     p.set_defaults(func=_cmd_selftest)
     return ap
 
@@ -426,7 +404,13 @@ def run(argv=None) -> int:
         return EX_SOFTWARE
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    """A warning as one stderr line, without its source location."""
+    return f"cuspedzeta: warning: {message}\n"
+
+
 def main():
+    warnings.formatwarning = _warning_line
     raise SystemExit(run())
 
 

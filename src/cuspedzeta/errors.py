@@ -59,10 +59,6 @@ class DiscretenessSuspect(Warning):
     class data; reported, never fatal."""
 
 
-class UnsupportedAtom(CuspedZetaError):
-    pass
-
-
 class QuadratureFailure(CuspedZetaError):
     pass
 

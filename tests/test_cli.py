@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, subcommands, and deterministic
 byte-level output."""
 
+import cmath
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -619,10 +622,15 @@ def test_verify_exit_codes(capsys):
 
 
 def test_selftest_passes(capsys):
+    # a PASS line per check, then the failure count: the output the
+    # benchmark's selftest task is checked against
     code, out, _ = invoke(capsys, "selftest")
     assert code == 0
-    assert "0 failure(s)" in out
-    assert "FAIL" not in out
+    assert out.splitlines() == [
+        "PASS order prediction matches Betti route",
+        "PASS factorization identity",
+        "PASS unipotent combinations vanish structurally",
+        "0 failure(s)"]
 
 
 # --- determinism -----------------------------------------------------------
@@ -665,6 +673,26 @@ def _python(code, *argv):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_discreteness_warnings_print_one_line_each(tmp_path):
+    # rho = zeta5 on both figure-eight generators splits trace clusters
+    # by character value, which raises DiscretenessSuspect
+    d = json.loads(read_fixture("fig8_matrices.json"))
+    z = cmath.exp(2j * math.pi / 5)
+    d["rho"] = [[z.real, z.imag]] * 2
+    path = tmp_path / "zeta5_matrices.json"
+    path.write_text(json.dumps(d))
+    argv = ["spectrum", "enumerate", str(path), "--max-word-len", "8",
+            "--cutoff", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+    r = _python("from cuspedzeta.cli import main; main()", *argv)
+    assert r.returncode == 0
+    assert len(caught) > 1
+    assert r.stderr.splitlines() == [f"cuspedzeta: warning: {w.message}"
+                                     for w in caught]
 
 
 def test_cli_import_leaves_scipy_unloaded():

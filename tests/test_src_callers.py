@@ -1,5 +1,5 @@
-"""Every public class, function and method in the package has a caller
-in the package.
+"""Every class, function and method in the package, public or private,
+has a caller in the package.
 
 A function or class that only tests or demos reach belongs in the tests: the
 package's code is what the subcommands run.  A name counts as used when
@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cuspedzeta"
 
-# public names that nothing in the package calls, and why they stay
+# names that nothing in the package calls, and why they stay
 ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
     "figure_eight_generators": "the library's generator pair for the "
@@ -23,17 +23,22 @@ ALLOWED = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name, node) for each public module-level
-    function or class and each public method of a module-level class."""
+    """(qualified name, bare name, node) for each module-level function
+    or class and each method of a module-level class, private ones
+    included; dunders, which Python itself calls, are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
+            if not _dunder(node.name):
                 yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not item.name.startswith("_"):
+                        and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
