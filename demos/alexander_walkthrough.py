@@ -10,8 +10,10 @@ Run:  python3 demos/alexander_walkthrough.py
 
 import pathlib
 
-from cuspedzeta import (alexander_invariant, fox_derivative, format_poly,
-                        main_conjecture_report, parse_presentation)
+from cuspedzeta.alexander import alexander_invariant
+from cuspedzeta.laurent import format_poly
+from cuspedzeta.presentation import fox_derivative, parse_presentation
+from cuspedzeta.verdict import main_conjecture_report
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

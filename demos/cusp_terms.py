@@ -6,10 +6,12 @@ Run:  python3 demos/cusp_terms.py
 
 import math
 
-from cuspedzeta import (Lattice2D, LatticeCharacter, TrivialRestriction,
-                        epstein, epstein_residue_and_constant,
-                        identity_lprime, threshold_lprime, unipotent_lprime)
-from cuspedzeta.laplace import mero_to_json
+from cuspedzeta.cli import mero_to_json
+from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
+                                  TrivialRestriction, epstein,
+                                  epstein_residue_and_constant,
+                                  identity_lprime, threshold_lprime,
+                                  unipotent_lprime)
 
 
 def main():

@@ -6,8 +6,8 @@ Run:  python3 demos/length_spectrum.py
 
 import math
 
-from cuspedzeta import enumerate_classes, figure_eight_generators
 from cuspedzeta.ruelle import euler_product, fried_residual
+from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
 
 FIG8_VOLUME = 2.029883212819307
 

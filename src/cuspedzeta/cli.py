@@ -4,6 +4,9 @@ JSON is the output contract (sorted keys, 17-significant-digit floats,
 newline-terminated); text notes go to stderr.  Exit codes: 64 usage,
 65 invalid input data, 70 computation failure; `verify` additionally
 uses 0/2/3 for the report verdict.
+
+Each subcommand imports the modules it runs at the top of its body, so
+that a command loads neither half of the package it does not use.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ import math
 import sys
 import warnings
 
-from . import cuspterms, ruelle, spectrum, verdict
-from .alexander import alexander_invariant, twisted_betti
 from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
                      NotTorsion, PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
                      ValidationError)
-from .laplace import complex_to_json, mero_to_json
-from .laurent import format_poly
-from .presentation import parse_presentation, peripheral_trivial
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -61,12 +59,29 @@ def _jdump(obj, out):
     out.write(emit(obj, 0) + "\n")
 
 
+def complex_to_json(v) -> list[float]:
+    v = complex(v)
+    return [v.real, v.imag]
+
+
+def mero_to_json(m) -> dict:
+    """The JSON form of a `laplace.MeroSum`."""
+    return {
+        "polyPart": [complex_to_json(c) for c in m.poly_part],
+        "poles": [[complex_to_json(l), complex_to_json(r)] for l, r in m.poles],
+        "digammaAtoms": [[complex_to_json(c), complex_to_json(s)]
+                         for c, s in m.digamma_atoms],
+        "expAtoms": [[complex_to_json(c), complex(r).real] for c, r in m.exp_atoms],
+    }
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
 def _load_presentation(path: str):
+    from .presentation import parse_presentation
     return parse_presentation(_read(path))
 
 
@@ -114,6 +129,7 @@ def _pairs(v, where: str, count: int | None = None) -> list:
 
 
 def _load_matrices(path: str):
+    from . import spectrum
     d = _json_object(path, ("generators",), ("rho", "covolume", "volume"))
     if not isinstance(d["generators"], list):
         raise ValidationError(f"{path}: generators must be a list of matrices")
@@ -125,6 +141,7 @@ def _load_matrices(path: str):
 
 
 def _load_lattice(path: str):
+    from . import cuspterms
     d = _json_object(path, ("b1", "b2"), ("chi",))
     lat = cuspterms.Lattice2D(_pair(d["b1"], f"{path}: b1"),
                               _pair(d["b2"], f"{path}: b2"))
@@ -133,6 +150,7 @@ def _load_lattice(path: str):
 
 
 def _load_poles(path: str):
+    from . import cuspterms
     d = _json_object(path, (), ("poles0", "poles1", "c0", "c1"))
     return cuspterms.ScatteringPoles(
         tuple(_pairs(d.get("poles0", []), f"{path}: poles0")),
@@ -145,6 +163,8 @@ def _load_poles(path: str):
 # subcommand bodies
 
 def _cmd_alexander(args, out):
+    from .alexander import alexander_invariant
+    from .laurent import format_poly
     p, eps, rho = _load_presentation(args.presentation)
     data = alexander_invariant(p, rho, eps)
     _jdump({
@@ -162,6 +182,8 @@ def _cmd_alexander(args, out):
 
 
 def _cmd_betti(args, out):
+    from .alexander import twisted_betti
+    from .presentation import peripheral_trivial
     p, eps, rho = _load_presentation(args.presentation)
     h0, h1 = twisted_betti(p, rho)
     _jdump({"deltaRho": peripheral_trivial(p, rho), "h0": h0, "h1": h1}, out)
@@ -169,6 +191,7 @@ def _cmd_betti(args, out):
 
 
 def _cmd_spectrum_enumerate(args, out):
+    from . import spectrum
     gens, rho, covolume, volume = _load_matrices(args.matrices)
     sp = spectrum.enumerate_classes(
         gens, rho, max_word_len=args.max_word_len,
@@ -179,6 +202,7 @@ def _cmd_spectrum_enumerate(args, out):
 
 
 def _cmd_ruelle_eval(args, out):
+    from . import ruelle, spectrum
     sp = spectrum.load_spectrum(args.spectrum)
     rep = ruelle.euler_product(sp, args.z)
     _jdump({"tailBound": rep.tail_bound, "termsUsed": rep.terms_used,
@@ -187,6 +211,7 @@ def _cmd_ruelle_eval(args, out):
 
 
 def _cmd_fried_check(args, out):
+    from . import ruelle, spectrum
     sp = spectrum.load_spectrum(args.spectrum)
     rep = ruelle.fried_residual(sp, args.z)
     _jdump({"residual": rep.value, "tailBound": rep.tail_bound,
@@ -195,6 +220,7 @@ def _cmd_fried_check(args, out):
 
 
 def _cmd_terms(args, out):
+    from . import cuspterms
     if args.term == "identity":
         m0, m1 = cuspterms.identity_lprime(args.vol)
         _jdump({"M0": mero_to_json(m0), "M1": mero_to_json(m1)}, out)
@@ -219,6 +245,7 @@ def _cmd_terms(args, out):
 
 
 def _cmd_epstein(args, out):
+    from . import cuspterms
     lat, chi = _load_lattice(args.lattice)
     if args.residue:
         res, const = cuspterms.epstein_residue_and_constant(lat, chi)
@@ -230,6 +257,7 @@ def _cmd_epstein(args, out):
 
 
 def _cmd_verify(args, out):
+    from . import verdict
     p, eps, rho = _load_presentation(args.presentation)
     report = verdict.main_conjecture_report(p, rho, eps)
     _jdump(report.to_json(), out)
@@ -237,6 +265,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_selftest(args, out):
+    from . import cuspterms, ruelle, verdict
     failures = []
 
     def check(name, ok):

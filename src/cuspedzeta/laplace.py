@@ -2,9 +2,9 @@
 
 Transforms f(t) |-> 2z Integral_0^oo e^{-t z^2} f(t) dt of heat kernels
 are held as MeroSum values: a polynomial plus simple poles plus digamma
-and decaying-exponential terms, with structural equality and a JSON
-form.  Digamma, log-gamma, the periodic zeta sum and K-Bessel serve the
-cusp terms and the lattice L-function in `cuspterms`.
+and decaying-exponential terms, with structural equality (`cli` writes
+their JSON form).  Digamma, log-gamma, the periodic zeta sum and
+K-Bessel serve the cusp terms and the lattice L-function in `cuspterms`.
 """
 
 from __future__ import annotations
@@ -240,22 +240,3 @@ class MeroSum:
     def is_zero(self):
         return not (self.poly_part or self.poles or self.digamma_atoms
                     or self.exp_atoms)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-
-def complex_to_json(v) -> list[float]:
-    v = complex(v)
-    return [v.real, v.imag]
-
-
-def mero_to_json(m: MeroSum) -> dict:
-    return {
-        "polyPart": [complex_to_json(c) for c in m.poly_part],
-        "poles": [[complex_to_json(l), complex_to_json(r)] for l, r in m.poles],
-        "digammaAtoms": [[complex_to_json(c), complex_to_json(s)]
-                         for c, s in m.digamma_atoms],
-        "expAtoms": [[complex_to_json(c), complex(r).real] for c, r in m.exp_atoms],
-    }
-

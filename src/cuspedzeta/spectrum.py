@@ -129,10 +129,6 @@ class GeodesicClass(NamedTuple):
                               f"give det(1 - P) = 0 to rounding")
         return self
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.multiplicity == 1
-
 
 @dataclass
 class Spectrum:
@@ -144,7 +140,7 @@ class Spectrum:
     complete: bool = False
 
     def primitives(self):
-        return [c for c in self.classes if c.is_primitive]
+        return [c for c in self.classes if c.multiplicity == 1]
 
     def validate(self):
         last = -math.inf

@@ -703,6 +703,38 @@ def test_cli_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False False"
 
 
+_EXACT = {"alexander", "cli", "cyclotomic", "errors", "laurent",
+          "presentation", "words"}
+_RUELLE = {"cli", "errors", "ruelle", "spectrum", "words"}
+_CUSP = {"cli", "errors", "cuspterms", "laplace"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ((), {"cli", "errors"}),
+    (RUELLE + ["--z", "3"], _RUELLE),
+    (FRIED + ["--z", "3"], _RUELLE),
+    (EPSTEIN + ["--s", "1"], _CUSP),
+    (("terms", "identity"), _CUSP),
+    (("alexander", str(FIXTURES / "fig8.pres")), _EXACT),
+    (("betti", str(FIXTURES / "fig8.pres")), _EXACT),
+    (("verify", str(FIXTURES / "fig8.pres")), _EXACT | {"verdict"}),
+    (("spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
+      "--max-word-len", "4", "--cutoff", "3"), {"cli", "errors", "spectrum", "words"}),
+], ids=["import", "ruelle-eval", "fried-check", "epstein", "terms",
+        "alexander", "betti", "verify", "spectrum-enumerate"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    # a bare import runs no command; the rest run one in a fresh process
+    r = _python("import contextlib, io, sys; from cuspedzeta import cli\n"
+                "if sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        cli.run(sys.argv[1:])\n"
+                "print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+                "                      if m.startswith('cuspedzeta.'))))",
+                *argv)
+    assert r.returncode == 0, r.stderr
+    assert set(r.stdout.split()) == modules
+
+
 @pytest.mark.parametrize("argv", [
     ("selftest",),
     ("epstein", str(FIXTURES / "square_lattice.json"), "--s", "1"),

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspedzeta.cli import mero_to_json
 from cuspedzeta.errors import PoleEvaluation
 from cuspedzeta.laplace import (MeroSum, _besselk, _cosine_zeta, _log_gamma,
-                                digamma, euler_gamma, mero_to_json)
+                                digamma, euler_gamma)
 
 import mpmath_references as references
 from heat_oracle import (HeatAtom, UnsupportedAtom, atom_function,

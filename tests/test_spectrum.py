@@ -125,7 +125,7 @@ def test_fig8_classes_close_under_inverse(fig8):
 def test_fig8_powers_match_primitives(fig8):
     prim_lengths = sorted(c.length for c in fig8.primitives())
     for c in fig8.classes:
-        if c.is_primitive:
+        if c.multiplicity == 1:
             continue
         k = round(c.length / c.primitive_length)
         assert k >= 2
