@@ -84,21 +84,9 @@ class CyclotomicNumber:
 
     # constructors ----------------------------------------------------
     @classmethod
-    def from_rational(cls, n, q):
-        return cls(n, [q])
-
-    @classmethod
     def zeta_power(cls, n, k):
         """zeta_n^k."""
         return cls(n, [0] * (k % n) + [1])
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, [])
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, [1])
 
     # predicates ------------------------------------------------------
     def is_zero(self):
@@ -107,7 +95,7 @@ class CyclotomicNumber:
     # arithmetic ------------------------------------------------------
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(self.n, other)
+            other = CyclotomicNumber(self.n, [other])
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         if other.n != self.n:

@@ -2,6 +2,14 @@
 elementary divisors (Smith form) of a matrix of them, given as a list
 of rows.
 
+A polynomial is one integer table over one denominator: ``rows[i]``
+holds the phi(n) power-basis numerators of the coefficient of
+t^(low+i), all over one positive ``den`` and in lowest terms across
+every entry, so equal polynomials are stored alike.  A sum is one
+signed integer pass; a product gathers the unreduced zeta-products of
+each power of t and reduces each once by Phi_n; division inverts the
+leading coefficient once and then runs on integer rows.
+
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
 clearing powers of t, which are units.
@@ -9,43 +17,67 @@ clearing powers of t, which are units.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicNumber
+from itertools import chain
+from math import gcd, lcm
+
+from .cyclotomic import (CyclotomicNumber, _divmod_monic, _mulmod,
+                         cyclotomic_polynomial, euler_phi)
 from .errors import ZeroPolynomial
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial; ``coeffs[i]`` multiplies
-    ``t**(low+i)`` and both end coefficients are nonzero unless the
-    polynomial is zero (empty coeffs)."""
+    """Immutable Laurent polynomial rows / den; ``rows[i]`` is the
+    coefficient of ``t**(low+i)`` and both end rows are nonzero unless
+    the polynomial is zero (no rows, low 0, den 1)."""
 
-    __slots__ = ("n", "low", "coeffs")
+    __slots__ = ("n", "low", "rows", "den")
 
-    def __init__(self, n, low, coeffs):
+    def __new__(cls, n, low, coeffs):
+        """sum coeffs[i] t^(low+i) for CyclotomicNumbers coeffs, cleared
+        to one denominator here, once."""
         cs = list(coeffs)
-        # trim zero ends, keeping low in sync
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        while cs and cs[0].is_zero():
-            cs.pop(0)
-            low += 1
-        if not cs:
-            low = 0
-        self.n = n
-        self.low = low
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.den for c in cs))
+        return cls._make(n, low, [[x * (den // c.den) for x in c.num] for c in cs], den)
+
+    @staticmethod
+    def _make(n, low, rows, den):
+        """rows / den t^low from rows of phi(n) integers, with the zero
+        end rows trimmed, stored in lowest terms with den > 0."""
+        end = len(rows)
+        while end and not any(rows[end - 1]):
+            end -= 1
+        start = 0
+        while start < end and not any(rows[start]):
+            start += 1
+        p = object.__new__(LaurentPoly)
+        p.n = n
+        if start == end:
+            p.low, p.rows, p.den = 0, (), 1
+            return p
+        rows = rows[start:end]
+        g = 1 if den == 1 else gcd(den, *chain.from_iterable(rows))
+        if den < 0:
+            g = -g
+        if g == 1:
+            rows = tuple(map(tuple, rows))
+        else:
+            rows = tuple(tuple(x // g for x in r) for r in rows)
+        p.low, p.rows, p.den = low + start, rows, den // g
+        return p
 
     # constructors ----------------------------------------------------
     @classmethod
     def zero(cls, n):
-        return cls(n, 0, [])
+        return cls._make(n, 0, (), 1)
 
     @classmethod
     def one(cls, n):
-        return cls(n, 0, [CyclotomicNumber.one(n)])
+        return cls.from_int_coeffs(n, [1])
 
     @classmethod
     def from_int_coeffs(cls, n, coeffs, low=0):
-        return cls(n, low, [CyclotomicNumber.from_rational(n, c) for c in coeffs])
+        pad = (0,) * (euler_phi(n) - 1)
+        return cls._make(n, low, [(c,) + pad for c in coeffs], 1)
 
     @classmethod
     def t_minus_one(cls, n):
@@ -53,16 +85,16 @@ class LaurentPoly:
 
     # predicates ------------------------------------------------------
     def is_zero(self):
-        return not self.coeffs
+        return not self.rows
 
     def is_unit(self):
         """Units of the Laurent ring are c * t^k with c != 0."""
-        return len(self.coeffs) == 1
+        return len(self.rows) == 1
 
     @property
     def span(self):
         """Euclidean size: degree after clearing the power of t."""
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.rows) - 1
 
     @property
     def high(self):
@@ -76,62 +108,100 @@ class LaurentPoly:
             raise ValueError("mixed cyclotomic moduli")
         return other
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
+        if not other.rows:
             return self
+        if not self.rows:
+            return other if sign > 0 else -other
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g * sign
         low = min(self.low, other.low)
-        high = max(self.high, other.high)
-        zero = CyclotomicNumber.zero(self.n)
-        cs = [zero] * (high - low + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[self.low - low + i] = cs[self.low - low + i] + c
-        for i, c in enumerate(other.coeffs):
-            cs[other.low - low + i] = cs[other.low - low + i] + c
-        return LaurentPoly(self.n, low, cs)
+        out = [(0,) * len(self.rows[0])] * (max(self.high, other.high) - low + 1)
+        i = self.low - low
+        out[i:i + len(self.rows)] = self.rows if fa == 1 else \
+            [tuple(fa * x for x in r) for r in self.rows]
+        for i, r in enumerate(other.rows, other.low - low):
+            out[i] = tuple(x + fb * y for x, y in zip(out[i], r))
+        return LaurentPoly._make(self.n, low, out, fa * self.den)
 
-    def __neg__(self):
-        return LaurentPoly(self.n, self.low, [-c for c in self.coeffs])
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return LaurentPoly._make(self.n, self.low, [tuple(-x for x in r) for r in self.rows],
+                                 self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.rows or not other.rows:
             return LaurentPoly.zero(self.n)
-        zero = CyclotomicNumber.zero(self.n)
-        cs = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] = cs[i + j] + a * b
-        return LaurentPoly(self.n, self.low + other.low, cs)
+        phi = cyclotomic_polynomial(self.n)
+        m = len(phi) - 1
+        acc = [[0] * (2 * m - 1) for _ in range(len(self.rows) + len(other.rows) - 1)]
+        theirs = [(j, b) for j, b in enumerate(other.rows) if any(b)]
+        for i, a in enumerate(self.rows):
+            for j, b in theirs:
+                out = acc[i + j]
+                for p, x in enumerate(a):
+                    if x:
+                        for q, y in enumerate(b, p):
+                            out[q] += x * y
+        if m > 1:
+            acc = [_divmod_monic(r, phi)[1] for r in acc]
+        return LaurentPoly._make(self.n, self.low + other.low, acc, self.den * other.den)
+
+    def _lead_inverse(self):
+        """Integer numerators and denominator of the inverse of the top
+        coefficient: one inverse in Q(zeta_n), or (None, 1) when the top
+        coefficient is 1."""
+        top = self.rows[-1]
+        if top[0] == self.den and not any(top[1:]):
+            return None, 1
+        inv = CyclotomicNumber._make(self.n, top, self.den).inverse()
+        return inv.num, inv.den
 
     def divmod(self, other):
         """a = q*b + r with span(r) < span(b)."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quo = LaurentPoly.zero(self.n)
-        inv_lead = other.coeffs[-1].inverse() if other.coeffs else None
-        while not rem.is_zero() and rem.span >= other.span:
-            c = rem.coeffs[-1] * inv_lead
-            k = rem.high - other.high
-            term = LaurentPoly(self.n, k, [c])
-            quo = quo + term
-            rem = rem - term * other
-        return quo, rem
+        span = other.span
+        if self.span < span:
+            return LaurentPoly.zero(self.n), self
+        phi = cyclotomic_polynomial(self.n)
+        inum, iden = other._lead_inverse()
+        # other over its top coefficient is b / d, and b's top row is (d, 0, ...)
+        b, d = _times(self.n, inum, other.rows), other.den * iden
+        # rem and quo are integer rows over one denominator den
+        rem, den = list(self.rows), self.den
+        quo = [None] * (len(rem) - span)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + span]
+            if not any(c):
+                quo[k] = c
+                continue
+            g = gcd(d, *c)
+            if g != d:
+                # scale everything by s so that c * s is a multiple of d
+                s = d // g
+                rem = [tuple(s * x for x in r) for r in rem]
+                quo[k + 1:] = [tuple(s * x for x in r) for r in quo[k + 1:]]
+                den *= s
+            c = tuple(x // g for x in c)
+            quo[k] = tuple(x * d for x in c)
+            for i in range(span):
+                r = _mulmod(c, b[i], phi)
+                rem[k + i] = tuple(x - y for x, y in zip(rem[k + i], r))
+        q = LaurentPoly._make(self.n, self.low - other.low, _times(self.n, inum, quo), den * iden)
+        return q, LaurentPoly._make(self.n, self.low, rem[:span], den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -151,8 +221,8 @@ class LaurentPoly:
         """Canonical unit representative: monic with lowest exponent 0."""
         if self.is_zero():
             return self
-        inv = self.coeffs[-1].inverse()
-        return LaurentPoly(self.n, 0, [c * inv for c in self.coeffs])
+        inum, iden = self._lead_inverse()
+        return LaurentPoly._make(self.n, 0, _times(self.n, inum, self.rows), self.den * iden)
 
     def gcd(self, other):
         a, b = self, other
@@ -162,23 +232,30 @@ class LaurentPoly:
 
     # evaluation ------------------------------------------------------
     def at_one(self) -> CyclotomicNumber:
-        total = CyclotomicNumber.zero(self.n)
-        for c in self.coeffs:
-            total = total + c
-        return total
+        sums = [sum(col) for col in zip(*self.rows)] or [0] * euler_phi(self.n)
+        return CyclotomicNumber._make(self.n, sums, self.den)
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.low == other.low and self.coeffs == other.coeffs
+        return self.low == other.low and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.n, self.low, self.coeffs))
+        return hash((self.n, self.low, self.rows, self.den))
 
     def __repr__(self):
         return format_poly(self)
+
+
+def _times(n, num, rows):
+    """Each integer row times the integer numerators num, mod Phi_n;
+    num None stands for 1."""
+    if num is None:
+        return rows
+    phi = cyclotomic_polynomial(n)
+    return [_mulmod(r, num, phi) for r in rows]
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -186,12 +263,8 @@ def format_poly(p: LaurentPoly) -> str:
     coefficients printed as ``[q0,q1,...]@n``."""
     if p.is_zero():
         return f"[0]@{p.n}*t^0"
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        terms.append(f"{c!r}*t^{p.low + i}")
-    return " + ".join(terms)
+    return " + ".join(f"{CyclotomicNumber._make(p.n, r, p.den)!r}*t^{p.low + i}"
+                      for i, r in enumerate(p.rows) if any(r))
 
 
 def ord_at_one(f: LaurentPoly) -> int:
@@ -246,7 +319,8 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
                 if e[i][k].is_zero():
                     continue
                 q, r = e[i][k].divmod(e[k][k])
-                e[i] = [a - q * b for a, b in zip(e[i], e[k])]
+                # a zero entry of the pivot row leaves its column as it is
+                e[i] = [a if b.is_zero() else a - q * b for a, b in zip(e[i], e[k])]
                 if not r.is_zero():
                     e[k], e[i] = e[i], e[k]
                     dirty = True
@@ -254,11 +328,12 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
                 if e[k][j].is_zero():
                     continue
                 q, r = e[k][j].divmod(e[k][k])
-                for i in range(rows):
-                    e[i][j] = e[i][j] - q * e[i][k]
+                for row in e:
+                    if not row[k].is_zero():
+                        row[j] = row[j] - q * row[k]
                 if not r.is_zero():
-                    for i in range(rows):
-                        e[i][k], e[i][j] = e[i][j], e[i][k]
+                    for row in e:
+                        row[k], row[j] = row[j], row[k]
                     dirty = True
             if dirty:
                 continue

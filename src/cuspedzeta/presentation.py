@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import words as W
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _divmod_monic, cyclotomic_polynomial
 from .errors import MissingPeripheralData, PresentationSyntaxError, ValidationError
 from .laurent import LaurentPoly
 from .words import GroupWord
@@ -101,9 +101,9 @@ def fox_derivative(word: GroupWord, i: int, rho: UnitCharacter,
             h += eps.values[g]
     if not terms:
         return LaurentPoly.zero(n)
-    low = min(terms)
-    return LaurentPoly(n, low, [CyclotomicNumber(n, terms.get(k, ()))
-                                for k in range(low, max(terms) + 1)])
+    low, phi, zero = min(terms), cyclotomic_polynomial(n), [0] * n
+    return LaurentPoly._make(n, low, [_divmod_monic(terms.get(k, zero), phi)[1]
+                                      for k in range(low, max(terms) + 1)], 1)
 
 
 def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:

@@ -120,7 +120,7 @@ def twisted_betti(p: GroupPresentation, rho: UnitCharacter) -> tuple[int, int]:
     n = rho.modulus
 
     def char_of(e: GroupRingElement) -> CyclotomicNumber:
-        acc = CyclotomicNumber.zero(n)
+        acc = CyclotomicNumber(n, [])
         for w, c in e.terms.items():
             acc = acc + rho.value(w) * c
         return acc

@@ -8,9 +8,13 @@ That costs O(r^2) polynomial divisions per pivot, and the row additions
 can blow up coefficient sizes, but each pivot it keeps already divides
 the rest, so it reaches the normalized elementary divisors without the
 gcd/lcm pass.
+
+It runs on the per-coefficient polynomials of `laurent_oracle`, so it
+shares no arithmetic with the library; `laurent_oracle.from_library`
+converts its input.
 """
 
-from cuspedzeta.laurent import LaurentPoly
+from laurent_oracle import LaurentPoly
 
 
 def smith_form_per_pivot(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:

@@ -5,7 +5,9 @@ All equalities here are exact (cyclotomic-rational arithmetic).  Two
 oracles check the Smith-form route without going through it: Wada's
 determinant identity on deficiency-one presentations (`wada_oracle`),
 and the classical closed form (t^k + 1)/(t + 1) for T(2, k).  A third,
-`h1_oracle`, keeps the earlier kernel-basis and t = 1 rank routes.
+`h1_oracle`, keeps the earlier kernel-basis and t = 1 rank routes, and
+`laurent_oracle` takes the Smith form of T(2, k) on one cyclotomic
+number per coefficient.
 """
 
 import functools
@@ -16,12 +18,13 @@ from cuspedzeta.alexander import (_homology, alexander_invariant,
                                   build_complex, twisted_betti)
 from cuspedzeta.cyclotomic import CyclotomicNumber
 from cuspedzeta.errors import ComplexConditionViolation, NotTorsion
-from cuspedzeta.laurent import LaurentPoly, ord_at_one
+from cuspedzeta.laurent import LaurentPoly, format_poly, ord_at_one, smith_form
 from cuspedzeta.presentation import (Epsilon, GroupPresentation, UnitCharacter,
                                      parse_presentation)
 from cuspedzeta.verdict import main_conjecture_report
 
 import h1_oracle
+import laurent_oracle
 from conftest import read_fixture
 from wada_oracle import unit_equal, wada_holds
 
@@ -170,6 +173,19 @@ def test_torus_knot_closed_form(k, n, e):
     if k <= 11:
         # every deleted column gives the same invariant; the fixtures test all
         assert wada_holds(p, rho, eps, data, columns=[k - 1])
+
+
+@pytest.mark.parametrize("k", range(3, 18))
+def test_torus_smith_form_matches_the_per_coefficient_route(k):
+    """The Smith form of the Fox matrix of T(2, k) equals the one that
+    `laurent_oracle` computes on one cyclotomic number per coefficient."""
+    n = (1, 3, 5, 7)[k % 4]
+    p, eps, rho = torus_knot(k, n, 1 % n)
+    d1, _ = build_complex(p, rho, eps)
+    want = laurent_oracle.smith_form([[laurent_oracle.from_library(x) for x in row]
+                                      for row in d1])
+    assert [format_poly(d) for d in smith_form(d1)] == \
+        [laurent_oracle.format_poly(d) for d in want]
 
 
 # --- one Smith form against the earlier routes ------------------------------

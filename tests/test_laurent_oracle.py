@@ -1,0 +1,76 @@
+"""The integer-table Laurent arithmetic against the per-coefficient
+oracle in `laurent_oracle`: the same sums, products, quotients,
+remainders, gcds, normal forms, values at t = 1 and orders there, on
+seeded random polynomials shaped like the entries of a twisted Fox
+matrix."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cuspedzeta.cyclotomic import CyclotomicNumber
+from cuspedzeta.laurent import LaurentPoly, format_poly, ord_at_one
+
+import cyclotomic_oracle
+import laurent_oracle as oracle
+
+
+def _terms(rng, n):
+    """Up to five terms c * zeta^a * t^k, |c| <= 2, k in -2..3, with a
+    rational c now and then; terms may share a power of t."""
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        c = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.15:
+            c = Fraction(c, rng.choice((2, 3)))
+        out.append((c, rng.randrange(n), rng.randint(-2, 3)))
+    return out
+
+
+def _build(n, terms):
+    """The library polynomial and the oracle polynomial of one term list."""
+    lib, orc = LaurentPoly.zero(n), oracle.LaurentPoly.zero(n)
+    for c, a, k in terms:
+        coeffs = [0] * a + [c]
+        lib = lib + LaurentPoly(n, k, [CyclotomicNumber(n, coeffs)])
+        orc = orc + oracle.LaurentPoly(n, k, [cyclotomic_oracle.CyclotomicNumber(n, coeffs)])
+    return lib, orc
+
+
+def agree(lib, orc):
+    assert format_poly(lib) == oracle.format_poly(orc)
+    # stored in lowest terms, so the oracle's coefficients rebuild the
+    # same table, denominator and hash
+    rebuilt = LaurentPoly(lib.n, orc.low, [CyclotomicNumber(lib.n, c.coeffs) for c in orc.coeffs])
+    assert (lib.low, lib.rows, lib.den) == (rebuilt.low, rebuilt.rows, rebuilt.den)
+    assert lib == rebuilt and hash(lib) == hash(rebuilt)
+    assert lib.den > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_arithmetic_matches_the_per_coefficient_oracle(n):
+    rng = random.Random(700 + n)
+    tm1 = _build(n, [(-1, 0, 0), (1, 0, 1)])
+    for _ in range(60):
+        (f, of), (g, og), (h, oh) = (_build(n, _terms(rng, n)) for _ in range(3))
+        if rng.random() < 0.5:
+            # a common factor for gcd, and a zero of some order at t = 1
+            f, of = f * h, of * oh
+            g, og = g * h * tm1[0], og * oh * tm1[1]
+        for lib, orc in ((f, of), (g, og)):
+            agree(lib, orc)
+            agree(-lib, -orc)
+            agree(lib.normalize(), orc.normalize())
+            assert repr(lib.at_one()) == repr(orc.at_one())
+            if not orc.is_zero():
+                assert ord_at_one(lib) == oracle.ord_at_one(orc)
+        agree(f + g, of + og)
+        agree(f - g, of - og)
+        agree(f - f, of - of)
+        agree(f * g, of * og)
+        if not og.is_zero():
+            (q, r), (oq, orr) = f.divmod(g), of.divmod(og)
+            agree(q, oq)
+            agree(r, orr)
+        agree(f.gcd(g), of.gcd(og))

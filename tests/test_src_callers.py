@@ -4,8 +4,8 @@ has a caller in the package.
 A function or class that only tests or demos reach belongs in the tests: the
 package's code is what the subcommands run.  A name counts as used when
 it appears, as a name or an attribute, anywhere in ``src/cuspedzeta``
-outside its own body and outside ``__init__.py`` (whose re-exports are
-not calls).
+outside its own body; the package root ``__init__.py`` counts like any
+other module.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _uses(tree: ast.AST, skip: ast.AST | None = None) -> dict[str, int]:
 
 def _uncalled() -> list[str]:
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+             for p in sorted(SRC.glob("*.py"))}
     totals: dict[str, int] = {}
     for tree in trees.values():
         for name, n in _uses(tree).items():
