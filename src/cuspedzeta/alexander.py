@@ -38,8 +38,12 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
     zero."""
     n = rho.modulus
     d1 = [[fox_derivative(r, j, rho, eps) for j in range(p.arity)] for r in p.relators]
-    gens = [((j, 1),) for j in range(p.arity)]
-    d0 = [LaurentPoly(n, eps.of(x), [rho.value(x)]) - LaurentPoly.one(n) for x in gens]
+    d0 = []
+    for j in range(p.arity):
+        # -1 at height 0, and zeta^rho(x_j) at height eps(x_j)
+        counts = {0: [-1] + [0] * (n - 1)}
+        counts.setdefault(eps.values[j], [0] * n)[rho.exponents[j] % n] += 1
+        d0.append(LaurentPoly.from_zeta_counts(n, counts))
     zero = LaurentPoly.zero(n)
     for row in d1:
         if not sum((a * b for a, b in zip(row, d0)), zero).is_zero():
@@ -61,7 +65,7 @@ def _homology(d1: list[list[LaurentPoly]], d0: list[LaurentPoly], rho: UnitChara
     g = len(d0)
     divisors = smith_form(d1)
     divisors += [LaurentPoly.zero(rho.modulus)] * (g - len(divisors))
-    rank = sum(not d.at_one().is_zero() for d in divisors)
+    rank = sum(not d.vanishes_at_one() for d in divisors)
     h0 = 1 if rho.is_trivial else 0
     return tuple(divisors[:-1]), h0, (g - rank) - (1 - h0)
 

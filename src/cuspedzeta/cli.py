@@ -324,6 +324,12 @@ def _finite(parse, positive: bool = False):
     return convert
 
 
+# Longest word `spectrum enumerate` walks to.  The walk visits about
+# 4 * 3^(N-1) words on two generators, so no N above about 20 finishes;
+# the bound stops larger values before the walk sizes its tables by N.
+MAX_WORD_LEN = 64
+
+
 def _word_length(text: str) -> int:
     try:
         n = int(text)
@@ -331,6 +337,8 @@ def _word_length(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n > MAX_WORD_LEN:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WORD_LEN}, got {n}")
     return n
 
 

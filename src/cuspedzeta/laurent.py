@@ -5,7 +5,10 @@ of rows.
 A polynomial is one integer table over one denominator: ``rows[i]``
 holds the phi(n) power-basis numerators of the coefficient of
 t^(low+i), all over one positive ``den`` and in lowest terms across
-every entry, so equal polynomials are stored alike.  A sum is one
+every entry, so equal polynomials are stored alike.  This is the one
+place that knows how an element of Q(zeta_n) is stored: a scalar is a
+polynomial with one row, and `cyclotomic` supplies only integer
+arithmetic mod Phi_n and the inverse on bare numerators.  A sum is one
 signed integer pass; a product gathers the unreduced zeta-products of
 each power of t and reduces each once by Phi_n; division inverts the
 leading coefficient once and then runs on integer rows.
@@ -17,32 +20,28 @@ clearing powers of t, which are units.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
-from .cyclotomic import (CyclotomicNumber, _divmod_monic, _mulmod,
-                         cyclotomic_polynomial, euler_phi)
+from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, euler_phi, invert
 from .errors import ZeroPolynomial
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial rows / den; ``rows[i]`` is the
     coefficient of ``t**(low+i)`` and both end rows are nonzero unless
-    the polynomial is zero (no rows, low 0, den 1)."""
+    the polynomial is zero (no rows, low 0, den 1).  `from_rows` builds
+    every instance; the class itself takes no arguments."""
 
     __slots__ = ("n", "low", "rows", "den")
 
-    def __new__(cls, n, low, coeffs):
-        """sum coeffs[i] t^(low+i) for CyclotomicNumbers coeffs, cleared
-        to one denominator here, once."""
-        cs = list(coeffs)
-        den = lcm(*(c.den for c in cs))
-        return cls._make(n, low, [[x * (den // c.den) for x in c.num] for c in cs], den)
-
+    # constructors ----------------------------------------------------
     @staticmethod
-    def _make(n, low, rows, den):
+    def from_rows(n, low, rows, den=1):
         """rows / den t^low from rows of phi(n) integers, with the zero
-        end rows trimmed, stored in lowest terms with den > 0."""
+        end rows trimmed, stored in lowest terms with den > 0.  Every
+        polynomial is built here."""
         end = len(rows)
         while end and not any(rows[end - 1]):
             end -= 1
@@ -65,10 +64,9 @@ class LaurentPoly:
         p.low, p.rows, p.den = low + start, rows, den // g
         return p
 
-    # constructors ----------------------------------------------------
     @classmethod
     def zero(cls, n):
-        return cls._make(n, 0, (), 1)
+        return cls.from_rows(n, 0, ())
 
     @classmethod
     def one(cls, n):
@@ -77,7 +75,17 @@ class LaurentPoly:
     @classmethod
     def from_int_coeffs(cls, n, coeffs, low=0):
         pad = (0,) * (euler_phi(n) - 1)
-        return cls._make(n, low, [(c,) + pad for c in coeffs], 1)
+        return cls.from_rows(n, low, [(c,) + pad for c in coeffs])
+
+    @classmethod
+    def from_zeta_counts(cls, n, counts):
+        """sum c_hr zeta_n^r t^h from counts, a dict that maps each height
+        h to the n integers c_h0, ..., c_h(n-1)."""
+        if not counts:
+            return cls.zero(n)
+        low, phi, zero = min(counts), cyclotomic_polynomial(n), [0] * n
+        return cls.from_rows(n, low, [_divmod_monic(counts.get(h, zero), phi)[1]
+                                      for h in range(low, max(counts) + 1)])
 
     @classmethod
     def t_minus_one(cls, n):
@@ -126,7 +134,7 @@ class LaurentPoly:
             [tuple(fa * x for x in r) for r in self.rows]
         for i, r in enumerate(other.rows, other.low - low):
             out[i] = tuple(x + fb * y for x, y in zip(out[i], r))
-        return LaurentPoly._make(self.n, low, out, fa * self.den)
+        return LaurentPoly.from_rows(self.n, low, out, fa * self.den)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -135,8 +143,8 @@ class LaurentPoly:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return LaurentPoly._make(self.n, self.low, [tuple(-x for x in r) for r in self.rows],
-                                 self.den)
+        return LaurentPoly.from_rows(self.n, self.low, [tuple(-x for x in r) for r in self.rows],
+                                     self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -157,7 +165,7 @@ class LaurentPoly:
                             out[q] += x * y
         if m > 1:
             acc = [_divmod_monic(r, phi)[1] for r in acc]
-        return LaurentPoly._make(self.n, self.low + other.low, acc, self.den * other.den)
+        return LaurentPoly.from_rows(self.n, self.low + other.low, acc, self.den * other.den)
 
     def _lead_inverse(self):
         """Integer numerators and denominator of the inverse of the top
@@ -166,8 +174,7 @@ class LaurentPoly:
         top = self.rows[-1]
         if top[0] == self.den and not any(top[1:]):
             return None, 1
-        inv = CyclotomicNumber._make(self.n, top, self.den).inverse()
-        return inv.num, inv.den
+        return invert(self.n, top, self.den)
 
     def divmod(self, other):
         """a = q*b + r with span(r) < span(b)."""
@@ -200,8 +207,9 @@ class LaurentPoly:
             for i in range(span):
                 r = _mulmod(c, b[i], phi)
                 rem[k + i] = tuple(x - y for x, y in zip(rem[k + i], r))
-        q = LaurentPoly._make(self.n, self.low - other.low, _times(self.n, inum, quo), den * iden)
-        return q, LaurentPoly._make(self.n, self.low, rem[:span], den)
+        q = LaurentPoly.from_rows(self.n, self.low - other.low, _times(self.n, inum, quo),
+                                  den * iden)
+        return q, LaurentPoly.from_rows(self.n, self.low, rem[:span], den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -222,7 +230,8 @@ class LaurentPoly:
         if self.is_zero():
             return self
         inum, iden = self._lead_inverse()
-        return LaurentPoly._make(self.n, 0, _times(self.n, inum, self.rows), self.den * iden)
+        return LaurentPoly.from_rows(self.n, 0, _times(self.n, inum, self.rows),
+                                     self.den * iden)
 
     def gcd(self, other):
         a, b = self, other
@@ -231,9 +240,9 @@ class LaurentPoly:
         return a.normalize() if not a.is_zero() else a
 
     # evaluation ------------------------------------------------------
-    def at_one(self) -> CyclotomicNumber:
-        sums = [sum(col) for col in zip(*self.rows)] or [0] * euler_phi(self.n)
-        return CyclotomicNumber._make(self.n, sums, self.den)
+    def vanishes_at_one(self) -> bool:
+        """f(1) = 0: the rows sum to zero."""
+        return not any(sum(col) for col in zip(*self.rows))
 
     # comparisons -----------------------------------------------------
     def __eq__(self, other):
@@ -263,8 +272,10 @@ def format_poly(p: LaurentPoly) -> str:
     coefficients printed as ``[q0,q1,...]@n``."""
     if p.is_zero():
         return f"[0]@{p.n}*t^0"
-    return " + ".join(f"{CyclotomicNumber._make(p.n, r, p.den)!r}*t^{p.low + i}"
-                      for i, r in enumerate(p.rows) if any(r))
+
+    def coeff(row):
+        return f"[{','.join(str(Fraction(c, p.den)) for c in row)}]@{p.n}"
+    return " + ".join(f"{coeff(r)}*t^{p.low + i}" for i, r in enumerate(p.rows) if any(r))
 
 
 def ord_at_one(f: LaurentPoly) -> int:
@@ -273,7 +284,7 @@ def ord_at_one(f: LaurentPoly) -> int:
         raise ZeroPolynomial("ord at t=1 of the zero polynomial")
     tm1 = LaurentPoly.t_minus_one(f.n)
     k = 0
-    while f.at_one().is_zero():
+    while f.vanishes_at_one():
         f = f.exact_div(tm1)
         k += 1
     return k

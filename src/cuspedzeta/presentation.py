@@ -13,6 +13,11 @@ The presentation file grammar (UTF-8, line oriented)::
 
 Words are letter strings, uppercase meaning inverse.  Parsing then
 serializing then parsing is the identity.
+
+A character value rho(w) is kept as its exponent mod n, never as a
+field element: the Fox derivative counts the powers of zeta_n at each
+height and hands the counts to `LaurentPoly.from_zeta_counts`, so how
+an element of Q(zeta_n) is stored is known in `laurent` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from . import words as W
-from .cyclotomic import CyclotomicNumber, _divmod_monic, cyclotomic_polynomial
 from .errors import MissingPeripheralData, PresentationSyntaxError, ValidationError
 from .laurent import LaurentPoly
 from .words import GroupWord
@@ -52,9 +56,6 @@ class UnitCharacter:
 
     def exponent_of(self, word: GroupWord) -> int:
         return sum(self.exponents[g] * e for g, e in word) % self.modulus
-
-    def value(self, word: GroupWord) -> CyclotomicNumber:
-        return CyclotomicNumber.zeta_power(self.modulus, self.exponent_of(word))
 
     def is_trivial_on(self, word: GroupWord) -> bool:
         return self.exponent_of(word) == 0
@@ -99,11 +100,7 @@ def fox_derivative(word: GroupWord, i: int, rho: UnitCharacter,
         if e > 0:
             r = (r + rho.exponents[g]) % n
             h += eps.values[g]
-    if not terms:
-        return LaurentPoly.zero(n)
-    low, phi, zero = min(terms), cyclotomic_polynomial(n), [0] * n
-    return LaurentPoly._make(n, low, [_divmod_monic(terms.get(k, zero), phi)[1]
-                                      for k in range(low, max(terms) + 1)], 1)
+    return LaurentPoly.from_zeta_counts(n, terms)
 
 
 def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:

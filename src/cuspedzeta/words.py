@@ -15,8 +15,6 @@ from .errors import PresentationSyntaxError
 Letter = tuple[int, int]
 GroupWord = tuple[Letter, ...]
 
-IDENTITY: GroupWord = ()
-
 
 def free_reduce(letters) -> GroupWord:
     """Cancel adjacent x x^-1 pairs until none remain."""

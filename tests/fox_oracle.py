@@ -12,6 +12,9 @@ from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import Epsilon, UnitCharacter
 from cuspedzeta.words import GroupWord, Letter
 
+import laurent_oracle
+from cyclotomic_oracle import CyclotomicNumber
+
 
 def concat(*words: GroupWord) -> GroupWord:
     letters: list[Letter] = []
@@ -88,10 +91,10 @@ def fox_derivative(w: GroupWord, i: int) -> GroupRingElement:
 
 def evaluate_twisted(e: GroupRingElement, rho: UnitCharacter, eps: Epsilon) -> LaurentPoly:
     """Ring homomorphism sending word w to rho(w) * t^eps(w), extended
-    linearly over the integers."""
+    linearly over the integers, computed on the oracle's polynomials."""
     n = rho.modulus
-    out = LaurentPoly.zero(n)
+    out = laurent_oracle.LaurentPoly.zero(n)
     for w, c in e.terms.items():
-        coeff = rho.value(w) * c
-        out = out + LaurentPoly(n, eps.of(w), [coeff])
-    return out
+        coeff = CyclotomicNumber.zeta_power(n, rho.exponent_of(w)) * c
+        out = out + laurent_oracle.LaurentPoly(n, eps.of(w), [coeff])
+    return laurent_oracle.to_library(out)

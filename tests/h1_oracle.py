@@ -5,16 +5,17 @@ form of the Fox matrix d1, kept as test oracles.
 column d0 becomes (gcd, 0, ..., 0) (`_column_reduce`), and takes the
 Smith form of the relator rows in the g - 1 coordinates of ker d0.
 `twisted_betti` counts h1 from the Gauss-Jordan rank over Q(zeta_n) of
-the Fox matrix with t = 1 (`_rank_cyclotomic`).  Neither shares an
+the Fox matrix with t = 1 (`_rank_cyclotomic`, on the `Fraction`
+numbers of `cyclotomic_oracle`).  Neither shares an
 elimination with the route in `cuspedzeta.alexander` apart from
 `smith_form` on a different matrix.
 """
 
-from cuspedzeta.cyclotomic import CyclotomicNumber
 from cuspedzeta.errors import ComplexConditionViolation
 from cuspedzeta.laurent import LaurentPoly, smith_form
 from cuspedzeta.presentation import GroupPresentation, UnitCharacter
 
+from cyclotomic_oracle import CyclotomicNumber
 from fox_oracle import GroupRingElement, fox_derivative
 
 
@@ -122,7 +123,7 @@ def twisted_betti(p: GroupPresentation, rho: UnitCharacter) -> tuple[int, int]:
     def char_of(e: GroupRingElement) -> CyclotomicNumber:
         acc = CyclotomicNumber(n, [])
         for w, c in e.terms.items():
-            acc = acc + rho.value(w) * c
+            acc = acc + CyclotomicNumber.zeta_power(n, rho.exponent_of(w)) * c
         return acc
 
     h0 = 1 if all(rho.exponents[j] % n == 0 for j in range(g)) else 0

@@ -6,13 +6,16 @@ This is the module ``laurent`` was before it stored a polynomial as one
 integer table over one denominator, with the bodies unchanged.  Its
 coefficients come from `cyclotomic_oracle`, which works on `Fraction`s,
 so neither the polynomial arithmetic nor the field arithmetic shares
-code with the library.  `from_library` converts a library polynomial.
+code with the library.  `from_library` converts a library polynomial,
+and `to_library` converts back, so tests build their inputs here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
+import cuspedzeta.laurent
 from cuspedzeta.errors import ZeroPolynomial
 
 from cyclotomic_oracle import CyclotomicNumber
@@ -288,3 +291,12 @@ def from_library(p) -> LaurentPoly:
     """The oracle polynomial equal to a `cuspedzeta.laurent.LaurentPoly`."""
     return LaurentPoly(p.n, p.low, [CyclotomicNumber(p.n, [Fraction(c, p.den) for c in row])
                                     for row in p.rows])
+
+
+def to_library(p: LaurentPoly) -> cuspedzeta.laurent.LaurentPoly:
+    """The `cuspedzeta.laurent.LaurentPoly` equal to an oracle polynomial:
+    its coefficients cleared to one denominator, as integer rows."""
+    den = lcm(*(q.denominator for c in p.coeffs for q in c.coeffs))
+    return cuspedzeta.laurent.LaurentPoly.from_rows(
+        p.n, p.low, [[q.numerator * (den // q.denominator) for q in c.coeffs]
+                     for c in p.coeffs], den)

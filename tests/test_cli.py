@@ -233,6 +233,15 @@ BAD_INPUTS = [
                       [(1 / (2 + 0.1j)).real, (1 / (2 + 0.1j)).imag]]] * 27},
      ["spectrum", "enumerate", "{in}", "--max-word-len", "1", "--cutoff", "3"],
      EX_DATAERR, "generators: 27 given, at most 26 allowed"),
+    # past the largest word length: the walk's tables are sized by it
+    ("enumerate-word-len-2^61",
+     None, ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
+            "--max-word-len", "2305843009213693952", "--cutoff", "3"],
+     EX_USAGE, "--max-word-len: must be at most 64, got 2305843009213693952"),
+    ("enumerate-word-len-past-index",
+     None, ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
+            "--max-word-len", "99999999999999999999", "--cutoff", "3"],
+     EX_USAGE, "--max-word-len: must be at most 64, got 99999999999999999999"),
 ]
 
 # lattices on which the covolume, |b1|^2 or y = Im(b2/b1) of the reduced

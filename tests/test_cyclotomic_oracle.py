@@ -1,13 +1,21 @@
-"""The integer cyclotomic arithmetic against the rational oracle in
-`cyclotomic_oracle`: the same sums, products, inverses, equalities
-and printed forms on random rational coefficients."""
+"""The integer arithmetic mod Phi_n and the norm inverse against the
+rational oracle in `cyclotomic_oracle`: the same reductions, products,
+inverses and quotients on random rational coefficients, and the same
+sums, equalities and printed forms of the constant polynomials that
+`laurent` stores them as."""
 
+from fractions import Fraction
+from math import lcm
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from cuspedzeta.cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, invert
+from cuspedzeta.laurent import LaurentPoly, format_poly
 
 import cyclotomic_oracle as oracle
+import laurent_oracle
 
 MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 30)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -26,33 +34,46 @@ def pairs(draw):
     return n, a, b
 
 
-def agree(new, old):
-    assert repr(new) == repr(old)
-    # stored in lowest terms, so building from the oracle's coefficients
-    # gives the same numerators, denominator and hash
-    rebuilt = CyclotomicNumber(new.n, old.coeffs)
-    assert (new.num, new.den) == (rebuilt.num, rebuilt.den)
-    assert new == rebuilt and hash(new) == hash(rebuilt)
-    assert new.den > 0
+def numerators(x):
+    """An oracle element as phi(n) integer numerators over one positive
+    denominator, in lowest terms."""
+    den = lcm(*(c.denominator for c in x.coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in x.coeffs), den
+
+
+def constant(x):
+    """An oracle element as the library's constant polynomial."""
+    return laurent_oracle.to_library(laurent_oracle.LaurentPoly(x.n, 0, [x]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(pairs())
 def test_arithmetic_matches_the_rational_oracle(case):
     n, a, b = case
-    x, y = CyclotomicNumber(n, a), CyclotomicNumber(n, b)
+    phi = cyclotomic_polynomial(n)
     ox, oy = oracle.CyclotomicNumber(n, a), oracle.CyclotomicNumber(n, b)
-    agree(x, ox)
-    agree(x + y, ox + oy)
-    agree(x - y, ox - oy)
-    agree(-x, -ox)
-    agree(x * y, ox * oy)
-    agree(x * 2, ox * 2)
+    # a list of any length reduces mod Phi_n as the oracle's does
+    d = lcm(*(Fraction(c).denominator for c in a))
+    long = [int(c * d) for c in a] + [0] * len(phi)
+    assert [Fraction(c, d) for c in _divmod_monic(long, phi)[1]] == list(ox.coeffs)
+    (xa, dx), (ya, dy) = numerators(ox), numerators(oy)
+    assert [Fraction(c, dx * dy) for c in _mulmod(xa, ya, phi)] == list((ox * oy).coeffs)
+    x, y = constant(ox), constant(oy)
+    for lib, orc in ((x, ox), (x + y, ox + oy), (x - y, ox - oy), (-x, -ox),
+                     (x * y, ox * oy)):
+        assert lib == constant(orc) and lib.den > 0
+        if not orc.is_zero():
+            assert format_poly(lib) == f"{orc!r}*t^0"
     assert (x == y) == (ox == oy)
     assert x.is_zero() == ox.is_zero()
-    if not ox.is_zero():
-        agree(x.inverse(), ox.inverse())
-        agree(y * x.inverse(), oy * ox.inverse())
+    if ox.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            invert(n, xa, dx)
+        return
+    inum, iden = invert(n, xa, dx)
+    assert (inum, iden) == numerators(ox.inverse())
+    quotient = [Fraction(c, dy * iden) for c in _mulmod(ya, inum, phi)]
+    assert quotient == list((oy * ox.inverse()).coeffs)
 
 
 def test_cyclotomic_polynomials_match_the_oracle():

@@ -9,20 +9,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
-                                   euler_phi)
+from cuspedzeta.cyclotomic import cyclotomic_polynomial, euler_phi, invert
 from cuspedzeta.errors import ZeroPolynomial
 from cuspedzeta.laurent import LaurentPoly, format_poly, ord_at_one, smith_form
 
-from laurent_oracle import from_library
+import laurent_oracle
+from cyclotomic_oracle import CyclotomicNumber
+from laurent_oracle import from_library, to_library
 from smith_oracle import smith_form_per_pivot
 
 
-def to_complex(x: CyclotomicNumber) -> complex:
-    z = cmath.exp(2j * math.pi / x.n)
-    return sum(c / x.den * z ** k for k, c in enumerate(x.num))
+def poly(n, low, coeffs):
+    """The library polynomial sum coeffs[i] t^(low+i), for oracle
+    cyclotomic numbers coeffs."""
+    return to_library(laurent_oracle.LaurentPoly(n, low, coeffs))
 
-# --- cyclotomic numbers ----------------------------------------------------
+
+def constant(x: CyclotomicNumber) -> LaurentPoly:
+    return poly(x.n, 0, [x])
+
+
+def to_complex(p: LaurentPoly) -> complex:
+    """The value of a constant polynomial under zeta -> e^(2 pi i / n)."""
+    assert p.is_zero() or (p.low, p.span) == (0, 0)
+    z = cmath.exp(2j * math.pi / p.n)
+    return sum(c / p.den * z ** k for row in p.rows for k, c in enumerate(row))
+
+# --- cyclotomic numbers, as constant polynomials ----------------------------
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -46,15 +59,15 @@ def test_euler_phi():
 
 
 def test_zeta_power_order():
-    z = CyclotomicNumber.zeta_power(5, 1)
-    acc = CyclotomicNumber(5, [1])
+    z = constant(CyclotomicNumber.zeta_power(5, 1))
+    acc = LaurentPoly.one(5)
     for _ in range(5):
         acc = acc * z
-    assert acc == CyclotomicNumber(5, [1])
+    assert acc == LaurentPoly.one(5)
     # sum of all 5th roots of unity vanishes
-    total = CyclotomicNumber(5, [])
+    total = LaurentPoly.zero(5)
     for k in range(5):
-        total = total + CyclotomicNumber.zeta_power(5, k)
+        total = total + constant(CyclotomicNumber.zeta_power(5, k))
     assert total.is_zero()
 
 
@@ -62,15 +75,16 @@ def test_field_inverse():
     rng = random.Random(7)
     for n in (3, 5, 8, 12):
         for _ in range(5):
-            x = CyclotomicNumber(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                     for _ in range(euler_phi(n))])
+            x = constant(CyclotomicNumber(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                              for _ in range(euler_phi(n))]))
             if x.is_zero():
                 continue
-            assert x * x.inverse() == CyclotomicNumber(n, [1])
+            inum, iden = invert(n, x.rows[0], x.den)
+            assert x * LaurentPoly.from_rows(n, 0, [inum], iden) == LaurentPoly.one(n)
 
 
 def test_complex_embedding():
-    z = CyclotomicNumber.zeta_power(12, 1)
+    z = constant(CyclotomicNumber.zeta_power(12, 1))
     assert abs(to_complex(z) - cmath.exp(1j * math.pi / 6)) < 1e-14
 
 
@@ -81,8 +95,8 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 @given(st.lists(rationals, min_size=1, max_size=4),
        st.lists(rationals, min_size=1, max_size=4))
 def test_cyclotomic_ring_axioms(a, b):
-    x = CyclotomicNumber(5, a)
-    y = CyclotomicNumber(5, b)
+    x = constant(CyclotomicNumber(5, a))
+    y = constant(CyclotomicNumber(5, b))
     assert x + y == y + x
     assert x * y == y * x
     assert (x - y) + y == x
@@ -203,9 +217,9 @@ def _random_poly(rng, n):
     the entries of a twisted Fox matrix."""
     if rng.random() < 0.4:
         return LaurentPoly.zero(n)
-    return LaurentPoly(n, rng.randint(-1, 1),
-                       [CyclotomicNumber.zeta_power(n, rng.randrange(n)) * rng.randint(-2, 2)
-                        for _ in range(rng.randint(1, 3))])
+    return poly(n, rng.randint(-1, 1),
+                [CyclotomicNumber.zeta_power(n, rng.randrange(n)) * rng.randint(-2, 2)
+                 for _ in range(rng.randint(1, 3))])
 
 
 def _scrambled_diagonal(rng, n, rows, cols):
@@ -217,8 +231,8 @@ def _scrambled_diagonal(rng, n, rows, cols):
     for _ in range(min(rows, cols)):
         d = LaurentPoly.one(n) if rng.random() < 0.85 else z
         for _ in range(rng.randint(0, 3)):
-            d = d * LaurentPoly(n, 0, [CyclotomicNumber.zeta_power(n, rng.randrange(n))
-                                       * rng.choice((-1, 1)), CyclotomicNumber(n, [1])])
+            d = d * poly(n, 0, [CyclotomicNumber.zeta_power(n, rng.randrange(n))
+                                * rng.choice((-1, 1)), CyclotomicNumber(n, [1])])
         diag.append(d)
     e = [[diag[i] if i == j else z for j in range(cols)] for i in range(rows)]
     d_matrix = [row[:] for row in e]
@@ -272,8 +286,8 @@ def test_smith_gcd_lcm_repair_cases():
         _assert_matches_oracle(_unimodular_ops(m, random.Random(size)))
     # the same repair over Q(zeta_5), with t - zeta and t - zeta^2
     z5 = LaurentPoly.zero(5)
-    a = LaurentPoly(5, 0, [-CyclotomicNumber.zeta_power(5, 1), CyclotomicNumber(5, [1])])
-    b = LaurentPoly(5, 0, [-CyclotomicNumber.zeta_power(5, 2), CyclotomicNumber(5, [1])])
+    a = poly(5, 0, [-CyclotomicNumber.zeta_power(5, 1), CyclotomicNumber(5, [1])])
+    b = poly(5, 0, [-CyclotomicNumber.zeta_power(5, 2), CyclotomicNumber(5, [1])])
     _assert_matches_oracle([[a * a, z5], [z5, a * b]])
 
 

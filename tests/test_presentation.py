@@ -14,7 +14,9 @@ from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_derivative,
                                      serialize_presentation)
 
 import fox_oracle
+import laurent_oracle
 from conftest import read_fixture
+from cyclotomic_oracle import CyclotomicNumber
 from fox_oracle import GroupRingElement, evaluate_twisted
 
 def test_round_trip_is_identity():
@@ -92,7 +94,9 @@ def twisted(draw, max_size=12):
 
 def unit(w, rho, eps):
     """rho(w) t^eps(w)."""
-    return LaurentPoly(rho.modulus, eps.of(w), [rho.value(w)])
+    n = rho.modulus
+    return laurent_oracle.to_library(laurent_oracle.LaurentPoly(
+        n, eps.of(w), [CyclotomicNumber.zeta_power(n, rho.exponent_of(w))]))
 
 
 def test_fox_derivative_on_generators():
