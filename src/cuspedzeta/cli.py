@@ -6,13 +6,16 @@ newline-terminated); text notes go to stderr.  Exit codes: 64 usage,
 uses 0/2/3 for the report verdict.
 
 Each subcommand imports the modules it runs at the top of its body, so
-that a command loads neither half of the package it does not use.
+that a command loads neither half of the package it does not use.  A
+call builds the argument parser of the named command only, and writes
+its output, to stdout or the `-o` file, only once the command returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import json
 import math
 import sys
@@ -239,6 +242,8 @@ def _cmd_terms(args, out):
     elif args.term == "threshold":
         _jdump(mero_to_json(cuspterms.threshold_lprime()), out)
     else:  # scattering
+        if not args.poles:
+            raise ValidationError("scattering needs a poles JSON file")
         s0, s1 = cuspterms.scattering_lprime(_load_poles(args.poles))
         _jdump({"S0shifted": mero_to_json(s0), "S1": mero_to_json(s1)}, out)
     return 0
@@ -325,9 +330,11 @@ def _finite(parse, positive: bool = False):
 
 
 # Longest word `spectrum enumerate` walks to.  The walk visits about
-# 4 * 3^(N-1) words on two generators, so no N above about 20 finishes;
-# the bound stops larger values before the walk sizes its tables by N.
-MAX_WORD_LEN = 64
+# 4 * 3^(N-1) words on two generators, and on the figure-eight matrices
+# its time grows 2-3 times per letter (7 s at N = 15, see README), so
+# N = 20 already takes minutes; the bound also stops larger values
+# before the walk sizes its tables by N.
+MAX_WORD_LEN = 20
 
 
 def _word_length(text: str) -> int:
@@ -342,27 +349,34 @@ def _word_length(text: str) -> int:
     return n
 
 
-def _build_parser() -> _Parser:
-    ap = _Parser(prog="cuspedzeta",
-                 description="Twisted Alexander invariants and Ruelle zeta "
-                             "bookkeeping for one-cusped hyperbolic manifolds")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _with_output(p: _Parser) -> _Parser:
+    p.add_argument("-o", "--output", help="write output to this file")
+    return p
 
-    def with_output(p):
-        p.add_argument("-o", "--output", help="write output to this file")
-        return p
 
-    p = with_output(sub.add_parser("alexander", help="twisted Alexander data"))
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_alexander)
+def _presentation_command(func):
+    """Arguments of a command that reads one presentation file."""
+    def configure(p):
+        _with_output(p).add_argument("presentation")
+        p.set_defaults(func=func)
+    return configure
 
-    p = with_output(sub.add_parser("betti", help="twisted Betti numbers"))
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("spectrum", help="geodesic spectrum tools")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    pe = with_output(ssub.add_parser("enumerate"))
+def _spectrum_command(leaf: str, func):
+    """A command group whose one subcommand `leaf` reads a spectrum file
+    and a point --z."""
+    def configure(p):
+        pl = _with_output(p.add_subparsers(dest="subcommand", required=True)
+                          .add_parser(leaf))
+        pl.add_argument("spectrum")
+        pl.add_argument("--z", type=_finite(complex), required=True)
+        pl.set_defaults(func=func)
+    return configure
+
+
+def _spectrum_enumerate(p):
+    pe = _with_output(p.add_subparsers(dest="subcommand", required=True)
+                      .add_parser("enumerate"))
     pe.add_argument("matrices")
     pe.add_argument("--max-word-len", type=_word_length, required=True)
     pe.add_argument("--cutoff", type=_finite(float), required=True)
@@ -370,23 +384,10 @@ def _build_parser() -> _Parser:
                     help="assert completeness up to the cutoff")
     pe.set_defaults(func=_cmd_spectrum_enumerate)
 
-    p = sub.add_parser("ruelle", help="Ruelle function evaluation")
-    rsub = p.add_subparsers(dest="subcommand", required=True)
-    pr = with_output(rsub.add_parser("eval"))
-    pr.add_argument("spectrum")
-    pr.add_argument("--z", type=_finite(complex), required=True)
-    pr.set_defaults(func=_cmd_ruelle_eval)
 
-    p = sub.add_parser("fried", help="factorization checks")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    pf = with_output(fsub.add_parser("check"))
-    pf.add_argument("spectrum")
-    pf.add_argument("--z", type=_finite(complex), required=True)
-    pf.set_defaults(func=_cmd_fried_check)
-
-    p = with_output(sub.add_parser("terms", help="trace-formula terms"))
-    p.add_argument("term", choices=["identity", "unipotent", "threshold",
-                                    "scattering"])
+def _terms(p):
+    _with_output(p).add_argument("term", choices=["identity", "unipotent",
+                                                  "threshold", "scattering"])
     p.add_argument("poles", nargs="?",
                    help="scattering poles JSON (scattering only)")
     p.add_argument("--vol", type=_finite(float, positive=True), default=1.0)
@@ -395,38 +396,70 @@ def _build_parser() -> _Parser:
     p.add_argument("--trivial", action="store_true")
     p.set_defaults(func=_cmd_terms)
 
-    p = with_output(sub.add_parser("epstein", help="lattice L-function"))
-    p.add_argument("lattice")
+
+def _epstein(p):
+    _with_output(p).add_argument("lattice")
     p.add_argument("--s", type=_finite(complex), default="1.0")
     p.add_argument("--residue", action="store_true",
                    help="residue and constant term at s=0 instead of a value")
     p.set_defaults(func=_cmd_epstein)
 
-    p = with_output(sub.add_parser("verify", help="main comparison report"))
-    p.add_argument("presentation")
-    p.set_defaults(func=_cmd_verify)
 
-    p = with_output(sub.add_parser(
-        "selftest", help="check the order prediction, the factorization "
-                         "identity and the unipotent combinations"))
-    p.set_defaults(func=_cmd_selftest)
+def _selftest(p):
+    _with_output(p).set_defaults(func=_cmd_selftest)
+
+
+# top-level command -> (its line in the help, the function that adds its
+# arguments and subcommands to its parser), in the order of the help
+_COMMANDS = {
+    "alexander": ("twisted Alexander data", _presentation_command(_cmd_alexander)),
+    "betti": ("twisted Betti numbers", _presentation_command(_cmd_betti)),
+    "spectrum": ("geodesic spectrum tools", _spectrum_enumerate),
+    "ruelle": ("Ruelle function evaluation",
+               _spectrum_command("eval", _cmd_ruelle_eval)),
+    "fried": ("factorization checks", _spectrum_command("check", _cmd_fried_check)),
+    "terms": ("trace-formula terms", _terms),
+    "epstein": ("lattice L-function", _epstein),
+    "verify": ("main comparison report", _presentation_command(_cmd_verify)),
+    "selftest": ("check the order prediction, the factorization identity and "
+                 "the unipotent combinations", _selftest),
+}
+
+
+def _build_parser(argv: list) -> _Parser:
+    """The top-level parser with only the branch of the command that
+    `argv` starts with, or with every branch when it starts with none,
+    for the help and "invalid choice" messages.  A usage error prints
+    no usage line, so both parse a command's arguments to the same
+    bytes."""
+    ap = _Parser(prog="cuspedzeta",
+                 description="Twisted Alexander invariants and Ruelle zeta "
+                             "bookkeeping for one-cusped hyperbolic manifolds")
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in named:
+        summary, configure = _COMMANDS[name]
+        configure(sub.add_parser(name, help=summary))
     return ap
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
-        if args.command == "terms" and args.term == "scattering" \
-                and not args.poles:
-            raise ValidationError("scattering needs a poles JSON file")
+        # the output is written only once the command returns, so a
+        # failed command leaves an existing -o file as it was
+        out = io.StringIO()
+        code = args.func(args, out)
         if getattr(args, "output", None):
-            with open(args.output, "w", encoding="utf-8") as out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        else:
+            sys.stdout.write(out.getvalue())
+        return code
     except OSError as exc:
         sys.stderr.write(f"cuspedzeta: {exc}\n")
         return EX_DATAERR

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspedzeta import cli
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
 from cuspedzeta.errors import FormatError
 from cuspedzeta.spectrum import load_spectrum
@@ -66,6 +67,74 @@ def test_computation_errors_exit_70(capsys, tmp_path):
     code, _, err = invoke(capsys, "ruelle", "eval", str(p), "--z", "1.5")
     assert code == EX_SOFTWARE
     assert "computation failed" in err
+
+
+# command lines that end in argparse: help, or a usage error
+PARSER_EXITS = {
+    "top-help": ["-h"], "top-none": [], "top-unknown": ["bogus"],
+    "top-prefix": ["alex"], "unrecognized": ["terms", "threshold", "--bogus"],
+    "spectrum": ["spectrum"], "ruelle": ["ruelle"], "fried": ["fried"],
+}
+# a leaf command's -h, a missing positional (an extra argument for
+# selftest, which takes none) and a bad option value
+for leaf, missing, bad in (
+        ("alexander", [], ["x.pres", "-o"]), ("betti", [], ["x.pres", "-o"]),
+        ("verify", [], ["x.pres", "-o"]), ("selftest", ["x"], ["-o"]),
+        ("spectrum enumerate", [], ["m.json", "--max-word-len", "0", "--cutoff", "3"]),
+        ("ruelle eval", [], ["s.csv", "--z", "abc"]),
+        ("fried check", [], ["s.csv", "--z", "nan"]),
+        ("terms", [], ["identity", "--vol", "-1"]),
+        ("epstein", [], ["l.json", "--s", "abc"])):
+    words = leaf.split()
+    PARSER_EXITS[f"{leaf}-help"] = words + ["-h"]
+    PARSER_EXITS[f"{leaf}-missing"] = words + missing
+    PARSER_EXITS[f"{leaf}-bad-value"] = words + bad
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS.values(), ids=PARSER_EXITS)
+def test_run_parses_as_the_parser_with_every_branch(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser([]).parse_args(argv)
+    assert (code, out, err) == (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["terms", "threshold"], 2),
+    (["ruelle", "eval", str(FIXTURES / "fig8_spectrum.csv"), "--z", "5"], 3),
+    ([], 13),
+], ids=["terms", "ruelle-eval", "no-command"])
+def test_run_builds_only_the_named_branch(capsys, monkeypatch, argv, parsers):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    invoke(capsys, *argv)
+    assert len(built) == parsers, built
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["alexander", str(FIXTURES / "missing.pres")], EX_DATAERR),
+    (["terms", "identity", "--vol", "1e308"], EX_SOFTWARE),
+], ids=["missing-input", "inf-in-output"])
+def test_failed_command_leaves_the_output_file(capsys, tmp_path, argv, want):
+    keep = tmp_path / "keep.json"
+    keep.write_text("earlier content\n")
+    assert invoke(capsys, *argv, "-o", str(keep))[0] == want
+    assert keep.read_text() == "earlier content\n"
+
+
+def test_verdict_exit_code_still_writes_the_output_file(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    argv = ["verify", str(FIXTURES / "fig8.pres")]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 2
+    assert invoke(capsys, *argv, "-o", str(path)) == (2, "", "")
+    assert path.read_text() == out
 
 
 FIG8 = json.loads((FIXTURES / "fig8_matrices.json").read_text())
@@ -237,11 +306,16 @@ BAD_INPUTS = [
     ("enumerate-word-len-2^61",
      None, ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
             "--max-word-len", "2305843009213693952", "--cutoff", "3"],
-     EX_USAGE, "--max-word-len: must be at most 64, got 2305843009213693952"),
+     EX_USAGE, "--max-word-len: must be at most 20, got 2305843009213693952"),
     ("enumerate-word-len-past-index",
      None, ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
             "--max-word-len", "99999999999999999999", "--cutoff", "3"],
-     EX_USAGE, "--max-word-len: must be at most 64, got 99999999999999999999"),
+     EX_USAGE, "--max-word-len: must be at most 20, got 99999999999999999999"),
+    # past the longest walk that finishes in practice
+    ("enumerate-word-len-21",
+     None, ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
+            "--max-word-len", "21", "--cutoff", "3"],
+     EX_USAGE, "--max-word-len: must be at most 20, got 21"),
 ]
 
 # lattices on which the covolume, |b1|^2 or y = Im(b2/b1) of the reduced
