@@ -356,11 +356,22 @@ def _row(line: str, lineno: int) -> GeodesicClass | None:
 def load_spectrum(path) -> Spectrum:
     """Read a spectrum CSV in one pass; every error names its line.
 
-    Each row is split, unpacked and parsed once; a row that fails in
-    any way, a blank line included, goes to `_row`, which skips it or
-    raises the located message."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    Each row is split and unpacked once and checked inline by the rules
+    of `GeodesicClass.validate`.  Each distinct (re, im) character text
+    is parsed and checked once per call, and the primitive length is
+    not parsed again when its text equals the length's.  A row that
+    fails in any way, a blank line included, goes to `_row`, which
+    skips it or raises the located message."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte, with a stand-in for the byte,
+        # ends on the line of the byte
+        before = data[:exc.start].decode("utf-8") + "x"
+        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}, "
+                          f"{exc.reason}", line=len(before.splitlines()))
     if not raw or not raw[0].startswith("# cutoff="):
         raise FormatError("missing spectrum header", line=1)
     try:
@@ -383,30 +394,56 @@ def load_spectrum(path) -> Spectrum:
         complete = meta.get("complete", "0") == "1"
         body_start = 2
     classes = []
+    append = classes.append
     limit = cutoff + 1e-9
     last = -math.inf
     letter = W._alphabet(26).__getitem__
+    isfinite, exp, cos = math.isfinite, math.exp, math.cos
+    # GeodesicClass(...) without the Python-level __new__ of a NamedTuple
+    new = tuple.__new__
+    # (re, im) text -> character value that passed the check; a finite
+    # order character repeats a handful of texts over the whole file
+    chars = {}
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
         try:
             l, th, re_c, im_c, pl, m, text = line.split(",")
-            length, theta, re_c, im_c, prim = \
-                float(l), float(th), float(re_c), float(im_c), float(pl)
+            length = float(l)
+            theta = float(th)
+            prim = length if pl == l else float(pl)
             # a sum of finite numbers is finite unless it overflows,
             # which only sends the row to the slow path
-            if not math.isfinite(length + theta + re_c + im_c + prim):
+            if not isfinite(length + theta + prim):
                 raise ValueError
-            cls = GeodesicClass(length, theta, complex(re_c, im_c), prim,
-                                int(m), tuple(map(letter, text))).validate()
+            # the rules of GeodesicClass.validate, in its order
+            mult = int(m)
+            if abs(length - mult * prim) > 1e-9:
+                raise ValueError
+            key = re_c, im_c
+            char = chars.get(key)
+            if char is None:
+                re_v, im_v = float(re_c), float(im_c)
+                char = complex(re_v, im_v)
+                if not isfinite(re_v + im_v) or abs(abs(char) - 1) > 1e-12:
+                    raise ValueError
+                chars[key] = char
+            if not length > 0 or mult < 1 or not text:
+                raise ValueError
+            el = exp(-length)
+            if not 1 - 2 * el * cos(theta) + el * el > 0:
+                raise ValueError
+            cls = new(GeodesicClass, (length, theta, char, prim, mult,
+                                      tuple(map(letter, text))))
         except Exception:
             cls = _row(line, lineno)
             if cls is None:
                 continue
-        if cls.length > limit:
-            raise FormatError(f"class length {cls.length} beyond cutoff", line=lineno)
-        if cls.length < last - 1e-12:
+            length = cls.length
+        if length > limit:
+            raise FormatError(f"class length {length} beyond cutoff", line=lineno)
+        if length < last - 1e-12:
             raise FormatError("classes are not sorted by length", line=lineno)
-        last = cls.length
-        classes.append(cls)
+        last = length
+        append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     lattice_covolume=covolume, volume=volume,
                     max_word_len=max_word_len, complete=complete)

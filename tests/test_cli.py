@@ -210,6 +210,13 @@ BAD_INPUTS = [
      EX_DATAERR, "classes are not sorted by length (line 3)"),
     ("csv-bad-letter", CSV_HEAD + "1,0,1,0,1,1,a1\n", RUELLE_IN, EX_DATAERR,
      "bad row: unknown generator letter '1' (line 2)"),
+    ("csv-off-circle-char-repeated", CSV_HEAD + "1,0,2,0,1,1,a\n1.5,0,2,0,1.5,1,b\n",
+     RUELLE_IN, EX_DATAERR, "character value (2+0j) is off the unit circle (line 2)"),
+    ("csv-bad-row-after-cached-char",
+     CSV_HEAD + "1,0,0.6,0.8,1,1,a\n1.5,nan,0.6,0.8,1.5,1,b\n", FRIED_IN,
+     EX_DATAERR, "bad row: non-finite number 'nan' (line 3)"),
+    ("csv-not-utf8", CSV_HEAD.encode() + b"1,0,1,0,1,1,a\xe9\n", RUELLE_IN,
+     EX_DATAERR, "not UTF-8: byte 0xe9, invalid continuation byte (line 2)"),
     ("csv-overflow-eval", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
      ["ruelle", "eval", "{in}", "--z", "3"], EX_SOFTWARE, "computation failed"),
     ("csv-overflow-fried", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",

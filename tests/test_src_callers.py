@@ -35,8 +35,9 @@ SHARED = {
                "MeroSum.is_zero by cli for `terms unipotent` and selftest",
     "is_trivial": "UnitCharacter.is_trivial by alexander for h0; "
                   "LatticeCharacter.is_trivial by cuspterms for the zero mode",
-    "validate": "GeodesicClass.validate by Spectrum.validate and the rows of "
-                "load_spectrum; Spectrum.validate by enumerate_classes and "
+    "validate": "GeodesicClass.validate by Spectrum.validate and by _row, "
+                "where the rows load_spectrum's inline checks refuse go; "
+                "Spectrum.validate by enumerate_classes and "
                 "ruelle.single_orbit_spectrum",
 }
 
