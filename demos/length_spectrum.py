@@ -16,7 +16,7 @@ def main():
     spectrum = enumerate_classes(
         figure_eight_generators(), [1.0, 1.0],
         max_word_len=8, cutoff_length=3.0,
-        covolume=2 * math.sqrt(3), volume=FIG8_VOLUME, complete=True)
+        covolume=2 * math.sqrt(3), volume=FIG8_VOLUME)
 
     print(f"{len(list(spectrum.primitives()))} primitive oriented classes "
           f"up to length {spectrum.cutoff_length}")
@@ -28,7 +28,7 @@ def main():
     z = 5.0
     rep = euler_product(spectrum, z)
     print(f"\nR(z={z}) truncated: {rep.value.real:.15f} "
-          f"({rep.terms_used} primitive factors)")
+          f"({rep.terms_used} primitive factors), tail bound {rep.tail_bound:.2e}")
     print(f"factorization residual at z={z}: {fried_residual(spectrum, z).value:.2e}")
 
 

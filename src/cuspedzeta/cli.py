@@ -24,14 +24,14 @@ import warnings
 from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
                      NotTorsion, PoleEvaluation, PoleOnAxis,
                      PresentationSyntaxError, QuadratureFailure,
-                     ValidationError)
+                     ValidationError, read_utf8)
 
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 _INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
-                 PoleOnAxis, UnicodeDecodeError)
+                 PoleOnAxis)
 _COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
                    PoleEvaluation, OverflowError)
 
@@ -79,8 +79,9 @@ def mero_to_json(m) -> dict:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    # newlines translated as a text-mode open translates them, so that
+    # the JSON decoder counts its error offsets on the same text
+    return read_utf8(path).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_presentation(path: str):
@@ -198,8 +199,7 @@ def _cmd_spectrum_enumerate(args, out):
     gens, rho, covolume, volume = _load_matrices(args.matrices)
     sp = spectrum.enumerate_classes(
         gens, rho, max_word_len=args.max_word_len,
-        cutoff_length=args.cutoff, covolume=covolume, volume=volume,
-        complete=args.complete)
+        cutoff_length=args.cutoff, covolume=covolume, volume=volume)
     out.write(spectrum.format_spectrum(sp))
     return 0
 
@@ -380,8 +380,6 @@ def _spectrum_enumerate(p):
     pe.add_argument("matrices")
     pe.add_argument("--max-word-len", type=_word_length, required=True)
     pe.add_argument("--cutoff", type=_finite(float), required=True)
-    pe.add_argument("--complete", action="store_true",
-                    help="assert completeness up to the cutoff")
     pe.set_defaults(func=_cmd_spectrum_enumerate)
 
 

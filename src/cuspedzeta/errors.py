@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the reader of every
+input file, whose decode errors name their line."""
 
 
 class CuspedZetaError(Exception):
@@ -19,10 +20,6 @@ class PresentationSyntaxError(CuspedZetaError):
 
 class ValidationError(CuspedZetaError):
     """Structurally well-formed input fails a semantic invariant."""
-
-
-class MissingPeripheralData(ValidationError):
-    pass
 
 
 class ZeroPolynomial(CuspedZetaError):
@@ -73,3 +70,18 @@ class PoleOnAxis(CuspedZetaError):
 
 class InconsistentInput(CuspedZetaError):
     pass
+
+
+def read_utf8(path) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 raise a
+    FormatError naming the first bad byte and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte, with a stand-in for the byte,
+        # ends on the line of the byte
+        before = data[:exc.start].decode("utf-8") + "x"
+        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}, "
+                          f"{exc.reason}", line=len(before.splitlines()))

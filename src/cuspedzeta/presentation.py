@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import MissingPeripheralData, PresentationSyntaxError, ValidationError
+from .errors import PresentationSyntaxError, ValidationError
 from .laurent import LaurentPoly
 from .words import GroupWord
 
@@ -107,7 +107,7 @@ def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:
     """The delta indicator: does rho restrict trivially to the cusp
     subgroup generated by the peripheral words?"""
     if not p.peripheral_words:
-        raise MissingPeripheralData("presentation carries no peripheral words")
+        raise ValidationError("presentation carries no peripheral words")
     return all(rho.is_trivial_on(w) for w in p.peripheral_words)
 
 

@@ -1,11 +1,11 @@
 """Ruelle zeta evaluation from a truncated geodesic spectrum.
 
 Everything here is a finite sum or product over a Spectrum, together
-with heuristic tail bounds from the exponential counting estimate
-N(L) <= C e^{2L}.  The abscissa Re z > 2 is enforced unless the
-spectrum is flagged complete (e.g. a synthetic single-orbit spectrum),
-in which case truncation is the only error source and the tail bound
-is zero.
+with a heuristic tail bound from the exponential counting estimate
+N(L) <= C e^{2L}.  Every spectrum is a truncation, whether enumerated,
+loaded or synthetic: each evaluation reports the tail bound, and a
+point outside the region Re z > 2, where the Euler product converges,
+raises ConvergenceRegionError.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ def _overflow(term: str, length: float) -> OverflowError:
 
 def _tail_bound(s: Spectrum, z: complex) -> float:
     """Heuristic truncation tail for geometric sums over the spectrum at
-    z; zero for a complete spectrum, monotone decreasing in both Re z
-    and the cutoff."""
-    if s.complete:
-        return 0.0
+    z, monotone decreasing in both Re z and the cutoff; a z with
+    Re z <= 2 raises ConvergenceRegionError."""
     x = z.real
     if x <= 2:
         raise ConvergenceRegionError(
@@ -69,9 +67,9 @@ def _tail_bound(s: Spectrum, z: complex) -> float:
 def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     """R_rho(z) truncated to the spectrum: product of
     1 - rho(g0) e^{-z l(g0)} over primitive classes.  An exponent z l
-    past the float range, in its real part (OverflowError) or its
-    imaginary part (ValueError), or a product past it, raises a located
-    OverflowError."""
+    whose imaginary part leaves the float range (cmath.exp raises
+    ValueError; with Re z > 2 the real part can only underflow), or a
+    product past the float range, raises a located OverflowError."""
     tail = _tail_bound(s, z)
     value = 1 + 0j
     n = 0
@@ -79,7 +77,7 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
         for c in s.primitives():
             value *= 1 - c.char_value * cmath.exp(-z * c.length)
             n += 1
-    except (OverflowError, ValueError):
+    except ValueError:
         raise _overflow(f"e^(-z l) at z = {z}", c.length) from None
     if not cmath.isfinite(value):
         # complex multiplication overflows without raising: find the
@@ -98,8 +96,9 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
     zero up to the tail for a power-closed set.  One pass over the
     classes feeds all four sums, with the per-class weights
     a0 = rho(g) l0 / Delta, Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta)
-    + e^{-2l}, and a1 = a0 * 2 cos(theta).  An exponent past the float
-    range raises a located OverflowError, as in `euler_product`."""
+    + e^{-2l}, and a1 = a0 * 2 cos(theta).  An exponent whose imaginary
+    part leaves the float range raises a located OverflowError, as in
+    `euler_product`."""
     tail = _tail_bound(s, z)
     z1, z2 = z + 1, z + 2
     log_r = s0 = s0_shift = s1 = 0j
@@ -113,7 +112,7 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
             s0 -= a0 * e / length
             s0_shift -= a0 * cmath.exp(-z2 * length) / length
             s1 -= a0 * 2 * cos_t * cmath.exp(-z1 * length) / length
-    except (OverflowError, ValueError):
+    except ValueError:
         raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", length) from None
     return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
                             tail_bound=tail, terms_used=len(s.classes))
@@ -122,12 +121,12 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
 def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,
                           powers: int) -> Spectrum:
     """Synthetic spectrum of one primitive class and its powers
-    1..powers, flagged complete (truncation in k is the only defect)."""
+    1..powers, truncated at the cutoff powers * length like any other
+    spectrum."""
     classes = []
     for k in range(1, powers + 1):
         classes.append(GeodesicClass(
             length=k * length, holonomy=_canonical_angle(holonomy * k),
             char_value=char_value ** k,
             primitive_length=length, multiplicity=k, word=((0, 1),) * k))
-    return Spectrum(classes=classes, cutoff_length=powers * length,
-                    complete=True).validate()
+    return Spectrum(classes=classes, cutoff_length=powers * length).validate()

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import words as W
 from .errors import (CuspedZetaError, DiscretenessSuspect, FormatError,
-                     ValidationError)
+                     ValidationError, read_utf8)
 from .words import GroupWord
 
 TRACE_TOL = 1e-9
@@ -137,7 +137,6 @@ class Spectrum:
     lattice_covolume: float = 1.0
     volume: float = 1.0
     max_word_len: int | None = None
-    complete: bool = False
 
     def primitives(self):
         return [c for c in self.classes if c.multiplicity == 1]
@@ -181,17 +180,17 @@ def _power_root(cls_lth, primitives):
 
 
 def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
-                      covolume: float = 1.0, volume: float = 1.0,
-                      complete: bool = False) -> Spectrum:
+                      covolume: float = 1.0, volume: float = 1.0) -> Spectrum:
     """Enumerate loxodromic conjugacy classes up to the word-length and
     geodesic-length cutoffs.
 
-    Completeness is only relative to max_word_len; the flag is a caller
-    assertion, recorded in the metadata.  A max_word_len below 1 raises
-    ValueError; more than 26 generators, a generator of determinant other
-    than 1, or a character value count other than the generator count,
-    raises ValidationError; a word whose matrix product leaves the float
-    range, or whose determinant rounds to 0, raises CuspedZetaError.
+    Words longer than max_word_len are not visited, so a class under the
+    length cutoff may be missing; max_word_len is recorded in the
+    metadata.  A max_word_len below 1 raises ValueError; more than 26
+    generators, a generator of determinant other than 1, or a character
+    value count other than the generator count, raises ValidationError;
+    a word whose matrix product leaves the float range, or whose
+    determinant rounds to 0, raises CuspedZetaError.
     """
     if len(gens) > 26:
         # the spectrum file spells words in the letters a-z
@@ -298,7 +297,7 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     lattice_covolume=covolume, volume=volume,
-                    max_word_len=max_word_len, complete=complete).validate()
+                    max_word_len=max_word_len).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +311,8 @@ def format_spectrum(s: Spectrum) -> str:
     """The CSV text of a spectrum: header comments, then one row per class."""
     lines = [f"# cutoff={_fmt(s.cutoff_length)} covolume={_fmt(s.lattice_covolume)} "
              f"volume={_fmt(s.volume)}"]
-    if s.max_word_len is not None or s.complete:
-        lines.append(f"# max_word_len={s.max_word_len if s.max_word_len is not None else -1} "
-                     f"complete={1 if s.complete else 0}")
+    if s.max_word_len is not None:
+        lines.append(f"# max_word_len={s.max_word_len}")
     for c in s.classes:
         lines.append(",".join([
             _fmt(c.length), _fmt(c.holonomy),
@@ -362,16 +360,7 @@ def load_spectrum(path) -> Spectrum:
     not parsed again when its text equals the length's.  A row that
     fails in any way, a blank line included, goes to `_row`, which
     skips it or raises the located message."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        raw = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # the text before the bad byte, with a stand-in for the byte,
-        # ends on the line of the byte
-        before = data[:exc.start].decode("utf-8") + "x"
-        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}, "
-                          f"{exc.reason}", line=len(before.splitlines()))
+    raw = read_utf8(path).splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
         raise FormatError("missing spectrum header", line=1)
     try:
@@ -382,7 +371,6 @@ def load_spectrum(path) -> Spectrum:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1)
     max_word_len = None
-    complete = False
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
         try:
@@ -391,7 +379,6 @@ def load_spectrum(path) -> Spectrum:
         except ValueError as exc:
             raise FormatError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
-        complete = meta.get("complete", "0") == "1"
         body_start = 2
     classes = []
     append = classes.append
@@ -446,7 +433,7 @@ def load_spectrum(path) -> Spectrum:
         append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     lattice_covolume=covolume, volume=volume,
-                    max_word_len=max_word_len, complete=complete)
+                    max_word_len=max_word_len)
 
 
 def figure_eight_generators():

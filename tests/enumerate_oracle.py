@@ -31,8 +31,7 @@ def inverse(m: MoebiusMatrix) -> MoebiusMatrix:
 
 
 def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
-                      covolume: float = 1.0, volume: float = 1.0,
-                      complete: bool = False) -> Spectrum:
+                      covolume: float = 1.0, volume: float = 1.0) -> Spectrum:
     if len(gens) > 26:
         raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
     for i, g in enumerate(gens):
@@ -108,4 +107,4 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     lattice_covolume=covolume, volume=volume,
-                    max_word_len=max_word_len, complete=complete).validate()
+                    max_word_len=max_word_len).validate()

@@ -90,7 +90,6 @@ def load_spectrum(path) -> Spectrum:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1)
     max_word_len = None
-    complete = False
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
         try:
@@ -99,7 +98,6 @@ def load_spectrum(path) -> Spectrum:
         except ValueError as exc:
             raise FormatError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
-        complete = meta.get("complete", "0") == "1"
         body_start = 2
     classes = []
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
@@ -124,7 +122,7 @@ def load_spectrum(path) -> Spectrum:
         classes.append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     lattice_covolume=covolume, volume=volume,
-                    max_word_len=max_word_len, complete=complete).validate()
+                    max_word_len=max_word_len).validate()
 
 
 def s_log(s: Spectrum, j: int, z: complex) -> complex:

@@ -124,7 +124,7 @@ def test_criterion_4_factorization():
     fig8 = enumerate_classes(figure_eight_generators(), [1.0, 1.0],
                              max_word_len=8, cutoff_length=3.0,
                              covolume=2 * math.sqrt(3),
-                             volume=2.029883212819307, complete=False)
+                             volume=2.029883212819307)
     residual = ruelle.fried_residual(fig8, 5 + 0j).value
     tail = ruelle.euler_product(fig8, 5 + 0j).tail_bound
     ok &= residual <= tail

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, subcommands, and deterministic
 byte-level output."""
 
+import argparse
 import cmath
 import contextlib
 import copy
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,13 +60,10 @@ def test_invalid_input_exits_65(capsys):
     assert code == EX_DATAERR
 
 
-def test_computation_errors_exit_70(capsys, tmp_path):
-    # incomplete spectrum queried outside the convergence region
-    src = (FIXTURES / "fig8_spectrum.csv").read_text().splitlines()
-    src[1] = "# max_word_len=8 complete=0"
-    p = tmp_path / "incomplete.csv"
-    p.write_text("\n".join(src) + "\n")
-    code, _, err = invoke(capsys, "ruelle", "eval", str(p), "--z", "1.5")
+def test_computation_errors_exit_70(capsys):
+    # a spectrum queried outside the convergence region
+    code, _, err = invoke(capsys, "ruelle", "eval",
+                          str(FIXTURES / "fig8_spectrum.csv"), "--z", "1.5")
     assert code == EX_SOFTWARE
     assert "computation failed" in err
 
@@ -180,7 +179,12 @@ BAD_INPUTS = [
      "input: expected a JSON object"),
     ("not-json", "{b1: 1}", ["epstein", "{in}"], EX_DATAERR,
      "input: Expecting property name"),
-    ("not-utf8", b"\xff{}", ["epstein", "{in}"], EX_DATAERR, "utf-8"),
+    ("not-utf8", b"\xff{}", ["epstein", "{in}"], EX_DATAERR,
+     "not UTF-8: byte 0xff, invalid start byte (line 1)"),
+    ("lattice-not-utf8", b'{"b1": [1, 0],\n\xe9"b2": [0, 1]}\n', ["epstein", "{in}"],
+     EX_DATAERR, "invalid input: not UTF-8: byte 0xe9, invalid continuation byte (line 2)"),
+    ("pres-not-utf8", b"gens a b\n\xe9rel abaBAB\n", ["alexander", "{in}"],
+     EX_DATAERR, "invalid input: not UTF-8: byte 0xe9, invalid continuation byte (line 2)"),
     ("directory", None, ["epstein", str(FIXTURES)], EX_DATAERR,
      "Is a directory"),
     ("csv-header-token", "# cutoff=3 covolume=1 volume\n",
@@ -269,6 +273,14 @@ BAD_INPUTS = [
      ["alexander", "{in}"], EX_SOFTWARE, "module H1 is not torsion"),
     ("h2-not-torsion", "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=1: 0 0\n",
      ["alexander", "{in}"], EX_SOFTWARE, "module H2 is not torsion"),
+    ("verify-no-peripheral-words", read_fixture("fig8.pres").replace("peri ", "# "),
+     ["verify", "{in}"], EX_DATAERR,
+     "invalid input: presentation carries no peripheral words"),
+    ("betti-no-peripheral-words", read_fixture("fig8.pres").replace("peri ", "# "),
+     ["betti", "{in}"], EX_DATAERR,
+     "invalid input: presentation carries no peripheral words"),
+    ("enumerate-complete-option", FIG8, ENUM + ["--complete"], EX_USAGE,
+     "unrecognized arguments: --complete"),
     ("h2-not-torsion-zeta5",
      "gens a b\nrel abaBAB\nrel abaBAB\neps 1 1\nrho n=5: 1 1\n",
      ["alexander", "{in}"], EX_SOFTWARE, "module H2 is not torsion"),
@@ -280,14 +292,20 @@ BAD_INPUTS = [
      ["fried", "check", "{in}", "--z", "3"], EX_SOFTWARE,
      "tail bound at z = (3+0j): e^(2 l) in the counting constant overflows at the "
      "class of length 400.0"),
-    ("z-overflow-eval-located", None, RUELLE + ["--z", "-1000"], EX_SOFTWARE,
-     "e^(-z l) at z = (-1000+0j) overflows at the class of length 1.08707"),
-    ("z-overflow-fried-located", None, FRIED + ["--z", "-1000"], EX_SOFTWARE,
-     "e^(-z l) in the Fried sums at z = (-1000+0j) overflows at the class of length 1.08707"),
-    # every factor is finite, but their product leaves the float range,
-    # and complex multiplication overflows to inf without raising
-    ("z-product-overflow-eval-located", None, RUELLE + ["--z", "-240"], EX_SOFTWARE,
-     "e^(-z l) at z = (-240+0j) overflows at the class of length 1.0870701449957394"),
+    # every spectrum is a truncation, so a point outside Re z > 2 is
+    # refused before anything is summed
+    ("fixture-eval-outside-region", None, RUELLE + ["--z", "0.01"], EX_SOFTWARE,
+     "computation failed: Re z = 0.01 is not in the convergence region Re z > 2"),
+    ("fixture-fried-outside-region", None, FRIED + ["--z", "1.5"], EX_SOFTWARE,
+     "computation failed: Re z = 1.5 is not in the convergence region Re z > 2"),
+    # every factor 1 + e^{-z l} is finite and near 2, but the product
+    # leaves the float range at the 1034th, and complex multiplication
+    # overflows to inf without raising
+    ("z-product-overflow-eval-located",
+     "# cutoff=1 covolume=1 volume=1\n"
+     + "".join(f"{k}e-05,0,-1,0,{k}e-05,1,a\n" for k in range(1, 1101)),
+     ["ruelle", "eval", "{in}", "--z", "2.5"], EX_SOFTWARE,
+     "e^(-z l) at z = (2.5+0j) overflows at the class of length 0.01034\n"),
     # |Im z| l past the float range: cmath.exp raises ValueError, not
     # OverflowError
     ("z-imag-overflow-eval-located", None, RUELLE + ["--z", "3+1e308j"], EX_SOFTWARE,
@@ -660,6 +678,22 @@ def test_ruelle_and_fried(capsys):
     assert json.loads(out)["withinBound"] is True
 
 
+def test_complete_token_in_an_old_header_means_nothing(capsys, tmp_path):
+    # files written with a `complete=` token still load, and the token
+    # lifts neither the tail bound nor the convergence check
+    rows = read_fixture("fig8_spectrum.csv").splitlines()
+    runs = []
+    for token in ("complete=1", "complete=0"):
+        path = tmp_path / f"{token}.csv"
+        path.write_text("\n".join([rows[0], f"# max_word_len=8 {token}", *rows[2:]])
+                        + "\n")
+        runs.append(invoke(capsys, "ruelle", "eval", str(path), "--z", "5"))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tailBound"] > 0
+
+
 def test_terms_outputs(capsys):
     for args in (("terms", "identity", "--vol", "2.0"),
                  ("terms", "threshold"),
@@ -742,7 +776,7 @@ def test_spectrum_enumerate_matches_fixture(capsys, tmp_path):
     code, _, _ = invoke(capsys, "spectrum", "enumerate",
                         str(FIXTURES / "fig8_matrices.json"),
                         "--max-word-len", "8", "--cutoff", "3",
-                        "--complete", "-o", str(out_path))
+                        "-o", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
 
@@ -842,3 +876,36 @@ def test_runs_without_scipy_or_mpmath(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == out and code == 0
+
+
+# --- README ----------------------------------------------------------------
+
+def _readme_command_lines() -> list[list[str]]:
+    """The words of each `cuspedzeta ...` line in README's command block."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    return [line.split() for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("cuspedzeta ")]
+
+
+def _subcommands(parser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_readme_lists_every_command():
+    assert {words[1] for words in _readme_command_lines()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("words", _readme_command_lines(),
+                         ids=lambda words: words[1])
+def test_readme_options_are_accepted_by_the_parser(words):
+    # the parser of the deepest (sub)command the line names
+    parser = cli._build_parser(words[1:2])
+    for word in words[1:]:
+        if word not in _subcommands(parser):
+            break
+        parser = _subcommands(parser)[word]
+    accepted = {s for action in parser._actions for s in action.option_strings}
+    named = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    assert named <= accepted, named - accepted

@@ -50,7 +50,7 @@ def test_single_orbit_factorization_residual(orbit):
 
 def test_fig8_factorization_residual(fig8):
     residual = ruelle.fried_residual(fig8, 5 + 0j).value
-    # complete spectrum: residual is pure roundoff
+    # the class list is power-closed: the residual is pure roundoff
     assert residual <= 1e-12
 
 
@@ -80,28 +80,23 @@ def test_heat_transforms_match_y_series(orbit):
 
 def test_tail_bound_monotone():
     s = ruelle.single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
-    incomplete = s.__class__(classes=s.classes, cutoff_length=s.cutoff_length,
-                             lattice_covolume=s.lattice_covolume,
-                             volume=s.volume, complete=False)
-    tails = [ruelle.euler_product(incomplete, x + 0j).tail_bound
+    tails = [ruelle.euler_product(s, x + 0j).tail_bound
              for x in (2.5, 3.0, 4.0, 6.0)]
     assert all(t > 0 for t in tails)
     assert tails == sorted(tails, reverse=True)
 
 
-def test_convergence_region_enforced_when_incomplete():
+def test_convergence_region_enforced_when_incomplete(fig8):
+    # every spectrum is a truncation, the synthetic one included
     s = ruelle.single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
-    incomplete = s.__class__(classes=s.classes, cutoff_length=s.cutoff_length,
-                             lattice_covolume=s.lattice_covolume,
-                             volume=s.volume, complete=False)
-    with pytest.raises(ConvergenceRegionError):
-        ruelle.euler_product(incomplete, 1.5 + 0j)
-    # a complete spectrum carries no truncation error and no restriction
-    rep = ruelle.euler_product(s, 1.5 + 0j)
-    assert rep.tail_bound == 0.0
+    for sp in (s, fig8):
+        for z in (2 + 0j, 1.5 + 0j, 0.01 + 3j):
+            for evaluate in (ruelle.euler_product, ruelle.fried_residual):
+                with pytest.raises(ConvergenceRegionError):
+                    evaluate(sp, z)
 
 
 def test_fig8_value_is_frozen(fig8):
     rep = ruelle.euler_product(fig8, 5 + 0j)
     assert abs(rep.value - 0.98097367527794854) < 1e-13
-    assert rep.tail_bound == 0.0
+    assert abs(rep.tail_bound - 5.4926229739046447e-06) < 1e-18

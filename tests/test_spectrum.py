@@ -95,7 +95,7 @@ def fig8():
     return enumerate_classes(gens, [1.0, 1.0], max_word_len=8,
                              cutoff_length=3.0,
                              covolume=2 * math.sqrt(3),
-                             volume=2.029883212819307, complete=True)
+                             volume=2.029883212819307)
 
 
 def test_fig8_systole_and_lengths(fig8):

@@ -20,10 +20,9 @@ from cuspedzeta.spectrum import (GeodesicClass, Spectrum, format_spectrum,
 import spectrum_oracle as oracle
 from conftest import FIXTURES
 
-# Re z > 2 for every spectrum; Re z <= 2 only where the spectrum is
-# complete
+# points inside the convergence region Re z > 2, and outside it
 Z_CONVERGENT = (2.05 + 0j, 2.5 + 1.25j, 3.7 - 4.2j, 5 + 0j, 4.4 + 11j)
-Z_COMPLETE = (2.0 + 0j, 1.5 - 0.5j, 0.25 + 3j)
+Z_OUTSIDE = (2.0 + 0j, 1.5 - 0.5j, 0.25 + 3j)
 
 
 def _fmt(x: float) -> str:
@@ -35,7 +34,7 @@ def _angle(theta: float) -> float:
     return t + 2 * math.pi if t <= -math.pi else t
 
 
-def power_closed_spectrum(seed: int, n_primitive: int, complete: bool) -> Spectrum:
+def power_closed_spectrum(seed: int, n_primitive: int) -> Spectrum:
     """Primitive classes with lengths in [0.6, 3.5], each with all its
     powers up to the cutoff 7, random holonomies and characters of
     order up to 6 (so many rows are powers)."""
@@ -56,7 +55,7 @@ def power_closed_spectrum(seed: int, n_primitive: int, complete: bool) -> Spectr
                 primitive_length=length, multiplicity=k, word=word * k))
     classes.sort(key=lambda c: (c.length, c.holonomy))
     return Spectrum(classes=classes, cutoff_length=cutoff,
-                    lattice_covolume=1.7, volume=2.5, complete=complete)
+                    lattice_covolume=1.7, volume=2.5)
 
 
 # spellings of the characters 1 and -1: `load_spectrum` checks each
@@ -115,30 +114,27 @@ def _written(tmp_path, name: str, sp: Spectrum):
 
 
 def _cases(tmp_path):
-    """(name, CSV path, evaluation points) for every input."""
-    cases = [("fixture", FIXTURES / "fig8_spectrum.csv",
-              Z_CONVERGENT + Z_COMPLETE)]
+    """(name, CSV path) for every input."""
+    cases = [("fixture", FIXTURES / "fig8_spectrum.csv")]
     for length, holonomy, char, powers in ((1.0, 0.7, cmath.exp(0.4j), 50),
                                            (0.3, -2.9, -1 + 0j, 40),
                                            (2.2, 0.0, 1j, 3)):
         sp = ruelle.single_orbit_spectrum(length, holonomy, char, powers)
         name = f"orbit-{length}"
-        cases.append((name, _written(tmp_path, name, sp),
-                      Z_CONVERGENT + Z_COMPLETE))
+        cases.append((name, _written(tmp_path, name, sp)))
     for seed in (1, 2, 3):
-        sp = power_closed_spectrum(seed, 100, complete=seed == 3)
         name = f"synthetic-{seed}"
-        zs = Z_CONVERGENT + (Z_COMPLETE if sp.complete else ())
-        cases.append((name, _written(tmp_path, name, sp), zs))
+        cases.append((name, _written(tmp_path, name,
+                                     power_closed_spectrum(seed, 100))))
     path = tmp_path / "scan-like"
     path.write_text(scan_spectrum_text(4, 3000), encoding="utf-8")
-    cases.append(("scan-like", path, Z_CONVERGENT))
+    cases.append(("scan-like", path))
     return cases
 
 
 def test_synthetic_spectra_are_power_closed_and_a_few_hundred_rows():
     for seed in (1, 2, 3):
-        sp = power_closed_spectrum(seed, 100, complete=False)
+        sp = power_closed_spectrum(seed, 100)
         assert 200 <= len(sp.classes) <= 600
         assert sum(c.multiplicity > 1 for c in sp.classes) >= 150
 
@@ -154,14 +150,14 @@ def test_scan_like_spectrum_has_the_cases_it_claims(tmp_path):
 
 
 def test_loader_matches_oracle(tmp_path):
-    for name, path, _ in _cases(tmp_path):
+    for name, path in _cases(tmp_path):
         assert load_spectrum(path) == oracle.load_spectrum(path), name
 
 
 def test_fried_check_matches_oracle_bit_for_bit(tmp_path):
-    for name, path, zs in _cases(tmp_path):
+    for name, path in _cases(tmp_path):
         sp = load_spectrum(path)
-        for z in zs:
+        for z in Z_CONVERGENT:
             rep = ruelle.fried_residual(sp, z)
             residual, tail = oracle.fried_check(sp, z)
             assert repr(rep.value) == repr(residual), (name, z)
@@ -170,13 +166,14 @@ def test_fried_check_matches_oracle_bit_for_bit(tmp_path):
 
 
 def test_fried_check_keeps_the_convergence_region(tmp_path):
-    sp = power_closed_spectrum(1, 100, complete=False)
-    for z in Z_COMPLETE:
-        with pytest.raises(ConvergenceRegionError) as new:
-            ruelle.fried_residual(sp, z)
-        with pytest.raises(ConvergenceRegionError) as old:
-            oracle.fried_check(sp, z)
-        assert str(new.value) == str(old.value)
+    for name, path in _cases(tmp_path):
+        sp = load_spectrum(path)
+        for z in Z_OUTSIDE:
+            with pytest.raises(ConvergenceRegionError) as new:
+                ruelle.fried_residual(sp, z)
+            with pytest.raises(ConvergenceRegionError) as old:
+                oracle.fried_check(sp, z)
+            assert str(new.value) == str(old.value), (name, z)
 
 
 # ---------------------------------------------------------------------------
