@@ -4,19 +4,21 @@ factorization identity of the Ruelle function on it.
 Run:  python3 demos/length_spectrum.py
 """
 
+import cmath
 import math
 
 from cuspedzeta.ruelle import euler_product, fried_residual
-from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
+from cuspedzeta.spectrum import enumerate_classes
 
-FIG8_VOLUME = 2.029883212819307
+# the standard parabolic generator pair of the figure-eight knot group
+# in PSL(2, C), each matrix (a b; c d) as the tuple (a, b, c, d)
+OMEGA = cmath.exp(2j * math.pi / 3)
+FIG8_GENERATORS = [(1, 1, 0, 1), (1, 0, -OMEGA, 1)]
 
 
 def main():
-    spectrum = enumerate_classes(
-        figure_eight_generators(), [1.0, 1.0],
-        max_word_len=8, cutoff_length=3.0,
-        covolume=2 * math.sqrt(3), volume=FIG8_VOLUME)
+    spectrum = enumerate_classes(FIG8_GENERATORS, [1.0, 1.0],
+                                 max_word_len=8, cutoff_length=3.0)
 
     print(f"{len(list(spectrum.primitives()))} primitive oriented classes "
           f"up to length {spectrum.cutoff_length}")

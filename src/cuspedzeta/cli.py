@@ -133,15 +133,13 @@ def _pairs(v, where: str, count: int | None = None) -> list:
 
 
 def _load_matrices(path: str):
-    from . import spectrum
-    d = _json_object(path, ("generators",), ("rho", "covolume", "volume"))
+    d = _json_object(path, ("generators",), ("rho",))
     if not isinstance(d["generators"], list):
         raise ValidationError(f"{path}: generators must be a list of matrices")
-    gens = [spectrum.MoebiusMatrix(*_pairs(g, f"{path}: generators[{i}]", 4))
+    gens = [tuple(_pairs(g, f"{path}: generators[{i}]", 4))
             for i, g in enumerate(d["generators"])]
     rho = _pairs(d["rho"], f"{path}: rho") if "rho" in d else [1 + 0j] * len(gens)
-    return (gens, rho, _real(d.get("covolume", 1.0), f"{path}: covolume"),
-            _real(d.get("volume", 1.0), f"{path}: volume"))
+    return gens, rho
 
 
 def _load_lattice(path: str):
@@ -196,10 +194,9 @@ def _cmd_betti(args, out):
 
 def _cmd_spectrum_enumerate(args, out):
     from . import spectrum
-    gens, rho, covolume, volume = _load_matrices(args.matrices)
-    sp = spectrum.enumerate_classes(
-        gens, rho, max_word_len=args.max_word_len,
-        cutoff_length=args.cutoff, covolume=covolume, volume=volume)
+    gens, rho = _load_matrices(args.matrices)
+    sp = spectrum.enumerate_classes(gens, rho, max_word_len=args.max_word_len,
+                                    cutoff_length=args.cutoff)
     out.write(spectrum.format_spectrum(sp))
     return 0
 

@@ -1,10 +1,13 @@
 """Geodesic length spectra from Moebius-matrix generators.
 
-Conjugacy classes of loxodromic elements are enumerated as cyclically
-reduced necklaces (``words.necklace_walk``), one canonical word per free
-conjugacy class, with the matrix product carried down the walk as a
-tuple (a, b, c, d).  A class word is classified only if its trace can
-put it under the length cutoff L: the larger eigenvalue
+A matrix (a b; c d) is the tuple (a, b, c, d) throughout: the
+generators, their inverses and every word product.  Conjugacy classes
+of loxodromic elements are enumerated as cyclically reduced necklaces
+(``words.necklace_walk``), one canonical word per free conjugacy class,
+with the product carried down the walk.  `_complex_length` reads a
+class word's complex length off its product, or finds it not
+loxodromic; only a word whose trace can put it under the length cutoff
+L is read: the larger eigenvalue
 lambda = e^{(l + i theta)/2} of the normalized product gives
 |tr| = |lambda + 1/lambda| <= 2 cosh(l/2), so a product with
 |tr|^2 > (2 cosh(L/2))^2 |det| (1 + 1e-6) has l > L and is skipped
@@ -32,39 +35,6 @@ TRACE_TOL = 1e-9
 DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MoebiusMatrix:
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def trace(self) -> complex:
-        return self.a + self.d
-
-    def check_normalized(self, tol: float = DET_TOL):
-        if abs(self.det - 1) > tol:
-            raise ValueError(f"matrix determinant {self.det} is not 1")
-        return self
-
-    @classmethod
-    def normalized(cls, a, b, c, d):
-        s = cmath.sqrt(a * d - b * c)
-        return cls(a / s, b / s, c / s, d / s)
-
-
-@dataclass(frozen=True)
-class ElementType:
-    kind: str  # loxodromic | parabolic | elliptic | identity
-    length: float | None = None
-    holonomy: float | None = None
-
-
 def _canonical_angle(theta: float) -> float:
     """Reduce into (-pi, pi]."""
     t = math.fmod(theta, 2 * math.pi)
@@ -75,27 +45,28 @@ def _canonical_angle(theta: float) -> float:
     return t
 
 
-def classify(m: MoebiusMatrix) -> ElementType:
-    """Element type from the trace: tr = +-2 cosh((l + i theta)/2).
+def _complex_length(a, b, c, d) -> tuple[float, float] | None:
+    """The complex length (l, theta) of (a b; c d) from its trace
+    tr = +-2 cosh((l + i theta)/2) once normalized to determinant 1, or
+    None when the element is not loxodromic (identity, parabolic or
+    elliptic: a real trace of modulus at most 2).
 
     The determinant check allows the rounding of a.d - b.c, which grows
     with |a.d| + |b.c| on long word products."""
-    m.check_normalized(DET_TOL * max(1.0, abs(m.a * m.d) + abs(m.b * m.c)))
-    tr = m.trace
+    s = cmath.sqrt(a * d - b * c)
+    a, b, c, d = a / s, b / s, c / s, d / s
+    ad, bc = a * d, b * c
+    if abs(ad - bc - 1) > DET_TOL * max(1.0, abs(ad) + abs(bc)):
+        raise ValueError(f"matrix determinant {ad - bc} is not 1")
+    tr = a + d
     if abs(tr.imag) <= TRACE_TOL and abs(tr.real) <= 2 + TRACE_TOL:
-        if abs(abs(tr.real) - 2) <= TRACE_TOL:
-            if abs(m.b) <= TRACE_TOL and abs(m.c) <= TRACE_TOL:
-                return ElementType("identity")
-            return ElementType("parabolic")
-        return ElementType("elliptic")
+        return None
     # larger eigenvalue lambda = e^{(l + i theta)/2}
     disc = cmath.sqrt(tr * tr - 4)
     lam = (tr + disc) / 2
     if abs(lam) < 1:
         lam = (tr - disc) / 2
-    length = 2 * math.log(abs(lam))
-    theta = _canonical_angle(2 * cmath.phase(lam))
-    return ElementType("loxodromic", length=length, holonomy=theta)
+    return 2 * math.log(abs(lam)), _canonical_angle(2 * cmath.phase(lam))
 
 
 class GeodesicClass(NamedTuple):
@@ -134,8 +105,6 @@ class GeodesicClass(NamedTuple):
 class Spectrum:
     classes: list[GeodesicClass]
     cutoff_length: float
-    lattice_covolume: float = 1.0
-    volume: float = 1.0
     max_word_len: int | None = None
 
     def primitives(self):
@@ -179,32 +148,39 @@ def _power_root(cls_lth, primitives):
     return 1, length
 
 
-def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
-                      covolume: float = 1.0, volume: float = 1.0) -> Spectrum:
+def enumerate_classes(gens, rho_values, max_word_len: int,
+                      cutoff_length: float) -> Spectrum:
     """Enumerate loxodromic conjugacy classes up to the word-length and
     geodesic-length cutoffs.
 
+    Each generator is a tuple (a, b, c, d), the matrix (a b; c d).
     Words longer than max_word_len are not visited, so a class under the
     length cutoff may be missing; max_word_len is recorded in the
     metadata.  A max_word_len below 1 raises ValueError; more than 26
-    generators, a generator of determinant other than 1, or a character
-    value count other than the generator count, raises ValidationError;
-    a word whose matrix product leaves the float range, or whose
-    determinant rounds to 0, raises CuspedZetaError.
+    generators, a generator of determinant other than 1, a character
+    value count other than the generator count, or a character value off
+    the unit circle, raises ValidationError; a word whose matrix product
+    leaves the float range, or whose determinant rounds to 0, raises
+    CuspedZetaError.
     """
     if len(gens) > 26:
         # the spectrum file spells words in the letters a-z
         raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
-    for i, g in enumerate(gens):
-        if not abs(g.det - 1) <= DET_TOL:
-            raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")
+    mats = {}
+    for i, (a, b, c, d) in enumerate(gens):
+        det = a * d - b * c
+        if not abs(det - 1) <= DET_TOL:
+            raise ValidationError(f"generators[{i}]: determinant {det} is not 1")
+        mats[(i, 1)] = (a, b, c, d)
+        mats[(i, -1)] = (d, -b, -c, a)
     if len(rho_values) != len(gens):
         raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
                               f"{len(gens)} generator(s)")
-    mats = {}
-    for i, g in enumerate(gens):
-        mats[(i, 1)] = (g.a, g.b, g.c, g.d)
-        mats[(i, -1)] = (g.d, -g.b, -g.c, g.a)
+    for i, v in enumerate(rho_values):
+        # the rule of GeodesicClass.validate, checked before any word
+        if not abs(abs(v) - 1) <= 1e-12:
+            raise ValidationError(f"rho[{i}]: character value {v} "
+                                  f"is off the unit circle")
     # |tr|^2 of a product above this times |det| puts its length above the
     # cutoff; the margin is far above rounding, and no elliptic, parabolic
     # or identity trace (|tr| <= 2 + TRACE_TOL) reaches it.  |tr|^2
@@ -245,13 +221,13 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
         tr = a + d
         if tr.real * tr.real + tr.imag * tr.imag > bound * abs(det):
             continue
-        et = classify(MoebiusMatrix.normalized(a, b, c, d))
-        if et.kind != "loxodromic" or et.length > cutoff_length:
+        lth = _complex_length(a, b, c, d)
+        if lth is None or lth[0] > cutoff_length:
             continue
         char = 1 + 0j
         for g, e in word:
             char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
-        found.append((word, _trace_key(tr), et.length, et.holonomy, char))
+        found.append((word, _trace_key(tr), *lth, char))
 
     # merge words that are conjugate in the group but not freely
     # conjugate.  The trace cannot separate a class from its inverse, so
@@ -296,7 +272,6 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
 
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
-                    lattice_covolume=covolume, volume=volume,
                     max_word_len=max_word_len).validate()
 
 
@@ -309,8 +284,7 @@ def _fmt(x: float) -> str:
 
 def format_spectrum(s: Spectrum) -> str:
     """The CSV text of a spectrum: header comments, then one row per class."""
-    lines = [f"# cutoff={_fmt(s.cutoff_length)} covolume={_fmt(s.lattice_covolume)} "
-             f"volume={_fmt(s.volume)}"]
+    lines = [f"# cutoff={_fmt(s.cutoff_length)}"]
     if s.max_word_len is not None:
         lines.append(f"# max_word_len={s.max_word_len}")
     for c in s.classes:
@@ -366,8 +340,6 @@ def load_spectrum(path) -> Spectrum:
     try:
         head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
         cutoff = _finite_float(head["cutoff"])
-        covolume = _finite_float(head["covolume"])
-        volume = _finite_float(head["volume"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1)
     max_word_len = None
@@ -432,14 +404,4 @@ def load_spectrum(path) -> Spectrum:
         last = length
         append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
-                    lattice_covolume=covolume, volume=volume,
                     max_word_len=max_word_len)
-
-
-def figure_eight_generators():
-    """The standard parabolic generator pair of the figure-eight knot
-    group in PSL(2, C), plus cusp data for its maximal torus section."""
-    om = cmath.exp(2j * math.pi / 3)
-    a = MoebiusMatrix(1, 1, 0, 1)
-    b = MoebiusMatrix(1, 0, -om, 1)
-    return [a, b]

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -12,3 +13,10 @@ def fixtures_dir() -> pathlib.Path:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def fig8_generators() -> list[tuple]:
+    """The figure-eight generator pair of `fig8_matrices.json` as
+    (a, b, c, d) tuples: (1 1; 0 1) and (1 0; -omega 1), omega = e^{2 pi i/3}."""
+    d = json.loads(read_fixture("fig8_matrices.json"))
+    return [tuple(complex(*p) for p in g) for g in d["generators"]]

@@ -1,22 +1,82 @@
 """The class enumeration without the trace prefilter, kept as a test
-oracle, plus the matrix product and inverse that the tests build
-matrices with.
+oracle, with the matrix type, the four-kind element classification and
+the matrix product and inverse that the tests build matrices with.
 
 `enumerate_classes` carries the word products as `MoebiusMatrix`
-values and normalizes and classifies every class word, so a word is
-dropped only on its computed length.  The trace-cluster merge and the
-power-root matching are the package's, copied or called unchanged.
+values and normalizes and classifies every class word with `classify`,
+so a word is dropped only on its computed length.  The package carries
+(a, b, c, d) tuples and reads only "loxodromic or not" off a product
+(`spectrum._complex_length`); `classify` is the reference it is checked
+against.  The trace-cluster merge and the power-root matching are the
+package's, copied or called unchanged.
 """
 
 import cmath
+import math
 import warnings
+from dataclasses import dataclass
 
 from cuspedzeta import words as W
 from cuspedzeta.errors import (CuspedZetaError, DiscretenessSuspect,
                                ValidationError)
-from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass,
-                                 MoebiusMatrix, Spectrum, _power_root,
-                                 _trace_key, classify)
+from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass, Spectrum,
+                                 _canonical_angle, _power_root, _trace_key)
+
+
+@dataclass(frozen=True)
+class MoebiusMatrix:
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    @property
+    def det(self) -> complex:
+        return self.a * self.d - self.b * self.c
+
+    @property
+    def trace(self) -> complex:
+        return self.a + self.d
+
+    def check_normalized(self, tol: float = DET_TOL):
+        if abs(self.det - 1) > tol:
+            raise ValueError(f"matrix determinant {self.det} is not 1")
+        return self
+
+    @classmethod
+    def normalized(cls, a, b, c, d):
+        s = cmath.sqrt(a * d - b * c)
+        return cls(a / s, b / s, c / s, d / s)
+
+
+@dataclass(frozen=True)
+class ElementType:
+    kind: str  # loxodromic | parabolic | elliptic | identity
+    length: float | None = None
+    holonomy: float | None = None
+
+
+def classify(m: MoebiusMatrix) -> ElementType:
+    """Element type from the trace: tr = +-2 cosh((l + i theta)/2).
+
+    The determinant check allows the rounding of a.d - b.c, which grows
+    with |a.d| + |b.c| on long word products."""
+    m.check_normalized(DET_TOL * max(1.0, abs(m.a * m.d) + abs(m.b * m.c)))
+    tr = m.trace
+    if abs(tr.imag) <= TRACE_TOL and abs(tr.real) <= 2 + TRACE_TOL:
+        if abs(abs(tr.real) - 2) <= TRACE_TOL:
+            if abs(m.b) <= TRACE_TOL and abs(m.c) <= TRACE_TOL:
+                return ElementType("identity")
+            return ElementType("parabolic")
+        return ElementType("elliptic")
+    # larger eigenvalue lambda = e^{(l + i theta)/2}
+    disc = cmath.sqrt(tr * tr - 4)
+    lam = (tr + disc) / 2
+    if abs(lam) < 1:
+        lam = (tr - disc) / 2
+    length = 2 * math.log(abs(lam))
+    theta = _canonical_angle(2 * cmath.phase(lam))
+    return ElementType("loxodromic", length=length, holonomy=theta)
 
 
 def matmul(m: MoebiusMatrix, n: MoebiusMatrix) -> MoebiusMatrix:
@@ -30,8 +90,10 @@ def inverse(m: MoebiusMatrix) -> MoebiusMatrix:
     return MoebiusMatrix(m.d, -m.b, -m.c, m.a)
 
 
-def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
-                      covolume: float = 1.0, volume: float = 1.0) -> Spectrum:
+def enumerate_classes(gens, rho_values, max_word_len: int,
+                      cutoff_length: float) -> Spectrum:
+    """`spectrum.enumerate_classes` on the same (a, b, c, d) generators."""
+    gens = [MoebiusMatrix(*g) for g in gens]
     if len(gens) > 26:
         raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
     for i, g in enumerate(gens):
@@ -106,5 +168,4 @@ def enumerate_classes(gens, rho_values, max_word_len: int, cutoff_length: float,
 
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
-                    lattice_covolume=covolume, volume=volume,
                     max_word_len=max_word_len).validate()

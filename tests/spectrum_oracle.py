@@ -85,8 +85,6 @@ def load_spectrum(path) -> Spectrum:
     try:
         head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
         cutoff = _finite_float(head["cutoff"])
-        covolume = _finite_float(head["covolume"])
-        volume = _finite_float(head["volume"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}", line=1)
     max_word_len = None
@@ -121,7 +119,6 @@ def load_spectrum(path) -> Spectrum:
             raise FormatError(str(exc), line=lineno)
         classes.append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
-                    lattice_covolume=covolume, volume=volume,
                     max_word_len=max_word_len).validate()
 
 

@@ -24,10 +24,10 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
 from cuspedzeta.laplace import digamma
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
-from cuspedzeta.spectrum import enumerate_classes, figure_eight_generators
+from cuspedzeta.spectrum import enumerate_classes
 from cuspedzeta.verdict import main_conjecture_report
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, fig8_generators, read_fixture
 from heat_oracle import (HeatAtom, atom_function, closed_value, evaluate,
                          hyperbolic_heat, log_derivative,
                          log_derivative_series, residue_at, spectral_lprime,
@@ -121,10 +121,8 @@ def test_criterion_3_alexander_exactness():
 def test_criterion_4_factorization():
     orbit = ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
     ok = ruelle.fried_residual(orbit, 4 + 0j).value <= 1e-12
-    fig8 = enumerate_classes(figure_eight_generators(), [1.0, 1.0],
-                             max_word_len=8, cutoff_length=3.0,
-                             covolume=2 * math.sqrt(3),
-                             volume=2.029883212819307)
+    fig8 = enumerate_classes(fig8_generators(), [1.0, 1.0],
+                             max_word_len=8, cutoff_length=3.0)
     residual = ruelle.fried_residual(fig8, 5 + 0j).value
     tail = ruelle.euler_product(fig8, 5 + 0j).tail_bound
     ok &= residual <= tail

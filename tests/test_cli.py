@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from cuspedzeta import cli
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
 from cuspedzeta.errors import FormatError
-from cuspedzeta.spectrum import load_spectrum
+from cuspedzeta.spectrum import Spectrum, format_spectrum, load_spectrum
 
 import spectrum_oracle
 from conftest import FIXTURES, read_fixture
@@ -162,8 +162,14 @@ BAD_INPUTS = [
     ("nan-entry", dict(FIG8, generators=[[[float("nan"), 0]] + FIG8["generators"][0][1:],
                                          FIG8["generators"][1]]),
      ENUM, EX_DATAERR, "generators[0][0][0]"),
-    ("string-covolume", dict(FIG8, covolume="3.46"), ENUM, EX_DATAERR,
-     "covolume"),
+    # the cusp numbers left the matrices file: a covolume key is unknown
+    ("covolume-key", dict(FIG8, covolume=3.4641016151377544), ENUM, EX_DATAERR,
+     "unknown key 'covolume'"),
+    # a character value off the unit circle is refused before the walk
+    ("rho-off-circle", dict(FIG8, rho=[[2, 0], [1, 0]]), ENUM, EX_DATAERR,
+     "rho[0]: character value (2+0j) is off the unit circle"),
+    ("rho-just-off-circle", dict(FIG8, rho=[[1.0000001, 0], [1, 0]]), ENUM,
+     EX_DATAERR, "rho[0]: character value (1.0000001+0j) is off the unit circle"),
     ("missing-b2", {"b1": [1, 0]}, ["epstein", "{in}"], EX_DATAERR, "'b2'"),
     ("chi-length", dict(SQUARE, chi=[[1, 0]] * 3), ["epstein", "{in}"],
      EX_DATAERR, "chi"),
@@ -679,16 +685,18 @@ def test_ruelle_and_fried(capsys):
 
 
 def test_complete_token_in_an_old_header_means_nothing(capsys, tmp_path):
-    # files written with a `complete=` token still load, and the token
-    # lifts neither the tail bound nor the convergence check
+    # files written with a `complete=` token, or with the `covolume=` and
+    # `volume=` tokens of the first line, still load, and no token lifts
+    # the tail bound or the convergence check
     rows = read_fixture("fig8_spectrum.csv").splitlines()
     runs = []
-    for token in ("complete=1", "complete=0"):
-        path = tmp_path / f"{token}.csv"
-        path.write_text("\n".join([rows[0], f"# max_word_len=8 {token}", *rows[2:]])
-                        + "\n")
+    for head in (f"{rows[0]}\n# max_word_len=8 complete=1",
+                 f"{rows[0]}\n# max_word_len=8 complete=0",
+                 f"{rows[0]} covolume=1 volume=1\n{rows[1]}"):
+        path = tmp_path / "old.csv"
+        path.write_text("\n".join([head, *rows[2:]]) + "\n")
         runs.append(invoke(capsys, "ruelle", "eval", str(path), "--z", "5"))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     code, out, err = runs[0]
     assert (code, err) == (0, "")
     assert json.loads(out)["tailBound"] > 0
@@ -787,7 +795,7 @@ def test_spectrum_enumerate_word_length_12(capsys):
                           str(FIXTURES / "fig8_matrices.json"),
                           "--max-word-len", "12", "--cutoff", "4")
     assert code == 0
-    assert out.startswith("# cutoff=4 ")
+    assert out.startswith("# cutoff=4\n")
 
 
 def _python(code, *argv):
@@ -797,6 +805,21 @@ def _python(code, *argv):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS
+                                  if c[0] in ("rho-off-circle", "rho-just-off-circle")],
+                         ids=lambda c: c[0])
+def test_off_circle_rho_prints_no_warning(tmp_path, case):
+    # the message is the only stderr line: no word is walked, so no
+    # DiscretenessSuspect is raised first
+    _, content, argv, want, needle = case
+    path = tmp_path / "matrices.json"
+    path.write_text(json.dumps(content))
+    r = _python("from cuspedzeta.cli import main; main()",
+                *(a.replace("{in}", str(path)) for a in argv))
+    assert r.returncode == want
+    assert r.stderr == f"cuspedzeta: invalid input: {needle}\n"
 
 
 def test_discreteness_warnings_print_one_line_each(tmp_path):
@@ -909,3 +932,34 @@ def test_readme_options_are_accepted_by_the_parser(words):
     accepted = {s for action in parser._actions for s in action.option_strings}
     named = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
     assert named <= accepted, named - accepted
+
+
+def _readme_paragraph(start: str, end: str) -> str:
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(start, 1)[1].split(end, 1)[0]
+
+
+def test_readme_matrix_keys_are_the_loader_keys(monkeypatch):
+    # the keys are the backticked names of two or more letters, digits
+    # or underscores in the paragraph (file paths and `a`-`z` are not)
+    para = _readme_paragraph("**Matrix files**", "**Spectrum CSV**")
+    named = set(re.findall(r"`([a-z][a-z0-9_]+)`", para))
+    accepted = []
+    json_object = cli._json_object
+
+    def record(path, required, optional):
+        accepted.extend(required + optional)
+        return json_object(path, required, optional)
+
+    monkeypatch.setattr(cli, "_json_object", record)
+    cli._load_matrices(str(FIXTURES / "fig8_matrices.json"))
+    assert named == set(accepted)
+
+
+def test_readme_spectrum_header_is_the_written_header():
+    para = _readme_paragraph("**Spectrum CSV**", "**Lattice files**")
+    headers = re.findall(r"`(# cutoff=[^`]*)`", para)
+    written = format_spectrum(Spectrum(classes=[], cutoff_length=3.0)).splitlines()[0]
+    assert headers
+    for head in headers:
+        assert re.findall(r"(\w+)=", head) == re.findall(r"(\w+)=", written)

@@ -3,21 +3,22 @@
 import cmath
 import math
 import random
+import re
 import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import words as W
 from cuspedzeta.errors import FormatError, ValidationError
-from cuspedzeta.spectrum import (GeodesicClass, MoebiusMatrix, Spectrum,
-                                 classify, enumerate_classes,
-                                 figure_eight_generators, format_spectrum,
+from cuspedzeta.spectrum import (GeodesicClass, Spectrum, _complex_length,
+                                 enumerate_classes, format_spectrum,
                                  load_spectrum)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fig8_generators
+from enumerate_oracle import MoebiusMatrix, classify
 from enumerate_oracle import enumerate_classes as reference_enumeration
 from enumerate_oracle import inverse, matmul
 
@@ -34,37 +35,46 @@ def _random_loxodromic(rng):
     return m
 
 
-def test_classification_basics():
-    assert classify(MoebiusMatrix(1, 1, 0, 1)).kind == "parabolic"
-    assert classify(MoebiusMatrix(1, 0, 0, 1)).kind == "identity"
-    rot = cmath.exp(0.3j)
-    assert classify(MoebiusMatrix(rot, 0, 0, rot.conjugate())).kind == "elliptic"
-    lox = classify(MoebiusMatrix(2, 0, 0, 0.5))
-    assert lox.kind == "loxodromic"
-    assert abs(lox.length - 2 * math.log(2)) < 1e-12
-    assert abs(lox.holonomy) < 1e-12
+def _entries(m: MoebiusMatrix) -> tuple:
+    return m.a, m.b, m.c, m.d
 
 
-def test_classification_of_long_word_products():
-    # |a d| + |b c| is about 6.5e3 here and a d - b c rounds to
-    # 1 + 1.4e-12 after normalization
-    a, b = figure_eight_generators()
+def _long_word_product() -> tuple:
+    """The product of the figure-eight word AAbbaababaab: |a d| + |b c|
+    is about 6.5e3, and a d - b c rounds to 1 + 1.4e-12 after
+    normalization."""
+    a, b = (MoebiusMatrix(*g) for g in fig8_generators())
     mats = {(0, 1): a, (0, -1): inverse(a), (1, 1): b, (1, -1): inverse(b)}
     m = mats[(0, -1)]
     for l in W.parse_letters("Abbaababaab", 2):
         m = matmul(m, mats[l])
-    assert classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d)).kind == "loxodromic"
+    return _entries(m)
+
+
+ROT = cmath.exp(0.3j)
+
+
+def test_classification_basics():
+    assert _complex_length(1, 1, 0, 1) is None  # parabolic
+    assert _complex_length(1, 0, 0, 1) is None  # identity
+    assert _complex_length(ROT, 0, 0, ROT.conjugate()) is None  # elliptic
+    length, holonomy = _complex_length(2, 0, 0, 0.5)
+    assert abs(length - 2 * math.log(2)) < 1e-12
+    assert abs(holonomy) < 1e-12
+
+
+def test_classification_of_long_word_products():
+    assert _complex_length(*_long_word_product()) is not None
 
 
 def test_length_and_holonomy_from_eigenvalue():
     rng = random.Random(3)
     for _ in range(25):
         m = _random_loxodromic(rng)
-        et = classify(m)
-        assert et.kind == "loxodromic"
+        length, holonomy = _complex_length(*_entries(m))
         lam = m.a
-        assert abs(et.length - 2 * math.log(abs(lam))) < 1e-10
-        assert abs(cmath.exp(1j * et.holonomy) - (lam / abs(lam)) ** 2) < 1e-10
+        assert abs(length - 2 * math.log(abs(lam))) < 1e-10
+        assert abs(cmath.exp(1j * holonomy) - (lam / abs(lam)) ** 2) < 1e-10
 
 
 def test_classification_is_conjugation_invariant():
@@ -73,29 +83,26 @@ def test_classification_is_conjugation_invariant():
         m = _random_loxodromic(rng)
         g = MoebiusMatrix(1, rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2), 0, 1)
         conj = matmul(matmul(g, m), inverse(g))
-        a, b = classify(m), classify(conj)
-        assert abs(a.length - b.length) < 1e-9
-        assert abs(a.holonomy - b.holonomy) < 1e-9
+        a, b = _complex_length(*_entries(m)), _complex_length(*_entries(conj))
+        assert abs(a[0] - b[0]) < 1e-9
+        assert abs(a[1] - b[1]) < 1e-9
 
 
 def test_inverse_has_same_length_and_holonomy():
     rng = random.Random(9)
     for _ in range(25):
         m = _random_loxodromic(rng)
-        a, b = classify(m), classify(inverse(m))
-        assert abs(a.length - b.length) < 1e-10
-        assert abs(a.holonomy - b.holonomy) < 1e-10
+        a, b = _complex_length(*_entries(m)), _complex_length(*_entries(inverse(m)))
+        assert abs(a[0] - b[0]) < 1e-10
+        assert abs(a[1] - b[1]) < 1e-10
 
 
 # --- enumeration -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def fig8():
-    gens = figure_eight_generators()
-    return enumerate_classes(gens, [1.0, 1.0], max_word_len=8,
-                             cutoff_length=3.0,
-                             covolume=2 * math.sqrt(3),
-                             volume=2.029883212819307)
+    return enumerate_classes(fig8_generators(), [1.0, 1.0], max_word_len=8,
+                             cutoff_length=3.0)
 
 
 def test_fig8_systole_and_lengths(fig8):
@@ -134,7 +141,7 @@ def test_fig8_powers_match_primitives(fig8):
 
 
 def test_enumeration_is_deterministic():
-    gens = figure_eight_generators()
+    gens = fig8_generators()
     a = enumerate_classes(gens, [1.0, 1.0], max_word_len=6, cutoff_length=2.5)
     b = enumerate_classes(gens, [1.0, 1.0], max_word_len=6, cutoff_length=2.5)
     assert [(c.word, c.length, c.char_value) for c in a.classes] == \
@@ -144,8 +151,22 @@ def test_enumeration_is_deterministic():
 def test_max_word_len_below_one_rejected():
     for n in (0, -1):
         with pytest.raises(ValueError):
-            enumerate_classes(figure_eight_generators(), [1.0, 1.0],
+            enumerate_classes(fig8_generators(), [1.0, 1.0],
                               max_word_len=n, cutoff_length=3.0)
+
+
+@pytest.mark.parametrize("rho, where", [
+    ((2.0, 1.0), "rho[0]"),
+    ((1.0, 1.0000001), "rho[1]"),
+    ((cmath.exp(0.3j) * (1 + 1e-11), 1.0), "rho[0]"),
+])
+def test_character_value_off_the_unit_circle_is_refused(rho, where):
+    # refused by name before any word is walked, so no warning comes first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            enumerate_classes(fig8_generators(), list(rho), 8, 3.0)
+    assert caught == []
 
 
 def test_character_weights_are_unit_modulus(fig8):
@@ -211,7 +232,7 @@ def _reduced_word_walk(n_generators, max_len):
     (cmath.exp(0.7j), cmath.exp(-2.1j)),
 ])
 def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
-    gens = figure_eight_generators()
+    gens = fig8_generators()
 
     def run(max_word_len, cutoff):
         with warnings.catch_warnings(record=True) as caught:
@@ -252,7 +273,7 @@ def _fixture_lengths():
 def test_prefilter_keeps_classes_on_the_cutoff(offset):
     # cutoffs at the fixture's class lengths: a class exactly on the
     # cutoff, or 1e-12 inside it, must survive the trace bound
-    gens = figure_eight_generators()
+    gens = fig8_generators()
     lengths = _fixture_lengths()
     assert len(lengths) > 5
     for length in lengths:
@@ -264,7 +285,7 @@ def test_prefilter_keeps_classes_on_the_cutoff(offset):
 
 @pytest.mark.parametrize("rho", CHARACTERS)
 def test_prefilter_matches_the_unfiltered_enumeration(rho):
-    gens = figure_eight_generators()
+    gens = fig8_generators()
     # a cutoff past 700 turns the trace bound off
     for max_word_len in range(1, 9):
         for cutoff in (0.5, 2.0, 3.0, 3.5, 1500.0):
@@ -273,28 +294,75 @@ def test_prefilter_matches_the_unfiltered_enumeration(rho):
                 _with_warnings(reference_enumeration, *args)
 
 
-@st.composite
-def loxodromic(draw):
-    """g diag(lambda, 1/lambda) g^-1 with 0.05 <= log|lambda| <= 5 and g
-    of determinant 1 with entries of modulus about 2 or less."""
-    lam = cmath.rect(math.exp(draw(st.floats(0.05, 5.0))),
-                     draw(st.floats(-math.pi, math.pi)))
+def _conjugated(draw, core: MoebiusMatrix) -> MoebiusMatrix:
+    """g core g^-1 for g of determinant 1 with entries of modulus about 2
+    or less."""
     x = st.floats(-2.0, 2.0)
     a, b, c = (complex(draw(x), draw(x)) for _ in range(3))
     if abs(a) < 0.1:
         a += 1
     g = MoebiusMatrix(a, b, c, (1 + b * c) / a)
-    return matmul(matmul(g, MoebiusMatrix(lam, 0, 0, 1 / lam)), inverse(g))
+    return matmul(matmul(g, core), inverse(g))
+
+
+@st.composite
+def loxodromic(draw):
+    """g diag(lambda, 1/lambda) g^-1 with 0.05 <= log|lambda| <= 5."""
+    lam = cmath.rect(math.exp(draw(st.floats(0.05, 5.0))),
+                     draw(st.floats(-math.pi, math.pi)))
+    return _conjugated(draw, MoebiusMatrix(lam, 0, 0, 1 / lam))
+
+
+@st.composite
+def elements(draw):
+    """(kind, (a, b, c, d)): a conjugate of +-I, of +-(1 x; 0 1), of a
+    rotation diag(e^{i phi}, e^{-i phi}) or of a loxodromic diagonal,
+    times a scalar, so that its determinant is not 1."""
+    kind = draw(st.sampled_from(["identity", "parabolic", "elliptic", "loxodromic"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "loxodromic":
+        m = draw(loxodromic())
+    elif kind == "elliptic":
+        rot = cmath.exp(1j * draw(st.floats(0.01, math.pi - 0.01)))
+        m = _conjugated(draw, MoebiusMatrix(rot, 0, 0, 1 / rot))
+    elif kind == "parabolic":
+        x = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)))
+        m = _conjugated(draw, MoebiusMatrix(sign, sign * x, 0, sign))
+    else:
+        m = MoebiusMatrix(sign, 0, 0, sign)
+    scale = cmath.rect(draw(st.floats(0.5, 2.0)), draw(st.floats(-math.pi, math.pi)))
+    return kind, tuple(scale * v for v in _entries(m))
+
+
+@settings(max_examples=300, deadline=None)
+@example(("parabolic", (1, 1, 0, 1)))
+@example(("identity", (1, 0, 0, 1)))
+@example(("elliptic", (ROT, 0, 0, ROT.conjugate())))
+@example(("loxodromic", (2, 0, 0, 0.5)))
+@example(("loxodromic", _long_word_product()))
+@given(elements())
+def test_complex_length_is_the_oracle_classification(element):
+    # the same float operations as classify(MoebiusMatrix.normalized(...)):
+    # the same bits when loxodromic, and None for the other three kinds
+    kind, m = element
+    et = classify(MoebiusMatrix.normalized(*m))
+    assert et.kind == kind
+    got = _complex_length(*m)
+    if kind == "loxodromic":
+        assert [x.hex() for x in got] == [et.length.hex(), et.holonomy.hex()]
+    else:
+        assert got is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(loxodromic())
 def test_length_is_at_least_the_trace_bound(m):
-    # |tr| = |lambda + 1/lambda| <= 2 cosh(l/2): the bound the
-    # enumeration uses to skip words above the cutoff unclassified
-    et = classify(m)
-    assert et.kind == "loxodromic"
-    assert et.length >= 2 * math.acosh(max(1.0, abs(m.trace) / 2)) - 1e-12
+    # |tr| = |lambda + 1/lambda| <= 2 cosh(l/2) once normalized: the
+    # bound the enumeration uses, as |tr|^2 against |det|, to skip words
+    # above the cutoff unclassified
+    length, _ = _complex_length(*_entries(m))
+    tr = abs(m.trace) / math.sqrt(abs(m.det))
+    assert length >= 2 * math.acosh(max(1.0, tr / 2)) - 1e-12
 
 
 # --- persistence -----------------------------------------------------------

@@ -54,8 +54,7 @@ def power_closed_spectrum(seed: int, n_primitive: int) -> Spectrum:
                 char_value=cmath.exp(2j * math.pi * (k * p % q) / q),
                 primitive_length=length, multiplicity=k, word=word * k))
     classes.sort(key=lambda c: (c.length, c.holonomy))
-    return Spectrum(classes=classes, cutoff_length=cutoff,
-                    lattice_covolume=1.7, volume=2.5)
+    return Spectrum(classes=classes, cutoff_length=cutoff)
 
 
 # spellings of the characters 1 and -1: `load_spectrum` checks each

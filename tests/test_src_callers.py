@@ -24,8 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cuspedzeta"
 # names that nothing in the package calls, and why they stay
 ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
-    "figure_eight_generators": "the library's generator pair for the "
-                               "figure-eight group, used by the demos and tests",
 }
 
 
