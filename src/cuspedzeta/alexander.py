@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ComplexConditionViolation, NotTorsion
+from .errors import CuspedZetaError
 from .laurent import LaurentPoly, ord_at_one, smith_form
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            fox_derivative)
@@ -47,7 +47,7 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
     zero = LaurentPoly.zero(n)
     for row in d1:
         if not sum((a * b for a, b in zip(row, d0)), zero).is_zero():
-            raise ComplexConditionViolation(
+            raise CuspedZetaError(
                 "Fox matrix times the augmentation column is nonzero")
     return d1, d0
 
@@ -94,7 +94,7 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
 
     divisors1, h0, h1 = _homology(d1, d0, rho)
     if any(d.is_zero() for d in divisors1):
-        raise NotTorsion("H1")
+        raise CuspedZetaError("module H1 is not torsion")
     # the characteristic polynomial of t on the torsion module H1
     char1 = LaurentPoly.one(n)
     for d in divisors1:
@@ -105,7 +105,7 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
     # d1 d0 = 0 with d0 != 0 gives rank d1 <= g - 1, and torsion H1 gives
     # rank d1 = g - 1, so H2 = ker d1 is torsion iff relators <= g - 1
     if len(p.relators) > p.arity - 1:
-        raise NotTorsion("H2")
+        raise CuspedZetaError("module H2 is not torsion")
     char2 = LaurentPoly.one(n)
 
     ord1 = ord_at_one(char0) - ord_at_one(char1)

@@ -21,19 +21,11 @@ import math
 import sys
 import warnings
 
-from .errors import (ConvergenceRegionError, CuspedZetaError, FormatError,
-                     NotTorsion, PoleEvaluation, PoleOnAxis,
-                     PresentationSyntaxError, QuadratureFailure,
-                     ValidationError, read_utf8)
+from .errors import CuspedZetaError, InputError, read_utf8
 
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
-
-_INPUT_ERRORS = (PresentationSyntaxError, ValidationError, FormatError,
-                 PoleOnAxis)
-_COMPUTE_ERRORS = (NotTorsion, ConvergenceRegionError, QuadratureFailure,
-                   PoleEvaluation, OverflowError)
 
 
 def _jdump(obj, out):
@@ -98,15 +90,15 @@ def _json_object(path: str, required: tuple, optional: tuple) -> dict:
     try:
         d = json.loads(_read(path))
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(d, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+        raise InputError(f"{path}: expected a JSON object")
     for key in d:
         if key not in required and key not in optional:
-            raise ValidationError(f"{path}: unknown key {key!r}")
+            raise InputError(f"{path}: unknown key {key!r}")
     for key in required:
         if key not in d:
-            raise ValidationError(f"{path}: missing key {key!r}")
+            raise InputError(f"{path}: missing key {key!r}")
     return d
 
 
@@ -116,26 +108,26 @@ def _real(v, where: str) -> float:
             return float(v)
     except (TypeError, OverflowError):  # not a number, or an int past float
         pass
-    raise ValidationError(f"{where} must be a finite number")
+    raise InputError(f"{where} must be a finite number")
 
 
 def _pair(v, where: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2):
-        raise ValidationError(f"{where} must be an [re, im] pair")
+        raise InputError(f"{where} must be an [re, im] pair")
     return complex(_real(v[0], f"{where}[0]"), _real(v[1], f"{where}[1]"))
 
 
 def _pairs(v, where: str, count: int | None = None) -> list:
     if not isinstance(v, list) or count is not None and len(v) != count:
         size = f"{count} " if count else ""
-        raise ValidationError(f"{where} must be a list of {size}[re, im] pairs")
+        raise InputError(f"{where} must be a list of {size}[re, im] pairs")
     return [_pair(p, f"{where}[{i}]") for i, p in enumerate(v)]
 
 
 def _load_matrices(path: str):
     d = _json_object(path, ("generators",), ("rho",))
     if not isinstance(d["generators"], list):
-        raise ValidationError(f"{path}: generators must be a list of matrices")
+        raise InputError(f"{path}: generators must be a list of matrices")
     gens = [tuple(_pairs(g, f"{path}: generators[{i}]", 4))
             for i, g in enumerate(d["generators"])]
     rho = _pairs(d["rho"], f"{path}: rho") if "rho" in d else [1 + 0j] * len(gens)
@@ -229,7 +221,7 @@ def _cmd_terms(args, out):
             case = cuspterms.TrivialRestriction()
         else:
             if args.covolume is None or args.c_rho is None:
-                raise ValidationError(
+                raise InputError(
                     "unipotent terms need --trivial or both --covolume and --c-rho")
             case = cuspterms.NontrivialRestriction(args.covolume, args.c_rho)
         u0, u1, comb = cuspterms.unipotent_lprime(case)
@@ -240,7 +232,7 @@ def _cmd_terms(args, out):
         _jdump(mero_to_json(cuspterms.threshold_lprime()), out)
     else:  # scattering
         if not args.poles:
-            raise ValidationError("scattering needs a poles JSON file")
+            raise InputError("scattering needs a poles JSON file")
         s0, s1 = cuspterms.scattering_lprime(_load_poles(args.poles))
         _jdump({"S0shifted": mero_to_json(s0), "S1": mero_to_json(s1)}, out)
     return 0
@@ -458,14 +450,12 @@ def run(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"cuspedzeta: {exc}\n")
         return EX_DATAERR
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         sys.stderr.write(f"cuspedzeta: invalid input: {exc}\n")
         return EX_DATAERR
-    except _COMPUTE_ERRORS as exc:
+    except (CuspedZetaError, OverflowError) as exc:
+        # a float overflow anywhere ends here, not in a traceback
         sys.stderr.write(f"cuspedzeta: computation failed: {exc}\n")
-        return EX_SOFTWARE
-    except CuspedZetaError as exc:
-        sys.stderr.write(f"cuspedzeta: {exc}\n")
         return EX_SOFTWARE
 
 

@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ConvergenceRegionError, PoleOnAxis, QuadratureFailure,
-                     ValidationError)
-from .laplace import (MeroSum, _besselk, _cosine_zeta, _dirichlet_terms,
-                      _log_gamma, digamma, euler_gamma)
+from .errors import CuspedZetaError, InputError
+from .laplace import (EULER_GAMMA, MeroSum, _besselk, _cosine_zeta,
+                      _dirichlet_terms, _log_gamma)
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -31,7 +30,7 @@ class Lattice2D:
     def __post_init__(self):
         b1, b2 = self.b1, self.b2
         if Fraction(b1.real) * Fraction(b2.imag) == Fraction(b1.imag) * Fraction(b2.real):
-            raise ValidationError("lattice basis is linearly dependent over the reals")
+            raise InputError("lattice basis is linearly dependent over the reals")
 
     @property
     def covolume(self) -> float:
@@ -45,7 +44,7 @@ class LatticeCharacter:
 
     def __post_init__(self):
         if abs(abs(self.v1) - 1) > 1e-12 or abs(abs(self.v2) - 1) > 1e-12:
-            raise ValidationError("lattice character values must lie on the unit circle")
+            raise InputError("lattice character values must lie on the unit circle")
 
     @property
     def phases(self) -> tuple:
@@ -69,7 +68,7 @@ class ScatteringPoles:
     def __post_init__(self):
         for p in tuple(self.poles_sigma0) + tuple(self.poles_sigma1):
             if complex(p).real == 0:
-                raise PoleOnAxis(f"scattering pole {p} lies on the imaginary axis")
+                raise InputError(f"scattering pole {p} lies on the imaginary axis")
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,8 @@ def _reduced(lat: Lattice2D, chi: LatticeCharacter):
                         ("y = Im(b2/b1) of the reduced basis",
                          lat.covolume / norm if norm else math.inf)):
         if not sys.float_info.min <= value <= sys.float_info.max:
-            raise QuadratureFailure(f"lattice b1 = {lat.b1}, b2 = {lat.b2}: {name} "
-                                    f"is {value:.3g}, outside the normal float range")
+            raise CuspedZetaError(f"lattice b1 = {lat.b1}, b2 = {lat.b2}: {name} "
+                                  f"is {value:.3g}, outside the normal float range")
     return basis
 
 
@@ -196,7 +195,7 @@ def _chowla_selberg(lat: Lattice2D, chi: LatticeCharacter, s: complex):
         (_work(u, cov, au, av, sigma), u, v, au, av),
         (_work(v, cov, av, au, sigma), v, u, av, au), key=lambda p: p[0])
     if work > _WORK_CAP:
-        raise QuadratureFailure(
+        raise CuspedZetaError(
             f"epstein at s = {s}: the expansion needs {work:.3g} term "
             f"evaluations, above {_WORK_CAP} (character phases {float(au)!r}, "
             f"{float(av)!r} on the reduced basis)")
@@ -210,7 +209,7 @@ def _chowla_selberg(lat: Lattice2D, chi: LatticeCharacter, s: complex):
         terms += _bessel_terms(b1, b2, a, c, sigma)
         scale = abs(b1) ** (-2 * sigma)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise QuadratureFailure(f"epstein at s = {s}: {exc}") from None
+        raise CuspedZetaError(f"epstein at s = {s}: {exc}") from None
     return (scale * math.fsum(t.real for t in terms)
             + 1j * scale * math.fsum(t.imag for t in terms),
             len(terms), abs(scale) * max(map(abs, terms)))
@@ -225,12 +224,12 @@ def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex) -> complex:
     and forming sigma = 1 + s rounds s, on which the pole term 1/s rests."""
     s = complex(s)
     if s.real <= 0:
-        raise ConvergenceRegionError(
+        raise CuspedZetaError(
             f"Re s = {s.real} is outside the summation region Re s > 0")
     value, count, largest = _chowla_selberg(lat, chi, s)
     rounding = largest * 2 ** -52 * (count + abs(1 + s) / abs(s))
     if not rounding <= 1e-6 * abs(value):
-        raise QuadratureFailure(
+        raise CuspedZetaError(
             f"epstein at s = {s}: rounding estimate {rounding:.3e} is above "
             f"1e-6 of the value {abs(value):.3e}")
     return value
@@ -250,7 +249,7 @@ def epstein_residue_and_constant(lat: Lattice2D, chi: LatticeCharacter):
     (b1, _), (b2, _) = _reduced(lat, chi)
     y = lat.covolume / abs(b1) ** 2
     rows = sum(_bessel_terms(b1, b2, Fraction(0), Fraction(0), 1 + 0j)).real
-    laurent = math.pi / y * 2 * (euler_gamma() - math.log(2) - math.log(y)
+    laurent = math.pi / y * 2 * (EULER_GAMMA - math.log(2) - math.log(y)
                                  - math.log(abs(b1)))
     return math.pi / lat.covolume, (math.pi ** 2 / 3 + laurent + rows) / abs(b1) ** 2
 
@@ -272,13 +271,13 @@ class TrivialRestriction:
 
 def j1_zero_lprime() -> MeroSum:
     """2(psi(1) - psi(z+1))."""
-    return MeroSum.build(poly=[2 * digamma(1).real],
+    return MeroSum.build(poly=[-2 * EULER_GAMMA],
                          digamma_atoms=[(-2, 1)])
 
 
 def j1_pm_lprime() -> MeroSum:
     """2 psi(1) - psi(z) - psi(z+2), the value for either sign."""
-    return MeroSum.build(poly=[2 * digamma(1).real],
+    return MeroSum.build(poly=[-2 * EULER_GAMMA],
                          digamma_atoms=[(-1, 0), (-1, 2)])
 
 

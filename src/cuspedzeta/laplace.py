@@ -3,8 +3,9 @@
 Transforms f(t) |-> 2z Integral_0^oo e^{-t z^2} f(t) dt of heat kernels
 are held as MeroSum values: a polynomial plus simple poles plus digamma
 and decaying-exponential terms, with structural equality (`cli` writes
-their JSON form).  Digamma, log-gamma, the periodic zeta sum and
-K-Bessel serve the cusp terms and the lattice L-function in `cuspterms`.
+their JSON form).  Euler's constant, log-gamma, the periodic zeta sum
+and K-Bessel serve the cusp terms and the lattice L-function in
+`cuspterms`.
 """
 
 from __future__ import annotations
@@ -14,41 +15,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleEvaluation, QuadratureFailure
+from .errors import CuspedZetaError
+
+# Euler's constant gamma = -psi(1), rounded to the nearest double
+EULER_GAMMA = 0.5772156649015329
 
 # ---------------------------------------------------------------------------
-# digamma
+# log-gamma, periodic zeta and K-Bessel for the lattice L-function
 
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
               Fraction(7, 6), Fraction(-3617, 510)]
 
-
-def digamma(z: complex) -> complex:
-    """psi(z) by upward recurrence into Re z > 10 followed by the
-    asymptotic series; accurate to about 1e-12."""
-    z = complex(z)
-    if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
-        raise PoleEvaluation(f"digamma pole at {z}")
-    acc = 0j
-    while z.real <= 10:
-        acc -= 1 / z
-        z += 1
-    inv2 = 1 / (z * z)
-    s = cmath.log(z) - 1 / (2 * z)
-    term = inv2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        s -= float(b) / (2 * k) * term
-        term *= inv2
-    return acc + s
-
-
-def euler_gamma() -> float:
-    return -digamma(1).real
-
-
-# ---------------------------------------------------------------------------
-# log-gamma, periodic zeta and K-Bessel for the lattice L-function
 
 def _log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z) for Re z > 0 (callers exponentiate, so the
@@ -114,7 +92,7 @@ def _cosine_zeta(z: complex, a: float) -> complex:
             break
         rising *= -(z + j)
     else:
-        raise QuadratureFailure(f"zeta expansion at z = {z} did not converge")
+        raise CuspedZetaError(f"zeta expansion at z = {z} did not converge")
     tail = cmath.exp(-z * math.log(n)) * series
     if not a:
         tail += 2 * n ** (1 - z) / (z - 1)

@@ -25,7 +25,7 @@ from itertools import chain
 from math import gcd
 
 from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, euler_phi, invert
-from .errors import ZeroPolynomial
+from .errors import CuspedZetaError
 
 
 class LaurentPoly:
@@ -281,7 +281,7 @@ def format_poly(p: LaurentPoly) -> str:
 def ord_at_one(f: LaurentPoly) -> int:
     """Largest k with (t-1)^k dividing f, by exact repeated division."""
     if f.is_zero():
-        raise ZeroPolynomial("ord at t=1 of the zero polynomial")
+        raise CuspedZetaError("ord at t=1 of the zero polynomial")
     tm1 = LaurentPoly.t_minus_one(f.n)
     k = 0
     while f.vanishes_at_one():

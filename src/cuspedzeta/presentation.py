@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import PresentationSyntaxError, ValidationError
+from .errors import InputError
 from .laurent import LaurentPoly
 from .words import GroupWord
 
@@ -107,7 +107,7 @@ def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:
     """The delta indicator: does rho restrict trivially to the cusp
     subgroup generated by the peripheral words?"""
     if not p.peripheral_words:
-        raise ValidationError("presentation carries no peripheral words")
+        raise InputError("presentation carries no peripheral words")
     return all(rho.is_trivial_on(w) for w in p.peripheral_words)
 
 
@@ -118,7 +118,7 @@ def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:
 def parse_presentation(text: str):
     """Parse a presentation file into (GroupPresentation, Epsilon,
     UnitCharacter), validating every invariant.  Validation failures are
-    aggregated into a single ValidationError."""
+    aggregated into a single InputError."""
     names: list[str] | None = None
     relators: list[GroupWord] = []
     peripheral: list[GroupWord] = []
@@ -129,7 +129,7 @@ def parse_presentation(text: str):
 
     def need_gens(lineno):
         if names is None:
-            raise PresentationSyntaxError("word line before 'gens'", line=lineno)
+            raise InputError("word line before 'gens'", line=lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,16 +139,16 @@ def parse_presentation(text: str):
         kw = parts[0]
         if kw == "gens":
             if len(parts) < 2:
-                raise PresentationSyntaxError("'gens' needs at least one name", line=lineno)
+                raise InputError("'gens' needs at least one name", line=lineno)
             names = parts[1:]
             for nm in names:
                 if len(nm) != 1 or not nm.isalpha() or not nm.islower():
-                    raise PresentationSyntaxError(
+                    raise InputError(
                         f"generator name {nm!r} must be a single lowercase letter", line=lineno)
         elif kw in ("rel", "peri"):
             need_gens(lineno)
             if len(parts) != 2:
-                raise PresentationSyntaxError(f"'{kw}' needs exactly one word", line=lineno)
+                raise InputError(f"'{kw}' needs exactly one word", line=lineno)
             col = raw.index(parts[1], raw.index(kw) + len(kw))
             word = W.parse_letters(parts[1], len(names), names, line=lineno, col_offset=col)
             word = W.free_reduce(word)
@@ -158,46 +158,46 @@ def parse_presentation(text: str):
             try:
                 eps_values = [int(x) for x in parts[1:]]
             except ValueError as exc:
-                raise PresentationSyntaxError(f"bad integer in 'eps': {exc}", line=lineno)
+                raise InputError(f"bad integer in 'eps': {exc}", line=lineno)
         elif kw == "rho":
             need_gens(lineno)
             rest = line[len("rho"):].strip()
             if not rest.startswith("n="):
-                raise PresentationSyntaxError("'rho' line must read 'rho n=<int>: <int>+'",
-                                              line=lineno)
+                raise InputError("'rho' line must read 'rho n=<int>: <int>+'",
+                                 line=lineno)
             head, sep, tail = rest.partition(":")
             if not sep:
-                raise PresentationSyntaxError("missing ':' in 'rho' line", line=lineno)
+                raise InputError("missing ':' in 'rho' line", line=lineno)
             try:
                 rho_mod = int(head[2:].strip())
                 rho_exps = [int(x) for x in tail.split()]
             except ValueError as exc:
-                raise PresentationSyntaxError(f"bad integer in 'rho': {exc}", line=lineno)
+                raise InputError(f"bad integer in 'rho': {exc}", line=lineno)
             if rho_mod < 1:
-                raise PresentationSyntaxError("rho modulus must be positive", line=lineno)
+                raise InputError("rho modulus must be positive", line=lineno)
             if rho_mod > MAX_MODULUS:
-                raise PresentationSyntaxError(
+                raise InputError(
                     f"rho modulus {rho_mod} is above the limit {MAX_MODULUS}", line=lineno)
         elif kw == "vol":
             if len(parts) != 2:
-                raise PresentationSyntaxError("'vol' needs one float", line=lineno)
+                raise InputError("'vol' needs one float", line=lineno)
             try:
                 volume = float(parts[1])
             except ValueError as exc:
-                raise PresentationSyntaxError(f"bad float in 'vol': {exc}", line=lineno)
+                raise InputError(f"bad float in 'vol': {exc}", line=lineno)
             if not volume > 0:
-                raise PresentationSyntaxError("volume must be positive", line=lineno)
+                raise InputError("volume must be positive", line=lineno)
             if not math.isfinite(volume):
-                raise PresentationSyntaxError("volume must be finite", line=lineno)
+                raise InputError("volume must be finite", line=lineno)
         else:
-            raise PresentationSyntaxError(f"unknown keyword {kw!r}", line=lineno)
+            raise InputError(f"unknown keyword {kw!r}", line=lineno)
 
     if names is None:
-        raise PresentationSyntaxError("missing 'gens' line")
+        raise InputError("missing 'gens' line")
     if eps_values is None:
-        raise PresentationSyntaxError("missing 'eps' line")
+        raise InputError("missing 'eps' line")
     if rho_mod is None:
-        raise PresentationSyntaxError("missing 'rho' line")
+        raise InputError("missing 'rho' line")
 
     problems: list[str] = []
     if len(set(names)) != len(names):
@@ -208,7 +208,7 @@ def parse_presentation(text: str):
         problems.append(f"rho has {0 if rho_exps is None else len(rho_exps)} exponents "
                         f"for {len(names)} generators")
     if problems:
-        raise ValidationError("; ".join(problems))
+        raise InputError("; ".join(problems))
 
     eps = Epsilon(tuple(eps_values))
     rho = UnitCharacter(rho_mod, tuple(e % rho_mod for e in rho_exps))
@@ -225,7 +225,7 @@ def parse_presentation(text: str):
                             f"({W.format_letters(r, names)}): exponent "
                             f"{rho.exponent_of(r)} mod {rho.modulus}")
     if problems:
-        raise ValidationError("; ".join(problems))
+        raise InputError("; ".join(problems))
     return pres, eps, rho
 
 

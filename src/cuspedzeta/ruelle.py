@@ -5,7 +5,7 @@ with a heuristic tail bound from the exponential counting estimate
 N(L) <= C e^{2L}.  Every spectrum is a truncation, whether enumerated,
 loaded or synthetic: each evaluation reports the tail bound, and a
 point outside the region Re z > 2, where the Euler product converges,
-raises ConvergenceRegionError.
+raises CuspedZetaError.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceRegionError
+from .errors import CuspedZetaError
 from .spectrum import GeodesicClass, Spectrum, _canonical_angle
 
 
@@ -51,10 +51,10 @@ def _overflow(term: str, length: float) -> OverflowError:
 def _tail_bound(s: Spectrum, z: complex) -> float:
     """Heuristic truncation tail for geometric sums over the spectrum at
     z, monotone decreasing in both Re z and the cutoff; a z with
-    Re z <= 2 raises ConvergenceRegionError."""
+    Re z <= 2 raises CuspedZetaError."""
     x = z.real
     if x <= 2:
-        raise ConvergenceRegionError(
+        raise CuspedZetaError(
             f"Re z = {x} is not in the convergence region Re z > 2")
     try:
         c = counting_constant(s)

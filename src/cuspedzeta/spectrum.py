@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import words as W
-from .errors import (CuspedZetaError, DiscretenessSuspect, FormatError,
-                     ValidationError, read_utf8)
+from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
+                     read_utf8)
 from .words import GroupWord
 
 TRACE_TOL = 1e-9
@@ -66,7 +66,9 @@ def _complex_length(a, b, c, d) -> tuple[float, float] | None:
     lam = (tr + disc) / 2
     if abs(lam) < 1:
         lam = (tr - disc) / 2
-    return 2 * math.log(abs(lam)), _canonical_angle(2 * cmath.phase(lam))
+    # atan2, not cmath.phase, which raises on a subnormal angle
+    theta = 2 * math.atan2(lam.imag, lam.real)
+    return 2 * math.log(abs(lam)), _canonical_angle(theta)
 
 
 class GeodesicClass(NamedTuple):
@@ -82,22 +84,22 @@ class GeodesicClass(NamedTuple):
     def validate(self):
         length, holonomy, char_value, primitive_length, multiplicity, word = self
         if abs(length - multiplicity * primitive_length) > 1e-9:
-            raise FormatError(
+            raise InputError(
                 f"length {length} is not multiplicity x primitive length")
         if abs(abs(char_value) - 1) > 1e-12:
-            raise FormatError(f"character value {char_value} is off the unit circle")
+            raise InputError(f"character value {char_value} is off the unit circle")
         if not length > 0:
-            raise FormatError(f"length {length} is not positive")
+            raise InputError(f"length {length} is not positive")
         if multiplicity < 1:
-            raise FormatError(f"multiplicity {multiplicity} is below 1")
+            raise InputError(f"multiplicity {multiplicity} is below 1")
         if not word:
-            raise FormatError("empty word")
+            raise InputError("empty word")
         # Delta = |1 - e^{-(l + i theta)}|^2, the denominator of the
         # Ruelle weights, must not round to zero
         el = math.exp(-length)
         if not 1 - 2 * el * math.cos(holonomy) + el * el > 0:
-            raise FormatError(f"length {length} and holonomy {holonomy} "
-                              f"give det(1 - P) = 0 to rounding")
+            raise InputError(f"length {length} and holonomy {holonomy} "
+                             f"give det(1 - P) = 0 to rounding")
         return self
 
 
@@ -115,9 +117,9 @@ class Spectrum:
         for c in self.classes:
             c.validate()
             if c.length > self.cutoff_length + 1e-9:
-                raise FormatError(f"class length {c.length} beyond cutoff")
+                raise InputError(f"class length {c.length} beyond cutoff")
             if c.length < last - 1e-12:
-                raise FormatError("classes are not sorted by length")
+                raise InputError("classes are not sorted by length")
             last = c.length
         return self
 
@@ -159,28 +161,28 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     metadata.  A max_word_len below 1 raises ValueError; more than 26
     generators, a generator of determinant other than 1, a character
     value count other than the generator count, or a character value off
-    the unit circle, raises ValidationError; a word whose matrix product
+    the unit circle, raises InputError; a word whose matrix product
     leaves the float range, or whose determinant rounds to 0, raises
     CuspedZetaError.
     """
     if len(gens) > 26:
         # the spectrum file spells words in the letters a-z
-        raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
+        raise InputError(f"generators: {len(gens)} given, at most 26 allowed")
     mats = {}
     for i, (a, b, c, d) in enumerate(gens):
         det = a * d - b * c
         if not abs(det - 1) <= DET_TOL:
-            raise ValidationError(f"generators[{i}]: determinant {det} is not 1")
+            raise InputError(f"generators[{i}]: determinant {det} is not 1")
         mats[(i, 1)] = (a, b, c, d)
         mats[(i, -1)] = (d, -b, -c, a)
     if len(rho_values) != len(gens):
-        raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
-                              f"{len(gens)} generator(s)")
+        raise InputError(f"rho: {len(rho_values)} character value(s) for "
+                         f"{len(gens)} generator(s)")
     for i, v in enumerate(rho_values):
         # the rule of GeodesicClass.validate, checked before any word
         if not abs(abs(v) - 1) <= 1e-12:
-            raise ValidationError(f"rho[{i}]: character value {v} "
-                                  f"is off the unit circle")
+            raise InputError(f"rho[{i}]: character value {v} "
+                             f"is off the unit circle")
     # |tr|^2 of a product above this times |det| puts its length above the
     # cutoff; the margin is far above rounding, and no elliptic, parabolic
     # or identity trace (|tr| <= 2 + TRACE_TOL) reaches it.  |tr|^2
@@ -307,22 +309,24 @@ def _finite_float(text: str) -> float:
 def _row(line: str, lineno: int) -> GeodesicClass | None:
     """One spectrum row checked field by field, for the rows the fast
     path of `load_spectrum` refuses: None for a blank line, else the
-    class or a FormatError that names the line and the first bad field."""
+    class or an InputError that names the line and the first bad field."""
     if not line.strip():
         return None
     parts = line.split(",")
     if len(parts) != 7:
-        raise FormatError("expected 7 comma-separated fields", line=lineno)
+        raise InputError("expected 7 comma-separated fields", line=lineno)
     try:
         length, theta, re_c, im_c, prim = map(_finite_float, parts[:5])
-        mult = int(parts[5])
-        word = W.parse_letters(parts[6], 26)
-        return GeodesicClass(length, theta, complex(re_c, im_c), prim, mult,
-                             word).validate()
-    except FormatError as exc:
-        raise FormatError(str(exc), line=lineno)
+        cls = GeodesicClass(length, theta, complex(re_c, im_c), prim,
+                            int(parts[5]), W.parse_letters(parts[6], 26))
     except Exception as exc:
-        raise FormatError(f"bad row: {exc}", line=lineno)
+        raise InputError(f"bad row: {exc}", line=lineno)
+    try:
+        return cls.validate()
+    except InputError as exc:
+        raise InputError(str(exc), line=lineno)
+    except OverflowError as exc:  # a multiplicity past the float range
+        raise InputError(f"bad row: {exc}", line=lineno)
 
 
 def load_spectrum(path) -> Spectrum:
@@ -336,12 +340,12 @@ def load_spectrum(path) -> Spectrum:
     skips it or raises the located message."""
     raw = read_utf8(path).splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
-        raise FormatError("missing spectrum header", line=1)
+        raise InputError("missing spectrum header", line=1)
     try:
         head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
         cutoff = _finite_float(head["cutoff"])
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header: {exc}", line=1)
+        raise InputError(f"bad header: {exc}", line=1)
     max_word_len = None
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
@@ -349,7 +353,7 @@ def load_spectrum(path) -> Spectrum:
             meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
             mwl = int(meta.get("max_word_len", -1))
         except ValueError as exc:
-            raise FormatError(f"bad header: {exc}", line=2)
+            raise InputError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
         body_start = 2
     classes = []
@@ -398,9 +402,9 @@ def load_spectrum(path) -> Spectrum:
                 continue
             length = cls.length
         if length > limit:
-            raise FormatError(f"class length {length} beyond cutoff", line=lineno)
+            raise InputError(f"class length {length} beyond cutoff", line=lineno)
         if length < last - 1e-12:
-            raise FormatError("classes are not sorted by length", line=lineno)
+            raise InputError("classes are not sorted by length", line=lineno)
         last = length
         append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,

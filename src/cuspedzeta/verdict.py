@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .alexander import alexander_invariant
-from .errors import InconsistentInput
+from .errors import CuspedZetaError
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            peripheral_trivial, serialize_presentation)
 
@@ -24,9 +24,9 @@ def l2_betti(h0: int, h1: int, delta_rho: bool) -> tuple[int, int]:
     beta0 = h0, beta1 = h1 - 1 when the character is trivial on the cusp
     (delta_rho) and h1 otherwise."""
     if h0 not in (0, 1):
-        raise InconsistentInput(f"h0 must be 0 or 1, got {h0}")
+        raise CuspedZetaError(f"h0 must be 0 or 1, got {h0}")
     if h0 == 1 and not delta_rho:
-        raise InconsistentInput(
+        raise CuspedZetaError(
             "a globally trivial character cannot be nontrivial on the cusp")
     return h0, (h1 - 1) if delta_rho else h1
 

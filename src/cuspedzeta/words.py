@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import PresentationSyntaxError
+from .errors import InputError
 
 Letter = tuple[int, int]
 GroupWord = tuple[Letter, ...]
@@ -116,7 +116,7 @@ def parse_letters(text: str, n_generators: int, names=None,
     for pos, ch in enumerate(text):
         low = ch.lower()
         if low not in index:
-            raise PresentationSyntaxError(
+            raise InputError(
                 f"unknown generator letter {ch!r}", line=line,
                 column=col_offset + pos + 1)
         letters.append((index[low], 1 if ch.islower() else -1))

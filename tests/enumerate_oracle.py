@@ -17,8 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from cuspedzeta import words as W
-from cuspedzeta.errors import (CuspedZetaError, DiscretenessSuspect,
-                               ValidationError)
+from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
 from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass, Spectrum,
                                  _canonical_angle, _power_root, _trace_key)
 
@@ -75,7 +74,7 @@ def classify(m: MoebiusMatrix) -> ElementType:
     if abs(lam) < 1:
         lam = (tr - disc) / 2
     length = 2 * math.log(abs(lam))
-    theta = _canonical_angle(2 * cmath.phase(lam))
+    theta = _canonical_angle(2 * math.atan2(lam.imag, lam.real))
     return ElementType("loxodromic", length=length, holonomy=theta)
 
 
@@ -95,12 +94,12 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     """`spectrum.enumerate_classes` on the same (a, b, c, d) generators."""
     gens = [MoebiusMatrix(*g) for g in gens]
     if len(gens) > 26:
-        raise ValidationError(f"generators: {len(gens)} given, at most 26 allowed")
+        raise InputError(f"generators: {len(gens)} given, at most 26 allowed")
     for i, g in enumerate(gens):
         if not abs(g.det - 1) <= DET_TOL:
-            raise ValidationError(f"generators[{i}]: determinant {g.det} is not 1")
+            raise InputError(f"generators[{i}]: determinant {g.det} is not 1")
     if len(rho_values) != len(gens):
-        raise ValidationError(f"rho: {len(rho_values)} character value(s) for "
+        raise InputError(f"rho: {len(rho_values)} character value(s) for "
                               f"{len(gens)} generator(s)")
     mats = {}
     for i, g in enumerate(gens):

@@ -23,8 +23,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from cuspedzeta.cuspterms import Lattice2D, LatticeCharacter
-from cuspedzeta.errors import (ConvergenceRegionError, CuspedZetaError,
-                               QuadratureFailure)
+from cuspedzeta.errors import CuspedZetaError
 
 
 class ExtrapolationUnstable(CuspedZetaError):
@@ -83,7 +82,7 @@ def _panels(f, a: float, b: float) -> complex:
             todo += [(mid, hi, right), (lo, mid, left)]
         if not todo:
             return complex(total)
-    raise QuadratureFailure(f"integral on [{a}, {b}] unresolved after 2000 bisections")
+    raise CuspedZetaError(f"integral on [{a}, {b}] unresolved after 2000 bisections")
 
 
 def _tail_shape(lat: Lattice2D, s: complex) -> complex:
@@ -107,7 +106,7 @@ def epstein(lat: Lattice2D, chi: LatticeCharacter, s: complex,
     points, by expanding square annuli with an exact integral tail for
     the trivial character and Aitken extrapolation over the cutoff."""
     if complex(s).real <= 0:
-        raise ConvergenceRegionError(
+        raise CuspedZetaError(
             f"Re s = {complex(s).real} is outside the summation region Re s > 0")
     s = complex(s)
     cache = {}

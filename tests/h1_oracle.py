@@ -11,7 +11,7 @@ elimination with the route in `cuspedzeta.alexander` apart from
 `smith_form` on a different matrix.
 """
 
-from cuspedzeta.errors import ComplexConditionViolation
+from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.laurent import LaurentPoly, smith_form
 from cuspedzeta.presentation import GroupPresentation, UnitCharacter
 
@@ -81,7 +81,7 @@ def _h1_divisors(d1, d0):
                 acc = acc + row[k] * vinv[k][j]
             crow.append(acc)
         if not crow[0].is_zero():
-            raise ComplexConditionViolation(
+            raise CuspedZetaError(
                 "relator image has a component outside ker d0")
         coords.append(crow[1:])
     if not coords:

@@ -1,6 +1,7 @@
 """Heat atoms with their closed transforms, spectral transforms and the
 Y-series of a length spectrum, kept as oracles for the transforms in
-the package.
+the package; `evaluate` reads a MeroSum at a point, with `digamma` for
+its digamma atoms.
 
 `closed_value` also covers the higher-order poles at 0 that
 `lprime_closed` cannot represent; `hyperbolic_heat` is the truncated
@@ -13,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cuspedzeta.errors import PoleEvaluation
-from cuspedzeta.laplace import MeroSum, digamma
+from cuspedzeta.errors import CuspedZetaError
+from cuspedzeta.laplace import _BERNOULLI, MeroSum
 from cuspedzeta.ruelle import TruncationReport, _tail_bound
 from cuspedzeta.spectrum import Spectrum
 
@@ -23,6 +24,29 @@ from spectrum_oracle import log_euler_product, weights
 
 class UnsupportedAtom(Exception):
     """An atom, or an atom's transform, outside the closed forms here."""
+
+
+class PoleEvaluation(CuspedZetaError):
+    """A MeroSum or psi read at one of its poles."""
+
+
+def digamma(z: complex) -> complex:
+    """psi(z) by upward recurrence into Re z > 10 followed by the
+    asymptotic series; accurate to about 1e-12."""
+    z = complex(z)
+    if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
+        raise PoleEvaluation(f"digamma pole at {z}")
+    acc = 0j
+    while z.real <= 10:
+        acc -= 1 / z
+        z += 1
+    inv2 = 1 / (z * z)
+    s = cmath.log(z) - 1 / (2 * z)
+    term = inv2
+    for k, b in enumerate(_BERNOULLI, start=1):
+        s -= float(b) / (2 * k) * term
+        term *= inv2
+    return acc + s
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 import cuspedzeta.laurent
-from cuspedzeta.errors import ZeroPolynomial
+from cuspedzeta.errors import CuspedZetaError
 
 from cyclotomic_oracle import CyclotomicNumber
 
@@ -205,7 +205,7 @@ def format_poly(p: LaurentPoly) -> str:
 def ord_at_one(f: LaurentPoly) -> int:
     """Largest k with (t-1)^k dividing f, by exact repeated division."""
     if f.is_zero():
-        raise ZeroPolynomial("ord at t=1 of the zero polynomial")
+        raise CuspedZetaError("ord at t=1 of the zero polynomial")
     tm1 = LaurentPoly.t_minus_one(f.n)
     k = 0
     while f.at_one().is_zero():

@@ -15,7 +15,7 @@ import math
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from cuspedzeta.errors import QuadratureFailure
+from cuspedzeta.errors import CuspedZetaError
 
 from heat_oracle import UnsupportedAtom
 
@@ -47,7 +47,7 @@ def quadrature_lprime(f, z: complex, tol: float = 1e-10,
     """
     z = complex(z)
     if z.real <= 0:
-        raise QuadratureFailure("kernel requires Re z > 0")
+        raise CuspedZetaError("kernel requires Re z > 0")
     z2 = z * z
 
     def smooth(t):
@@ -70,7 +70,7 @@ def quadrature_lprime(f, z: complex, tol: float = 1e-10,
     near, e1 = cquad(lambda u: integrand(u * u) * 2 * u, 0, 1)
     far, e2 = cquad(lambda t: cmath.exp(-t * z2) * f(t), 1, math.inf)
     if e1 + e2 > tol:
-        raise QuadratureFailure(
+        raise CuspedZetaError(
             f"error estimate {e1 + e2:.3e} above target {tol:.1e}")
     total = near + far
     for c, nu in power_part:

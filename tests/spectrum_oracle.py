@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from cuspedzeta import ruelle
-from cuspedzeta.errors import FormatError, PresentationSyntaxError
+from cuspedzeta.errors import InputError
 from cuspedzeta.ruelle import TruncationReport, _tail_bound
 from cuspedzeta.spectrum import GeodesicClass, Spectrum
 
@@ -63,7 +63,7 @@ def parse_letters(text: str, n_generators: int, names=None,
     for pos, ch in enumerate(text):
         low = ch.lower()
         if low not in index:
-            raise PresentationSyntaxError(
+            raise InputError(
                 f"unknown generator letter {ch!r}", line=line,
                 column=col_offset + pos + 1)
         letters.append((index[low], 1 if ch.islower() else -1))
@@ -81,12 +81,12 @@ def load_spectrum(path) -> Spectrum:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
-        raise FormatError("missing spectrum header", line=1)
+        raise InputError("missing spectrum header", line=1)
     try:
         head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
         cutoff = _finite_float(head["cutoff"])
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header: {exc}", line=1)
+        raise InputError(f"bad header: {exc}", line=1)
     max_word_len = None
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
@@ -94,7 +94,7 @@ def load_spectrum(path) -> Spectrum:
             meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
             mwl = int(meta.get("max_word_len", -1))
         except ValueError as exc:
-            raise FormatError(f"bad header: {exc}", line=2)
+            raise InputError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
         body_start = 2
     classes = []
@@ -103,20 +103,20 @@ def load_spectrum(path) -> Spectrum:
             continue
         parts = line.split(",")
         if len(parts) != 7:
-            raise FormatError("expected 7 comma-separated fields", line=lineno)
+            raise InputError("expected 7 comma-separated fields", line=lineno)
         try:
             length, theta, re_c, im_c, prim = (_finite_float(x) for x in parts[:5])
             mult = int(parts[5])
             word = parse_letters(parts[6], 26)
         except Exception as exc:
-            raise FormatError(f"bad row: {exc}", line=lineno)
+            raise InputError(f"bad row: {exc}", line=lineno)
         cls = GeodesicClass(length=length, holonomy=theta,
                             char_value=complex(re_c, im_c),
                             primitive_length=prim, multiplicity=mult, word=word)
         try:
             cls.validate()
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno)
+        except InputError as exc:
+            raise InputError(str(exc), line=lineno)
         classes.append(cls)
     return Spectrum(classes=classes, cutoff_length=cutoff,
                     max_word_len=max_word_len).validate()

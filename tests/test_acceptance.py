@@ -21,7 +21,7 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
                                   identity_lprime, j1_pm_lprime,
                                   j1_zero_lprime, threshold_lprime,
                                   unipotent_lprime)
-from cuspedzeta.laplace import digamma
+from cuspedzeta.laplace import EULER_GAMMA
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.spectrum import enumerate_classes
@@ -72,12 +72,15 @@ def test_criterion_2_structural_closed_forms():
     ok = m0 == MeroSum.build(poly=[0, 0, -math.pi * vol])
     ok &= m1 == MeroSum.build(poly=[2 * math.pi * vol, 0, -2 * math.pi * vol])
     ok &= j1_zero_lprime() == MeroSum.build(
-        poly=[2 * digamma(1).real], digamma_atoms=[(-2, 1)])
+        poly=[-2 * EULER_GAMMA], digamma_atoms=[(-2, 1)])
     ok &= j1_pm_lprime() == MeroSum.build(
-        poly=[2 * digamma(1).real], digamma_atoms=[(-1, 0), (-1, 2)])
+        poly=[-2 * EULER_GAMMA], digamma_atoms=[(-1, 0), (-1, 2)])
     ok &= threshold_lprime() == MeroSum.build(poles=[(0, -0.5)])
+    # c_rho = -(pi/2) ln 2, the constant term at s = 0 of the square
+    # lattice's sign-character L-function (perfbench/oracle.py,
+    # sign_character_constant)
     for case in (TrivialRestriction(),
-                 NontrivialRestriction(2 * math.sqrt(3), -1.0887930451516938)):
+                 NontrivialRestriction(2 * math.sqrt(3), -math.pi / 2 * math.log(2))):
         ok &= unipotent_lprime(case)[2].is_zero()
     _verdict(2, ok, "identity/digamma/threshold closed forms structural; "
                     "unipotent combinations identically zero")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from cuspedzeta import cli
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
-from cuspedzeta.errors import FormatError
+from cuspedzeta.errors import InputError
 from cuspedzeta.spectrum import Spectrum, format_spectrum, load_spectrum
 
 import spectrum_oracle
@@ -393,6 +393,28 @@ def test_bad_input_gives_located_error(capsys, tmp_path, content, argv, want,
     assert "['" not in err  # messages are plain strings, not lists
 
 
+# (case, input file content, argv with "{in}" for that file): valid
+# input at the edge of the float range, which must exit 0
+GOOD_EDGE_INPUTS = [
+    # the larger eigenvalue of generator a, 3 + 5e-324j, has a subnormal
+    # angle, on which cmath.phase raises
+    ("enumerate-subnormal-angle",
+     {"generators": [[[3, 5e-324], [0, 0], [0, 0], [1 / 3, 0]],
+                     [[2, 0], [0, 0], [0, 0], [0.5, 0]]]},
+     ["spectrum", "enumerate", "{in}", "--max-word-len", "2", "--cutoff", "3"]),
+]
+
+
+@pytest.mark.parametrize("content,argv", [case[1:] for case in GOOD_EDGE_INPUTS],
+                         ids=[case[0] for case in GOOD_EDGE_INPUTS])
+def test_edge_input_exits_0(capsys, tmp_path, content, argv):
+    path = tmp_path / "input"
+    path.write_text(json.dumps(content))
+    code, out, err = invoke(capsys, *(a.replace("{in}", str(path)) for a in argv))
+    assert (code, err) == (0, "")
+    assert out.startswith("# cutoff=3\n")
+
+
 PRES_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.pres"))
 # letters, digits and separators of the grammar, plus a few it lacks
 MUTATION_ALPHABET = "abcABC xyz0129=:-#.\té"
@@ -502,7 +524,7 @@ def test_mutated_spectra_keep_the_exit_code_contract(text, command, z):
 def _load_both(text: str):
     """The spectra that `load_spectrum` and the loader it replaced
     (`spectrum_oracle`) read from `text`; None where one raises
-    FormatError."""
+    InputError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -511,7 +533,7 @@ def _load_both(text: str):
         for load in (load_spectrum, spectrum_oracle.load_spectrum):
             try:
                 out.append(load(path))
-            except FormatError:
+            except InputError:
                 out.append(None)
     return out
 
@@ -727,7 +749,8 @@ def test_epstein_output(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["residue"] == 0
-    assert abs(d["constant"] + 1.0887930451518402) < 1e-6
+    # -(pi/2) ln 2 in closed form (perfbench/oracle.py, sign_character_constant)
+    assert abs(d["constant"] + math.pi / 2 * math.log(2)) < 1e-13
 
 
 def test_epstein_on_a_skewed_basis(capsys, tmp_path):

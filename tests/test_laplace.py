@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta.cli import mero_to_json
-from cuspedzeta.errors import PoleEvaluation
-from cuspedzeta.laplace import (MeroSum, _besselk, _cosine_zeta, _log_gamma,
-                                digamma, euler_gamma)
+from cuspedzeta.laplace import (EULER_GAMMA, MeroSum, _besselk, _cosine_zeta,
+                                _log_gamma)
 
 import mpmath_references as references
-from heat_oracle import (HeatAtom, UnsupportedAtom, atom_function,
-                         closed_value, evaluate, lprime_closed, residue_at,
-                         spectral_lprime)
+from heat_oracle import (HeatAtom, PoleEvaluation, UnsupportedAtom,
+                         atom_function, closed_value, digamma, evaluate,
+                         lprime_closed, residue_at, spectral_lprime)
 from quadrature_oracle import quadrature_lprime
 
 
@@ -78,7 +77,10 @@ def test_digamma_poles_raise():
 
 
 def test_euler_gamma_value():
-    assert abs(euler_gamma() - 0.5772156649015328606) < 1e-15
+    with mpmath.workdps(40):
+        assert EULER_GAMMA == float(mpmath.euler)
+    # the series for psi(1) is 6 ulps off
+    assert abs(-digamma(1).real - EULER_GAMMA) < 1e-15
 
 
 # --- atoms and closed forms ------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import words as W
-from cuspedzeta.errors import PresentationSyntaxError, ValidationError
+from cuspedzeta.errors import InputError
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_derivative,
                                      parse_presentation, peripheral_trivial,
@@ -46,7 +46,7 @@ def test_comments_and_blank_lines_ignored():
     ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nbogus 1", "bogus", 5),
 ])
 def test_syntax_errors_carry_line_numbers(text, fragment, line):
-    with pytest.raises(PresentationSyntaxError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_presentation(text)
     assert fragment in str(exc.value)
     assert f"line {line}" in str(exc.value)
@@ -55,7 +55,7 @@ def test_syntax_errors_carry_line_numbers(text, fragment, line):
 def test_validation_failures_are_aggregated():
     # eps misses the relator AND rho is nontrivial on it: one error, both listed
     text = "gens a b\nrel aab\neps 1 1\nrho n=5: 1 1\n"
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_presentation(text)
     msg = str(exc.value)
     assert "eps does not kill relator" in msg
@@ -63,7 +63,7 @@ def test_validation_failures_are_aggregated():
 
 
 def test_bad_rho_fixture_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         parse_presentation(read_fixture("bad_rho.pres"))
 
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from cuspedzeta import ruelle
-from cuspedzeta.errors import ConvergenceRegionError
+from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.spectrum import load_spectrum
 
 from conftest import FIXTURES
@@ -92,7 +92,7 @@ def test_convergence_region_enforced_when_incomplete(fig8):
     for sp in (s, fig8):
         for z in (2 + 0j, 1.5 + 0j, 0.01 + 3j):
             for evaluate in (ruelle.euler_product, ruelle.fried_residual):
-                with pytest.raises(ConvergenceRegionError):
+                with pytest.raises(CuspedZetaError, match="convergence region"):
                     evaluate(sp, z)
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import words as W
-from cuspedzeta.errors import FormatError, ValidationError
+from cuspedzeta.errors import InputError
 from cuspedzeta.spectrum import (GeodesicClass, Spectrum, _complex_length,
                                  enumerate_classes, format_spectrum,
                                  load_spectrum)
@@ -164,7 +164,7 @@ def test_character_value_off_the_unit_circle_is_refused(rho, where):
     # refused by name before any word is walked, so no warning comes first
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValidationError, match=re.escape(where)):
+        with pytest.raises(InputError, match=re.escape(where)):
             enumerate_classes(fig8_generators(), list(rho), 8, 3.0)
     assert caught == []
 
@@ -340,6 +340,8 @@ def elements(draw):
 @example(("elliptic", (ROT, 0, 0, ROT.conjugate())))
 @example(("loxodromic", (2, 0, 0, 0.5)))
 @example(("loxodromic", _long_word_product()))
+# the larger eigenvalue's angle is subnormal
+@example(("loxodromic", (3 + 5e-324j, 0, 0, 1 / (3 + 5e-324j))))
 @given(elements())
 def test_complex_length_is_the_oracle_classification(element):
     # the same float operations as classify(MoebiusMatrix.normalized(...)):
@@ -385,7 +387,7 @@ def test_load_rejects_malformed_rows(tmp_path):
     good = (FIXTURES / "fig8_spectrum.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(good[:2] + ["1.0,nope,1,0,1.0,1,ab"]) + "\n")
-    with pytest.raises(FormatError) as exc:
+    with pytest.raises(InputError) as exc:
         load_spectrum(bad)
     assert "line 3" in str(exc.value)
 
@@ -395,5 +397,5 @@ def test_validate_rejects_inconsistent_class():
                       char_value=1.0 + 0j, primitive_length=0.3,
                       multiplicity=1)
     s = Spectrum(classes=(c,), cutoff_length=2.0)
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         s.validate()

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cuspedzeta.cli import _jdump
-from cuspedzeta.errors import InconsistentInput
+from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.verdict import (l2_betti, main_conjecture_report,
                                 ruelle_order_prediction)
@@ -19,9 +19,9 @@ def test_l2_betti_cases():
     assert l2_betti(0, 0, False) == (0, 0)
     assert l2_betti(0, 2, True) == (0, 1)
     # a global fixed vector forces triviality on the cusp subgroup
-    with pytest.raises(InconsistentInput):
+    with pytest.raises(CuspedZetaError, match="cannot be nontrivial on the cusp"):
         l2_betti(1, 1, False)
-    with pytest.raises(InconsistentInput):
+    with pytest.raises(CuspedZetaError, match="h0 must be 0 or 1, got 2"):
         l2_betti(2, 0, True)
 
 
