@@ -24,8 +24,7 @@ def main():
           f"up to length {spectrum.cutoff_length}")
     print(f"{'length':>12}  {'holonomy':>10}  word")
     for c in spectrum.primitives():
-        print(f"{c.length:12.9f}  {c.holonomy:10.6f}  "
-              f"{''.join('abAB'[g + 2 * (e < 0)] for g, e in c.word)}")
+        print(f"{c.length:12.9f}  {c.holonomy:10.6f}  {c.word}")
 
     z = 5.0
     rep = euler_product(spectrum, z)

@@ -71,23 +71,23 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     ValueError; with Re z > 2 the real part can only underflow), or a
     product past the float range, raises a located OverflowError."""
     tail = _tail_bound(s, z)
+    rows = s.primitives()
+    exp, nz = cmath.exp, -z
     value = 1 + 0j
-    n = 0
     try:
-        for c in s.primitives():
-            value *= 1 - c.char_value * cmath.exp(-z * c.length)
-            n += 1
+        for length, _, char, _, _, _ in rows:
+            value *= 1 - char * exp(nz * length)
     except ValueError:
-        raise _overflow(f"e^(-z l) at z = {z}", c.length) from None
+        raise _overflow(f"e^(-z l) at z = {z}", length) from None
     if not cmath.isfinite(value):
         # complex multiplication overflows without raising: find the
         # first factor that takes the product out of the float range
         value = 1 + 0j
-        for c in s.primitives():
-            value *= 1 - c.char_value * cmath.exp(-z * c.length)
+        for length, _, char, _, _, _ in rows:
+            value *= 1 - char * exp(nz * length)
             if not cmath.isfinite(value):
-                raise _overflow(f"e^(-z l) at z = {z}", c.length)
-    return TruncationReport(value=value, tail_bound=tail, terms_used=n)
+                raise _overflow(f"e^(-z l) at z = {z}", length)
+    return TruncationReport(value=value, tail_bound=tail, terms_used=len(rows))
 
 
 def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
@@ -100,18 +100,19 @@ def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
     part leaves the float range raises a located OverflowError, as in
     `euler_product`."""
     tail = _tail_bound(s, z)
-    z1, z2 = z + 1, z + 2
+    exp, rexp, cos = cmath.exp, math.exp, math.cos
+    nz, nz1, nz2 = -z, -(z + 1), -(z + 2)
     log_r = s0 = s0_shift = s1 = 0j
     try:
         for length, holonomy, char, prim, _, _ in s.classes:
-            el = math.exp(-length)
-            cos_t = math.cos(holonomy)
+            el = rexp(-length)
+            cos_t = cos(holonomy)
             a0 = char * prim / (1 - 2 * el * cos_t + el * el)
-            e = cmath.exp(-z * length)
+            e = exp(nz * length)
             log_r -= char * e * prim / length
             s0 -= a0 * e / length
-            s0_shift -= a0 * cmath.exp(-z2 * length) / length
-            s1 -= a0 * 2 * cos_t * cmath.exp(-z1 * length) / length
+            s0_shift -= a0 * exp(nz2 * length) / length
+            s1 -= a0 * 2 * cos_t * exp(nz1 * length) / length
     except ValueError:
         raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", length) from None
     return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
@@ -128,5 +129,5 @@ def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,
         classes.append(GeodesicClass(
             length=k * length, holonomy=_canonical_angle(holonomy * k),
             char_value=char_value ** k,
-            primitive_length=length, multiplicity=k, word=((0, 1),) * k))
+            primitive_length=length, multiplicity=k, word="a" * k))
     return Spectrum(classes=classes, cutoff_length=powers * length).validate()

@@ -13,7 +13,8 @@ lambda = e^{(l + i theta)/2} of the normalized product gives
 |tr|^2 > (2 cosh(L/2))^2 |det| (1 + 1e-6) has l > L and is skipped
 unclassified.  Classes that are conjugate in the group but not freely
 are merged by trace clustering.  Each class carries its complex length
-(l, theta), character value, and multiplicity data.  Orientation
+(l, theta), character value, multiplicity data and its word, spelled
+as the spectrum CSV spells it.  Orientation
 convention: a class and its inverse are kept as two classes (the Euler
 product runs over oriented geodesics).
 """
@@ -29,10 +30,12 @@ from typing import NamedTuple
 from . import words as W
 from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
                      read_utf8)
-from .words import GroupWord
 
 TRACE_TOL = 1e-9
 DET_TOL = 1e-12
+# classes at least this long pass the Delta rule of GeodesicClass.validate
+# whatever their holonomy, so the rule is evaluated only below it
+DELTA_RULE_BELOW = 1e-3
 
 
 def _canonical_angle(theta: float) -> float:
@@ -73,13 +76,14 @@ def _complex_length(a, b, c, d) -> tuple[float, float] | None:
 
 class GeodesicClass(NamedTuple):
     """One row of the spectrum: a tuple, so it unpacks positionally and
-    costs one allocation to build."""
+    costs one allocation to build.  The word is the letter text of the
+    CSV, such as ``abAB``."""
     length: float
     holonomy: float
     char_value: complex
     primitive_length: float
     multiplicity: int
-    word: GroupWord
+    word: str
 
     def validate(self):
         length, holonomy, char_value, primitive_length, multiplicity, word = self
@@ -95,11 +99,15 @@ class GeodesicClass(NamedTuple):
         if not word:
             raise InputError("empty word")
         # Delta = |1 - e^{-(l + i theta)}|^2, the denominator of the
-        # Ruelle weights, must not round to zero
-        el = math.exp(-length)
-        if not 1 - 2 * el * math.cos(holonomy) + el * el > 0:
-            raise InputError(f"length {length} and holonomy {holonomy} "
-                             f"give det(1 - P) = 0 to rounding")
+        # Ruelle weights, must not round to zero.  Delta >= (1 - e^{-l})^2,
+        # which is at least 9.9e-7 for l >= DELTA_RULE_BELOW = 1e-3, and
+        # rounding moves the computed Delta by less than 1e-15: only a
+        # shorter class, or a holonomy that is not finite, can fail
+        if length < DELTA_RULE_BELOW or not math.isfinite(holonomy):
+            el = math.exp(-length)
+            if not 1 - 2 * el * math.cos(holonomy) + el * el > 0:
+                raise InputError(f"length {length} and holonomy {holonomy} "
+                                 f"give det(1 - P) = 0 to rounding")
         return self
 
 
@@ -260,19 +268,21 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
                 DiscretenessSuspect)
             kept.append(cand)
 
+    # the row order, (length, holonomy) ties broken by the tuple word.
+    # `_power_root` reads only primitives under two thirds of a class's
+    # length, which any order by length puts first, so ties cannot change
+    # a multiplicity.
     classes = []
     primitives: list[GeodesicClass] = []
-    kept.sort(key=lambda f: (f[2], len(f[0]), f[0]))
+    kept.sort(key=lambda f: (f[2], f[3], f[0]))
     for canon, trk, length, theta, char in kept:
         mult, prim_len = _power_root((length, theta, char), primitives)
         cls = GeodesicClass(length=length, holonomy=theta, char_value=char,
                             primitive_length=prim_len, multiplicity=mult,
-                            word=canon)
+                            word=W.format_letters(canon))
         classes.append(cls)
         if mult == 1:
             primitives.append(cls)
-
-    classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     max_word_len=max_word_len).validate()
 
@@ -293,8 +303,7 @@ def format_spectrum(s: Spectrum) -> str:
         lines.append(",".join([
             _fmt(c.length), _fmt(c.holonomy),
             _fmt(c.char_value.real), _fmt(c.char_value.imag),
-            _fmt(c.primitive_length), str(c.multiplicity),
-            W.format_letters(c.word),
+            _fmt(c.primitive_length), str(c.multiplicity), c.word,
         ]))
     return "\n".join(lines) + "\n"
 
@@ -317,8 +326,11 @@ def _row(line: str, lineno: int) -> GeodesicClass | None:
         raise InputError("expected 7 comma-separated fields", line=lineno)
     try:
         length, theta, re_c, im_c, prim = map(_finite_float, parts[:5])
-        cls = GeodesicClass(length, theta, complex(re_c, im_c), prim,
-                            int(parts[5]), W.parse_letters(parts[6], 26))
+        mult = int(parts[5])
+        # parsed for the message that names a letter outside a-z, A-Z
+        W.parse_letters(parts[6], 26)
+        cls = GeodesicClass(length, theta, complex(re_c, im_c), prim, mult,
+                            parts[6])
     except Exception as exc:
         raise InputError(f"bad row: {exc}", line=lineno)
     try:
@@ -329,29 +341,44 @@ def _row(line: str, lineno: int) -> GeodesicClass | None:
         raise InputError(f"bad row: {exc}", line=lineno)
 
 
+def _header(line: str, lineno: int) -> dict:
+    """The key=value tokens of a ``# `` header line; a token without
+    '=', or one that repeats a key, raises the InputError that names it."""
+    fields = {}
+    for tok in line[2:].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise InputError(f"bad header: token {tok!r} is not key=value",
+                             line=lineno)
+        if key in fields:
+            raise InputError(f"bad header: token {tok!r} repeats key {key!r}",
+                             line=lineno)
+        fields[key] = value
+    return fields
+
+
 def load_spectrum(path) -> Spectrum:
     """Read a spectrum CSV in one pass; every error names its line.
 
     Each row is split and unpacked once and checked inline by the rules
     of `GeodesicClass.validate`.  Each distinct (re, im) character text
     is parsed and checked once per call, and the primitive length is
-    not parsed again when its text equals the length's.  A row that
-    fails in any way, a blank line included, goes to `_row`, which
-    skips it or raises the located message."""
+    not parsed again when its text equals the length's.  The word is
+    kept as its letter text.  A row that fails in any way, a blank line
+    included, goes to `_row`, which skips it or raises the located
+    message."""
     raw = read_utf8(path).splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
         raise InputError("missing spectrum header", line=1)
     try:
-        head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
-        cutoff = _finite_float(head["cutoff"])
-    except (KeyError, ValueError) as exc:
+        cutoff = _finite_float(_header(raw[0], 1)["cutoff"])
+    except ValueError as exc:
         raise InputError(f"bad header: {exc}", line=1)
     max_word_len = None
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
         try:
-            meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
-            mwl = int(meta.get("max_word_len", -1))
+            mwl = int(_header(raw[1], 2)["max_word_len"])
         except ValueError as exc:
             raise InputError(f"bad header: {exc}", line=2)
         max_word_len = None if mwl < 0 else mwl
@@ -360,7 +387,6 @@ def load_spectrum(path) -> Spectrum:
     append = classes.append
     limit = cutoff + 1e-9
     last = -math.inf
-    letter = W._alphabet(26).__getitem__
     isfinite, exp, cos = math.isfinite, math.exp, math.cos
     # GeodesicClass(...) without the Python-level __new__ of a NamedTuple
     new = tuple.__new__
@@ -389,13 +415,16 @@ def load_spectrum(path) -> Spectrum:
                 if not isfinite(re_v + im_v) or abs(abs(char) - 1) > 1e-12:
                     raise ValueError
                 chars[key] = char
-            if not length > 0 or mult < 1 or not text:
+            # ASCII letters are the 52 of the a-z alphabet, and an empty
+            # word is not alphabetic
+            if not length > 0 or mult < 1 or not (text.isascii()
+                                                   and text.isalpha()):
                 raise ValueError
-            el = exp(-length)
-            if not 1 - 2 * el * cos(theta) + el * el > 0:
-                raise ValueError
-            cls = new(GeodesicClass, (length, theta, char, prim, mult,
-                                      tuple(map(letter, text))))
+            if length < DELTA_RULE_BELOW:  # theta is finite here
+                el = exp(-length)
+                if not 1 - 2 * el * cos(theta) + el * el > 0:
+                    raise ValueError
+            cls = new(GeodesicClass, (length, theta, char, prim, mult, text))
         except Exception:
             cls = _row(line, lineno)
             if cls is None:

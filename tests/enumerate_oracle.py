@@ -166,5 +166,7 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
             primitives.append(cls)
 
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
+    # spelled as the package stores a word, after the tuple-word order
+    classes = [c._replace(word=W.format_letters(c.word)) for c in classes]
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     max_word_len=max_word_len).validate()

@@ -7,8 +7,11 @@ each row, and then `Spectrum.validate` checks the cutoff and the order
 and validates every row again.  `fried_residual` sums the log Euler
 product and each of the three `s_log` sums in a pass of its own, and
 `fried_check` evaluates a whole Euler product to read its tail bound.
-The only edit to the bodies is that `load_spectrum` calls the
-`parse_letters` below instead of `words.parse_letters`.
+The edits to the bodies: `load_spectrum` calls the `parse_letters`
+below instead of `words.parse_letters`, keeps the word as its letter
+text, as the package does, applies the Delta rule at every length,
+where `GeodesicClass.validate` now evaluates it only for short classes,
+and refuses a header line that repeats a key, as the package does.
 
 `weights` and `log_euler_product` are the per-class Ruelle weights and
 the log Euler product those sums are made of; `ruelle.fried_residual`
@@ -77,13 +80,23 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _header(line: str) -> dict:
+    """The key=value tokens of a header line; a token without '=' or a
+    repeated key raises ValueError."""
+    tokens = line[2:].split()
+    fields = dict(tok.split("=", 1) for tok in tokens)
+    if len(fields) != len(tokens):
+        raise ValueError("repeated header key")
+    return fields
+
+
 def load_spectrum(path) -> Spectrum:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
         raise InputError("missing spectrum header", line=1)
     try:
-        head = dict(tok.split("=", 1) for tok in raw[0][2:].split())
+        head = _header(raw[0])
         cutoff = _finite_float(head["cutoff"])
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad header: {exc}", line=1)
@@ -91,7 +104,7 @@ def load_spectrum(path) -> Spectrum:
     body_start = 1
     if len(raw) > 1 and raw[1].startswith("# max_word_len="):
         try:
-            meta = dict(tok.split("=", 1) for tok in raw[1][2:].split())
+            meta = _header(raw[1])
             mwl = int(meta.get("max_word_len", -1))
         except ValueError as exc:
             raise InputError(f"bad header: {exc}", line=2)
@@ -107,7 +120,8 @@ def load_spectrum(path) -> Spectrum:
         try:
             length, theta, re_c, im_c, prim = (_finite_float(x) for x in parts[:5])
             mult = int(parts[5])
-            word = parse_letters(parts[6], 26)
+            parse_letters(parts[6], 26)
+            word = parts[6]
         except Exception as exc:
             raise InputError(f"bad row: {exc}", line=lineno)
         cls = GeodesicClass(length=length, holonomy=theta,
@@ -115,6 +129,11 @@ def load_spectrum(path) -> Spectrum:
                             primitive_length=prim, multiplicity=mult, word=word)
         try:
             cls.validate()
+            # the Delta rule at every length, where `validate` evaluates
+            # it only below DELTA_RULE_BELOW
+            if not weights(cls).delta > 0:
+                raise InputError(f"length {length} and holonomy {theta} "
+                                 f"give det(1 - P) = 0 to rounding")
         except InputError as exc:
             raise InputError(str(exc), line=lineno)
         classes.append(cls)

@@ -194,10 +194,18 @@ BAD_INPUTS = [
     ("directory", None, ["epstein", str(FIXTURES)], EX_DATAERR,
      "Is a directory"),
     ("csv-header-token", "# cutoff=3 covolume=1 volume\n",
-     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 1)"),
+     ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR,
+     "bad header: token 'volume' is not key=value (line 1)"),
+    ("csv-header-repeated-key", "# cutoff=7 cutoff=1\n", RUELLE_IN, EX_DATAERR,
+     "bad header: token 'cutoff=1' repeats key 'cutoff' (line 1)"),
     ("csv-word-length", "# cutoff=3 covolume=1 volume=1\n"
                         "# max_word_len=x complete=1\n",
      ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
+    ("csv-word-length-token", "# cutoff=3\n# max_word_len=3 complete\n",
+     FRIED_IN, EX_DATAERR, "bad header: token 'complete' is not key=value (line 2)"),
+    ("csv-word-length-repeated-key", "# cutoff=3\n# max_word_len=3 max_word_len=9\n",
+     FRIED_IN, EX_DATAERR,
+     "bad header: token 'max_word_len=9' repeats key 'max_word_len' (line 2)"),
     ("csv-nan-row", "# cutoff=3 covolume=1 volume=1\nnan,nan,1,0,nan,1,ab\n",
      ["ruelle", "eval", "{in}", "--z", "5"], EX_DATAERR, "(line 2)"),
     ("csv-nan-cutoff", "# cutoff=nan covolume=1 volume=1\n",

@@ -1,6 +1,7 @@
 """Loxodromic classification and geodesic-spectrum enumeration."""
 
 import cmath
+import json
 import math
 import random
 import re
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cuspedzeta import cli
 from cuspedzeta import words as W
-from cuspedzeta.errors import InputError
+from cuspedzeta.errors import DiscretenessSuspect, InputError
 from cuspedzeta.spectrum import (GeodesicClass, Spectrum, _complex_length,
                                  enumerate_classes, format_spectrum,
                                  load_spectrum)
 
-from conftest import FIXTURES, fig8_generators
+from conftest import FIXTURES, fig8_generators, read_fixture
 from enumerate_oracle import MoebiusMatrix, classify
 from enumerate_oracle import enumerate_classes as reference_enumeration
 from enumerate_oracle import inverse, matmul
@@ -383,6 +385,49 @@ def test_frozen_fixture_matches_enumeration(fig8, tmp_path):
     assert p.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
 
 
+def _enumerated(capsys, tmp_path, rho, max_word_len, cutoff) -> str:
+    """stdout of `spectrum enumerate` on the figure-eight matrices with
+    the character value rho on both generators."""
+    matrices = json.loads(read_fixture("fig8_matrices.json"))
+    matrices["rho"] = [[rho.real, rho.imag]] * 2
+    path = tmp_path / "matrices.json"
+    path.write_text(json.dumps(matrices), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiscretenessSuspect)
+        code = cli.run(["spectrum", "enumerate", str(path), "--max-word-len",
+                        str(max_word_len), "--cutoff", str(cutoff)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    return out
+
+
+ZETA5 = cmath.exp(0.4j * math.pi)
+
+
+def test_enumerate_breaks_ties_by_the_tuple_word(capsys, tmp_path):
+    # rows of equal (length, holonomy) follow the order of the tuple
+    # words, (generator, exponent) pairs, as the oracle sorts them; the
+    # letter text orders 11 of the 143 adjacent ties here the other way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiscretenessSuspect)
+        want = reference_enumeration(fig8_generators(), [ZETA5, ZETA5], 10, 4.0)
+    assert _enumerated(capsys, tmp_path, ZETA5, 10, 4) == format_spectrum(want)
+    ties = [(a.word, b.word) for a, b in zip(want.classes, want.classes[1:])
+            if (a.length, a.holonomy) == (b.length, b.holonomy)]
+    assert sum(a > b for a, b in ties) >= 5
+
+
+# the fixture, written at word length 8, round-trips in
+# test_round_trip_is_byte_identical
+@pytest.mark.parametrize("rho", [cmath.exp(2j * math.pi / 3), ZETA5],
+                         ids=["zeta3", "zeta5"])
+def test_enumerated_file_round_trips_byte_for_byte(capsys, tmp_path, rho):
+    text = _enumerated(capsys, tmp_path, rho, 10, 4)
+    path = tmp_path / "spectrum.csv"
+    path.write_text(text, encoding="utf-8")
+    assert format_spectrum(load_spectrum(path)) == text
+
+
 def test_load_rejects_malformed_rows(tmp_path):
     good = (FIXTURES / "fig8_spectrum.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
@@ -393,9 +438,18 @@ def test_load_rejects_malformed_rows(tmp_path):
 
 
 def test_validate_rejects_inconsistent_class():
-    c = GeodesicClass(word=((0, 1),), length=1.0, holonomy=0.0,
+    c = GeodesicClass(word="a", length=1.0, holonomy=0.0,
                       char_value=1.0 + 0j, primitive_length=0.3,
                       multiplicity=1)
     s = Spectrum(classes=(c,), cutoff_length=2.0)
     with pytest.raises(InputError):
         s.validate()
+
+
+@pytest.mark.parametrize("length", [1e-4, 1.0])
+def test_validate_refuses_a_nan_holonomy_at_any_length(length):
+    # the Delta rule, skipped for finite holonomy at l >= 1e-3, still
+    # sees a holonomy that is not finite
+    c = GeodesicClass(length, math.nan, 1 + 0j, length, 1, "a")
+    with pytest.raises(InputError, match=re.escape("det(1 - P) = 0")):
+        c.validate()

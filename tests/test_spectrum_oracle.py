@@ -3,19 +3,21 @@ routes they replaced (`spectrum_oracle`): equal spectra, and residuals
 and tail bounds equal bit for bit."""
 
 import cmath
+import hashlib
 import math
 import random
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta import ruelle
+from cuspedzeta import cli, ruelle
+from cuspedzeta import words as W
 from cuspedzeta.errors import CuspedZetaError, InputError
-from cuspedzeta.spectrum import (GeodesicClass, Spectrum, format_spectrum,
-                                 load_spectrum)
+from cuspedzeta.spectrum import (DELTA_RULE_BELOW, GeodesicClass, Spectrum,
+                                 format_spectrum, load_spectrum)
 
 import spectrum_oracle as oracle
 from conftest import FIXTURES
@@ -46,8 +48,8 @@ def power_closed_spectrum(seed: int, n_primitive: int) -> Spectrum:
         theta = rng.uniform(-math.pi, math.pi)
         q = rng.randint(1, 6)
         p = rng.randrange(q)
-        word = tuple((rng.randrange(26), rng.choice((1, -1)))
-                     for _ in range(rng.randint(1, 6)))
+        word = W.format_letters(tuple((rng.randrange(26), rng.choice((1, -1)))
+                                      for _ in range(rng.randint(1, 6))))
         for k in range(1, int(cutoff // length) + 1):
             classes.append(GeodesicClass(
                 length=k * length, holonomy=_angle(k * theta),
@@ -104,6 +106,64 @@ def scan_spectrum_text(seed: int, n_primitive: int) -> str:
         if rng.random() < 0.01:
             lines.append(rng.choice(("", " ", "\t ")))
     return "\n".join(lines) + "\n"
+
+
+# sha256 of the stdout of `ruelle eval` and `fried check`, taken before
+# the loader kept words as letter text and the sums bound their
+# functions to locals: reordering any float operation of the loader or
+# of the sums changes a digest
+SCAN_OUTPUT_SHA256 = {
+    ("fixture", "ruelle", "2.5+1.25j"):
+        "2f2db67c65a12a7c665b99cddd1f47af44de884e2b56ca7df324ec45f222fd80",
+    ("fixture", "ruelle", "3.7-4.2j"):
+        "3179ebacbbe999b0072158d119c372a5857ff3d310853cab29a1a0fc246062d0",
+    ("fixture", "ruelle", "4.4+11j"):
+        "54f1b5c0bf6d8647fc65406e38a108ae094566f1a187da1fba0eb030be40e289",
+    ("fixture", "fried", "2.5+1.25j"):
+        "64381c305a9ce7c92d26fc6fb29e1565f72575e4be98d657ec66e7fd7573c263",
+    ("fixture", "fried", "3.7-4.2j"):
+        "0f0107f67c94646f14bf6a3be2f64380f8881dfc36d79f1f4c49151fd1f450cc",
+    ("fixture", "fried", "4.4+11j"):
+        "61935d3ec9309625eb9d9d3839bca9adde72ecf01e991fcb61813f4d743875ec",
+    ("scan-5", "ruelle", "2.5+1.25j"):
+        "0cb0eb09d92e5b50c8c23e97dbb85fc76958fb63aaf6859dad28cabf748a40d1",
+    ("scan-5", "ruelle", "3.7-4.2j"):
+        "eae8482992bbb622560516624d6881dd1ecd2c2968a652e034168e84be7fae67",
+    ("scan-5", "ruelle", "4.4+11j"):
+        "781c930f1a1b7960824de6c1836d8e1122e064caa7a731a1ad640ec2cfad7f28",
+    ("scan-5", "fried", "2.5+1.25j"):
+        "784373a4fb0eebaa3a78326f2ae8fa8bb4cf5301b6c8e461f2cb20019e0cc3bb",
+    ("scan-5", "fried", "3.7-4.2j"):
+        "cc0938b3dd4f36175cdafde9d286c431e268b70aa674abe067a2ce505c0db2c7",
+    ("scan-5", "fried", "4.4+11j"):
+        "48767557502dc8c8de027d05f29b6bbe59e6e1249a09bbd197bb340294364635",
+    ("scan-6", "ruelle", "2.5+1.25j"):
+        "3ff8fbba9ecdff66eed3e9563cd2f2c31df6ee3384edc278b08baa8a96988680",
+    ("scan-6", "ruelle", "3.7-4.2j"):
+        "1cd390944a78963edd5167715aa51040c6e977802edd0b26d106447cc60ef5ef",
+    ("scan-6", "ruelle", "4.4+11j"):
+        "1bcdecfcb1229404775eea46e3889afdf991edec460605258ca87b2be5d5098e",
+    ("scan-6", "fried", "2.5+1.25j"):
+        "3b94add922ec0133242dae2f5b09b5acaf49daa8aee5cf011b7a7ac6bec5e1c7",
+    ("scan-6", "fried", "3.7-4.2j"):
+        "5d18207679966570cea5d2a38a57ab6a4bbdb36240ba0e41f23c43a76570d543",
+    ("scan-6", "fried", "4.4+11j"):
+        "d66d5e095595e20b4a44308ba041d8c184610344ebd2465b62a1d4df4597eaeb",
+}
+
+
+def test_scan_output_bytes_are_pinned(capsys, tmp_path):
+    files = {"fixture": FIXTURES / "fig8_spectrum.csv"}
+    for seed in (5, 6):
+        path = files[f"scan-{seed}"] = tmp_path / f"scan-{seed}.csv"
+        path.write_text(scan_spectrum_text(seed, 2000), encoding="utf-8")
+    commands = {"ruelle": ["ruelle", "eval"], "fried": ["fried", "check"]}
+    got = {}
+    for name, cmd, z in SCAN_OUTPUT_SHA256:
+        assert cli.run([*commands[cmd], str(files[name]), "--z", z]) == 0
+        got[name, cmd, z] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == SCAN_OUTPUT_SHA256
 
 
 def _written(tmp_path, name: str, sp: Spectrum):
@@ -223,8 +283,10 @@ def edge_rows(draw):
             gap = _nudged(draw, draw(st.sampled_from([1e-9, -1e-9])))
             length, prim = mult * p + gap, _fmt(p)
         elif kind == "delta":
-            length = draw(st.sampled_from([5e-324, 1e-320, 1e-300, 1e-17,
-                                           1.1e-16, 2.2e-16, 1e-8]))
+            # the last two sit on either side of DELTA_RULE_BELOW
+            length = draw(st.sampled_from([
+                5e-324, 1e-320, 1e-300, 1e-17, 1.1e-16, 2.2e-16, 1e-8,
+                math.nextafter(DELTA_RULE_BELOW, 0), DELTA_RULE_BELOW]))
             theta = draw(st.sampled_from([0.0, 1e-9, -1e-8, 1e-4]))
             prim = _fmt(length)
         elif kind == "order":
@@ -279,3 +341,25 @@ def test_edge_rows_load_as_the_oracle_loads_them(body):
         path.write_text(head + "".join(line + "\n" for line in body),
                         encoding="utf-8")
         assert _loaded(path) == want
+
+
+def test_edge_rows_fall_on_both_sides_of_the_delta_rule_bound():
+    # the loader evaluates the Delta rule only below DELTA_RULE_BELOW;
+    # the edge rows must reach both branches, next to the bound too
+    for length in (math.nextafter(DELTA_RULE_BELOW, 0), DELTA_RULE_BELOW):
+        find(edge_rows(), lambda body: length in [
+            float(line.split(",")[0]) for line in body if line.strip()])
+
+
+@settings(max_examples=500, deadline=None)
+@example(DELTA_RULE_BELOW, 0.0)
+@example(DELTA_RULE_BELOW, 2 * math.pi)
+@example(DELTA_RULE_BELOW, 1e308)
+@example(1e308, 0.0)
+@given(st.floats(min_value=DELTA_RULE_BELOW, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_delta_rule_holds_at_every_length_it_is_not_evaluated(length, theta):
+    # Delta >= (1 - e^{-l})^2 >= 9.9e-7 for l >= 1e-3, against a
+    # rounding error below 1e-15, so the rule cannot fail there
+    c = GeodesicClass(length, theta, 1 + 0j, length, 1, "a")
+    assert oracle.weights(c).delta > 0
