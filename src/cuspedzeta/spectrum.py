@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,11 +141,30 @@ def _trace_key(tr: complex):
     return tr
 
 
-def _power_root(cls_lth, primitives):
+def _power_root(length, theta, char, primitives, lengths):
     """Match (length, holonomy, char) against integer multiples of an
-    already-found primitive class; returns (multiplicity, primitive_length)."""
-    length, theta, char = cls_lth
-    for p in primitives:
+    already-found primitive class; returns (multiplicity, primitive_length).
+
+    ``primitives`` ascend in length and ``lengths`` holds their lengths.
+    The match is the first primitive p, in that order, with
+    k = round(length / p.length) >= 2 whose k-th power agrees with the
+    class.  Every such p has |length - k p.length| <= 1e-6, so it lies
+    in the window (length +- 2e-6) / k; the windows for k = 2..K, K the
+    k of the shortest primitive, are found by bisection.  When they are
+    more than there are primitives, every primitive is a candidate."""
+    top = round(length / lengths[0]) if lengths else 1
+    if top - 1 > len(lengths):
+        candidates = range(len(lengths))
+    else:
+        # windows in ascending position, each started past the last
+        candidates = []
+        end = 0
+        for k in range(top, 1, -1):
+            lo = max(end, bisect_left(lengths, (length - 2e-6) / k))
+            end = max(end, bisect_right(lengths, (length + 2e-6) / k))
+            candidates.extend(range(lo, end))
+    for i in candidates:
+        p = primitives[i]
         k = round(length / p.length)
         if k < 2:
             break  # primitives ascend in length, so k only falls from here
@@ -156,6 +176,61 @@ def _power_root(cls_lth, primitives):
             continue
         return k, p.length
     return 1, length
+
+
+def _merge_conjugates(found):
+    """The classes kept from ``found``, (word, trace key, length,
+    holonomy, char) tuples sorted by (word length, word).
+
+    Words that are conjugate in the group but not freely conjugate are
+    merged by trace.  The trace cannot separate a class from its
+    inverse, so each trace cluster keeps its first word plus the
+    canonical form of that word's inverse (the oriented-geodesic
+    convention), and every other member of the cluster is assumed
+    conjugate to one of those two; a member whose character value
+    matches neither is kept with a DiscretenessSuspect warning.  A word
+    joins the first cluster whose key is within TRACE_TOL of its own;
+    the candidates are the clusters whose key's real part lies within
+    2 TRACE_TOL, found by bisection."""
+    kept = []
+    clusters = []  # [trace key, char, canonical inverse word or None]
+    reals = []  # the clusters' key real parts, ascending ...
+    ids = []  # ... and the index in `clusters` of each
+    for cand in found:
+        canon, trk, length, theta, char = cand
+        re = trk.real
+        hit = len(clusters)
+        for pos in range(bisect_left(reals, re - 2 * TRACE_TOL),
+                         bisect_right(reals, re + 2 * TRACE_TOL)):
+            i = ids[pos]
+            if i < hit and abs(trk - clusters[i][0]) <= TRACE_TOL:
+                hit = i
+        if hit == len(clusters):
+            inv = W.canonical_conjugacy_form(W.inverse(canon))
+            pos = bisect_right(reals, re)
+            reals.insert(pos, re)
+            ids.insert(pos, hit)
+            clusters.append([trk, char, inv if inv != canon else None])
+            kept.append(cand)
+            continue
+        cl = clusters[hit]
+        if canon == cl[2]:
+            cl[2] = None  # the inverse orientation, kept once
+            kept.append(cand)
+        elif min(abs(char - cl[1]), abs(char - cl[1].conjugate())) > 1e-6:
+            warnings.warn(
+                f"near-equal traces with incompatible character values: "
+                f"word {W.format_letters(canon)}",
+                DiscretenessSuspect)
+            kept.append(cand)
+    return kept
+
+
+def _matmul(m, n):
+    """(a b; c d)(e f; g h)"""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def enumerate_classes(gens, rho_values, max_word_len: int,
@@ -176,13 +251,10 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     if len(gens) > 26:
         # the spectrum file spells words in the letters a-z
         raise InputError(f"generators: {len(gens)} given, at most 26 allowed")
-    mats = {}
     for i, (a, b, c, d) in enumerate(gens):
         det = a * d - b * c
         if not abs(det - 1) <= DET_TOL:
             raise InputError(f"generators[{i}]: determinant {det} is not 1")
-        mats[(i, 1)] = (a, b, c, d)
-        mats[(i, -1)] = (d, -b, -c, a)
     if len(rho_values) != len(gens):
         raise InputError(f"rho: {len(rho_values)} character value(s) for "
                          f"{len(gens)} generator(s)")
@@ -191,6 +263,13 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         if not abs(abs(v) - 1) <= 1e-12:
             raise InputError(f"rho[{i}]: character value {v} "
                              f"is off the unit circle")
+    # letter i of the walk, its matrix and its character value
+    letters = sorted((g, e) for g in range(len(gens)) for e in (-1, 1))
+    mats, chars = [], []
+    for g, e in letters:
+        a, b, c, d = gens[g]
+        mats.append((a, b, c, d) if e == 1 else (d, -b, -c, a))
+        chars.append(rho_values[g] if e == 1 else rho_values[g].conjugate())
     # |tr|^2 of a product above this times |det| puts its length above the
     # cutoff; the margin is far above rounding, and no elliptic, parabolic
     # or identity trace (|tr| <= 2 + TRACE_TOL) reaches it.  |tr|^2
@@ -202,30 +281,15 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         bound = bound * bound * (1 + 1e-6)
 
     found = []  # (canonical word, trace_key, length, theta, char)
-    # prods[n] is the product of the last walked word of length n,
-    # accumulated left to right as the walk descends
-    prods = [None] * (max_word_len + 1)
-    for word, is_class in W.necklace_walk(len(gens), max_word_len):
-        n = len(word)
-        if n == max_word_len and not is_class:
-            continue  # a leaf that is not a class needs no product
-        if n == 1:
-            m = mats[word[0]]
-        else:
-            # (a b; c d)(e f; g h)
-            a, b, c, d = prods[n - 1]
-            e, f, g, h = mats[word[-1]]
-            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        prods[n] = m
-        if not is_class:
-            continue
-        a, b, c, d = m
+    for idx, (a, b, c, d) in W.necklace_walk(mats, max_word_len, _matmul):
         # an entry past the float range, or inf - inf, makes the sum non-finite
         if not cmath.isfinite(a + b + c + d):
+            word = tuple(map(letters.__getitem__, idx))
             raise CuspedZetaError(
                 f"the matrix product of word {W.format_letters(word)} is not finite")
         det = a * d - b * c
         if det == 0:
+            word = tuple(map(letters.__getitem__, idx))
             raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
                                   f"has determinant 0 to rounding")
         tr = a + d
@@ -235,54 +299,29 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         if lth is None or lth[0] > cutoff_length:
             continue
         char = 1 + 0j
-        for g, e in word:
-            char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
-        found.append((word, _trace_key(tr), *lth, char))
-
-    # merge words that are conjugate in the group but not freely
-    # conjugate.  The trace cannot separate a class from its inverse, so
-    # each trace cluster keeps the shortest word plus the canonical form
-    # of its inverse (the oriented-geodesic convention), and every other
-    # member of the cluster is assumed conjugate to one of those two.
+        for i in idx:
+            char *= chars[i]
+        found.append((tuple(map(letters.__getitem__, idx)), _trace_key(tr),
+                      *lth, char))
     found.sort(key=lambda f: (len(f[0]), f[0]))
-    kept = []
-    clusters = []  # (trace key, char, canonical inverse word or None)
-    for cand in found:
-        canon, trk, length, theta, char = cand
-        hit = None
-        for cl in clusters:
-            if abs(trk - cl[0]) <= TRACE_TOL:
-                hit = cl
-                break
-        if hit is None:
-            inv = W.canonical_conjugacy_form(W.inverse(canon))
-            clusters.append([trk, char, inv if inv != canon else None])
-            kept.append(cand)
-        elif canon == hit[2]:
-            hit[2] = None  # the inverse orientation, kept once
-            kept.append(cand)
-        elif min(abs(char - hit[1]), abs(char - hit[1].conjugate())) > 1e-6:
-            warnings.warn(
-                f"near-equal traces with incompatible character values: "
-                f"word {W.format_letters(canon)}",
-                DiscretenessSuspect)
-            kept.append(cand)
+    kept = _merge_conjugates(found)
 
     # the row order, (length, holonomy) ties broken by the tuple word.
     # `_power_root` reads only primitives under two thirds of a class's
     # length, which any order by length puts first, so ties cannot change
     # a multiplicity.
+    kept.sort(key=lambda f: (f[2], f[3], f[0]))
     classes = []
     primitives: list[GeodesicClass] = []
-    kept.sort(key=lambda f: (f[2], f[3], f[0]))
+    lengths = []  # of the primitives
     for canon, trk, length, theta, char in kept:
-        mult, prim_len = _power_root((length, theta, char), primitives)
-        cls = GeodesicClass(length=length, holonomy=theta, char_value=char,
-                            primitive_length=prim_len, multiplicity=mult,
-                            word=W.format_letters(canon))
+        mult, prim_len = _power_root(length, theta, char, primitives, lengths)
+        cls = GeodesicClass(length, theta, char, prim_len, mult,
+                            W.format_letters(canon))
         classes.append(cls)
         if mult == 1:
             primitives.append(cls)
+            lengths.append(length)
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     max_word_len=max_word_len).validate()
 

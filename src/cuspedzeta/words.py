@@ -53,38 +53,53 @@ def canonical_conjugacy_form(word: GroupWord) -> GroupWord:
     return min(cyclic_rotations(w))
 
 
-def necklace_walk(n_generators: int, max_len: int):
+def necklace_walk(values, max_len: int, mul):
     """Depth-first walk over the freely reduced prenecklaces of length
     1..max_len: the Fredricksen-Kessler-Maiorana recursion with the
-    letters in ``sorted`` order and the inverse of the previous letter
-    skipped.
+    inverse of the previous letter skipped.
 
-    Yields ``(word, is_class)`` for every prenecklace.  ``is_class``
-    marks the words that are their own ``canonical_conjugacy_form``
-    (the length is a multiple of the longest Lyndon prefix, and the
-    last letter does not cancel the first), so each free conjugacy
-    class of cyclically reduced length <= max_len is marked exactly
-    once.  The walk is in pre-order: a word's prefix one letter shorter
-    is the last word yielded at that length, so a caller can carry a
-    running product in a list indexed by length.
+    Letters are indices: letter i is ``sorted((g, e))[i]`` over the
+    generators g and the exponents e = -1, 1, so index order is word
+    order and letter i ^ 1 is the inverse of letter i.  ``values[i]``
+    is the value of letter i, one per letter, and ``mul(x, y)`` the
+    product of two values; each word carries the product of its
+    letters' values, taken left to right, down the walk.
+
+    Yields ``(indices, product)`` for the words that are their own
+    ``canonical_conjugacy_form`` (the length is a multiple of the longest
+    Lyndon prefix, and the last letter does not cancel the first), so
+    each free conjugacy class of cyclically reduced length <= max_len
+    comes exactly once, in pre-order.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} is below 1")
-    letters = sorted((g, e) for g in range(n_generators) for e in (-1, 1))
-    # letter i and letter i ^ 1 are mutually inverse: (g, -1) < (g, 1)
-    # stack entries: (letter indices, word, longest Lyndon prefix length)
-    stack = [((i,), (letters[i],), 1) for i in reversed(range(len(letters)))]
+    top = len(values) - 1
+    # stack entries: (letter indices, product, longest Lyndon prefix length)
+    stack = [((i,), values[i], 1) for i in range(top, -1, -1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        idx, word, p = stack.pop()
+        idx, m, p = pop()
         n = len(idx)
-        yield word, n % p == 0 and idx[0] != idx[-1] ^ 1
+        if n % p == 0 and idx[0] != idx[-1] ^ 1:
+            yield idx, m
         if n == max_len:
             continue
         ref = idx[n - p]
-        for j in reversed(range(ref, len(letters))):
-            if j != idx[-1] ^ 1:
-                stack.append((idx + (j,), word + (letters[j],),
-                              p if j == ref else n + 1))
+        cancel = idx[-1] ^ 1
+        n += 1
+        if n == max_len:
+            # the children are leaves, yielded in order without a push
+            # when they are classes and never built when they are not
+            closes = idx[0] ^ 1
+            if n % p == 0 and ref != cancel and ref != closes:
+                yield idx + (ref,), mul(m, values[ref])
+            for j in range(ref + 1, top + 1):
+                if j != cancel and j != closes:
+                    yield idx + (j,), mul(m, values[j])
+            continue
+        for j in range(top, ref - 1, -1):
+            if j != cancel:
+                push((idx + (j,), mul(m, values[j]), p if j == ref else n))
 
 
 @functools.cache
@@ -123,10 +138,13 @@ def parse_letters(text: str, n_generators: int, names=None,
     return tuple(letters)
 
 
+# (generator, exponent) -> its letter, for the generators a-z
+_LETTER_TEXT = {letter: ch for ch, letter in _alphabet(26).items()}
+
+
 def format_letters(word: GroupWord, names=None) -> str:
     if names is None:
-        hi = max((g for g, _ in word), default=-1)
-        names = [chr(ord("a") + i) for i in range(hi + 1)]
+        return "".join(map(_LETTER_TEXT.__getitem__, word))
     out = []
     for g, e in word:
         nm = names[g]

@@ -8,7 +8,9 @@ so a word is dropped only on its computed length.  The package carries
 (a, b, c, d) tuples and reads only "loxodromic or not" off a product
 (`spectrum._complex_length`); `classify` is the reference it is checked
 against.  The trace-cluster merge and the power-root matching are the
-package's, copied or called unchanged.
+package's linear scans, copied: `merge_conjugates` takes the first
+cluster within TRACE_TOL by a scan over all clusters and `_power_root`
+scans the primitives in order, where the package bisects.
 """
 
 import cmath
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from cuspedzeta import words as W
 from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
 from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass, Spectrum,
-                                 _canonical_angle, _power_root, _trace_key)
+                                 _canonical_angle, _trace_key)
 
 
 @dataclass(frozen=True)
@@ -89,47 +91,10 @@ def inverse(m: MoebiusMatrix) -> MoebiusMatrix:
     return MoebiusMatrix(m.d, -m.b, -m.c, m.a)
 
 
-def enumerate_classes(gens, rho_values, max_word_len: int,
-                      cutoff_length: float) -> Spectrum:
-    """`spectrum.enumerate_classes` on the same (a, b, c, d) generators."""
-    gens = [MoebiusMatrix(*g) for g in gens]
-    if len(gens) > 26:
-        raise InputError(f"generators: {len(gens)} given, at most 26 allowed")
-    for i, g in enumerate(gens):
-        if not abs(g.det - 1) <= DET_TOL:
-            raise InputError(f"generators[{i}]: determinant {g.det} is not 1")
-    if len(rho_values) != len(gens):
-        raise InputError(f"rho: {len(rho_values)} character value(s) for "
-                              f"{len(gens)} generator(s)")
-    mats = {}
-    for i, g in enumerate(gens):
-        mats[(i, 1)] = g
-        mats[(i, -1)] = inverse(g)
-
-    found = []  # (canonical word, trace_key, length, theta, char)
-    prods = [None] * (max_word_len + 1)
-    for word, is_class in W.necklace_walk(len(gens), max_word_len):
-        n = len(word)
-        m = mats[word[-1]] if n == 1 else matmul(prods[n - 1], mats[word[-1]])
-        prods[n] = m
-        if not is_class:
-            continue
-        if not cmath.isfinite(m.a + m.b + m.c + m.d):
-            raise CuspedZetaError(
-                f"the matrix product of word {W.format_letters(word)} is not finite")
-        try:
-            et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
-        except ZeroDivisionError:
-            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
-                                  f"has determinant 0 to rounding") from None
-        if et.kind != "loxodromic" or et.length > cutoff_length:
-            continue
-        char = 1 + 0j
-        for g, e in word:
-            char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
-        found.append((word, _trace_key(m.trace), et.length, et.holonomy, char))
-
-    found.sort(key=lambda f: (len(f[0]), f[0]))
+def merge_conjugates(found):
+    """The classes kept from ``found``, (word, trace key, length,
+    holonomy, char) tuples sorted by (word length, word): each word
+    joins the first trace cluster within TRACE_TOL, by a linear scan."""
     kept = []
     clusters = []  # (trace key, char, canonical inverse word or None)
     for cand in found:
@@ -152,6 +117,62 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
                 f"word {W.format_letters(canon)}",
                 DiscretenessSuspect)
             kept.append(cand)
+    return kept
+
+
+def _power_root(cls_lth, primitives):
+    """Match (length, holonomy, char) against integer multiples of an
+    already-found primitive class; returns (multiplicity, primitive_length)."""
+    length, theta, char = cls_lth
+    for p in primitives:
+        k = round(length / p.length)
+        if k < 2:
+            break  # primitives ascend in length, so k only falls from here
+        if abs(length - k * p.length) > 1e-6:
+            continue
+        if abs(_canonical_angle(theta - k * p.holonomy)) > 1e-6:
+            continue
+        if abs(char - p.char_value ** k) > 1e-6:
+            continue
+        return k, p.length
+    return 1, length
+
+
+def enumerate_classes(gens, rho_values, max_word_len: int,
+                      cutoff_length: float) -> Spectrum:
+    """`spectrum.enumerate_classes` on the same (a, b, c, d) generators."""
+    gens = [MoebiusMatrix(*g) for g in gens]
+    if len(gens) > 26:
+        raise InputError(f"generators: {len(gens)} given, at most 26 allowed")
+    for i, g in enumerate(gens):
+        if not abs(g.det - 1) <= DET_TOL:
+            raise InputError(f"generators[{i}]: determinant {g.det} is not 1")
+    if len(rho_values) != len(gens):
+        raise InputError(f"rho: {len(rho_values)} character value(s) for "
+                              f"{len(gens)} generator(s)")
+    letters = sorted((g, e) for g in range(len(gens)) for e in (-1, 1))
+    mats = [gens[g] if e == 1 else inverse(gens[g]) for g, e in letters]
+
+    found = []  # (canonical word, trace_key, length, theta, char)
+    for idx, m in W.necklace_walk(mats, max_word_len, matmul):
+        word = tuple(letters[i] for i in idx)
+        if not cmath.isfinite(m.a + m.b + m.c + m.d):
+            raise CuspedZetaError(
+                f"the matrix product of word {W.format_letters(word)} is not finite")
+        try:
+            et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
+        except ZeroDivisionError:
+            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
+                                  f"has determinant 0 to rounding") from None
+        if et.kind != "loxodromic" or et.length > cutoff_length:
+            continue
+        char = 1 + 0j
+        for g, e in word:
+            char *= rho_values[g] if e == 1 else rho_values[g].conjugate()
+        found.append((word, _trace_key(m.trace), et.length, et.holonomy, char))
+
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    kept = merge_conjugates(found)
 
     classes = []
     primitives = []

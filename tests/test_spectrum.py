@@ -1,8 +1,10 @@
 """Loxodromic classification and geodesic-spectrum enumeration."""
 
 import cmath
+import hashlib
 import json
 import math
+import operator
 import random
 import re
 import warnings
@@ -15,14 +17,17 @@ from hypothesis import strategies as st
 from cuspedzeta import cli
 from cuspedzeta import words as W
 from cuspedzeta.errors import DiscretenessSuspect, InputError
-from cuspedzeta.spectrum import (GeodesicClass, Spectrum, _complex_length,
+from cuspedzeta.spectrum import (TRACE_TOL, GeodesicClass, Spectrum,
+                                 _complex_length, _merge_conjugates, _power_root,
                                  enumerate_classes, format_spectrum,
                                  load_spectrum)
 
 from conftest import FIXTURES, fig8_generators, read_fixture
 from enumerate_oracle import MoebiusMatrix, classify
 from enumerate_oracle import enumerate_classes as reference_enumeration
+from enumerate_oracle import _power_root as linear_power_root
 from enumerate_oracle import inverse, matmul
+from enumerate_oracle import merge_conjugates as linear_merge
 
 # frozen first length values of the figure-eight spectrum (oracle:
 # tr = 2 cosh((l + i theta)/2) inverted on the shortest loxodromic traces)
@@ -151,10 +156,15 @@ def test_enumeration_is_deterministic():
 
 
 def test_max_word_len_below_one_rejected():
+    def mul(x, y):
+        raise AssertionError("a word was walked")
+
     for n in (0, -1):
         with pytest.raises(ValueError):
             enumerate_classes(fig8_generators(), [1.0, 1.0],
                               max_word_len=n, cutoff_length=3.0)
+        with pytest.raises(ValueError):
+            next(W.necklace_walk(range(4), n, mul))
 
 
 @pytest.mark.parametrize("rho, where", [
@@ -194,7 +204,8 @@ def _necklace_count(n):
 def test_necklace_counts_match_closed_form():
     want = [4, 8, 12, 26, 52, 132, 316, 836, 2196, 5936]
     assert [_necklace_count(n) for n in range(1, 11)] == want
-    got = Counter(len(w) for w, is_class in W.necklace_walk(2, 10) if is_class)
+    # only the words are counted; the values and their product are a stand-in
+    got = Counter(len(idx) for idx, _ in W.necklace_walk(range(4), 10, max))
     assert [got[n] for n in range(1, 11)] == want
 
 
@@ -206,25 +217,30 @@ def test_necklaces_are_the_canonical_forms_of_reduced_words():
                  if not w or w[-1] != (l[0], -l[1])]
         canon |= {W.canonical_conjugacy_form(w) for w in level}
     canon.discard(())
-    classes = [w for w, is_class in W.necklace_walk(2, 7) if is_class]
+    # the product of 1-tuples under + is the word itself
+    walked = list(W.necklace_walk([(l,) for l in letters], 7, operator.add))
+    classes = [word for _, word in walked]
     assert len(classes) == len(set(classes))
     assert set(classes) == canon
+    assert all(word == tuple(letters[i] for i in idx) for idx, word in walked)
 
 
-def _reduced_word_walk(n_generators, max_len):
+def _reduced_word_walk(values, max_len, mul):
     """The word search the necklace walk replaced: every freely reduced
-    word, depth first, canonicalized one by one."""
-    letters = sorted((g, e) for g in range(n_generators) for e in (-1, 1))
+    word, depth first, canonicalized one by one, with its product."""
+    letters = sorted((g, e) for g in range(len(values) // 2) for e in (-1, 1))
 
-    def extend(word):
-        yield word, W.canonical_conjugacy_form(word) == word
+    def extend(idx, m):
+        word = tuple(letters[i] for i in idx)
+        if W.canonical_conjugacy_form(word) == word:
+            yield idx, m
         if len(word) < max_len:
-            for l in letters:
-                if word[-1] != (l[0], -l[1]):
-                    yield from extend(word + (l,))
+            for j, (g, e) in enumerate(letters):
+                if word[-1] != (g, -e):
+                    yield from extend(idx + (j,), mul(m, values[j]))
 
-    for l in letters:
-        yield from extend((l,))
+    for i in range(len(letters)):
+        yield from extend((i,), values[i])
 
 
 @pytest.mark.parametrize("rho", [
@@ -246,6 +262,101 @@ def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
     fast = [run(*c) for c in cases]
     monkeypatch.setattr(W, "necklace_walk", _reduced_word_walk)
     assert [run(*c) for c in cases] == fast
+
+
+# --- bisected lookups ------------------------------------------------------
+
+def _nudged(draw, x: float) -> float:
+    """x moved by up to three ulps either way."""
+    for _ in range(abs(steps := draw(st.integers(-3, 3)))):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def power_root_cases(draw):
+    """(length, holonomy, char, primitives): primitives ascending in
+    length, with repeated lengths and sometimes one shorter than 2e-6,
+    and a class at k p +- 1e-6, at k p, or a few ulps either side of
+    either, for a primitive p and k >= 2, with p's holonomy and
+    character to the k-th power or a nearby or unrelated one."""
+    pool = draw(st.lists(st.floats(0.3, 2.0), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        lengths.append(draw(st.floats(1e-9, 2e-6)))
+    lengths.sort()
+    angles = st.sampled_from([0.0, 0.5, -1.25, math.pi, 3.0])
+    units = st.sampled_from([1 + 0j, -1 + 0j, 1j, cmath.exp(0.4j * math.pi)])
+    primitives = [GeodesicClass(l, draw(angles), draw(units), l, 1, "a")
+                  for l in lengths]
+    p = draw(st.sampled_from(primitives))
+    k = draw(st.integers(2, 9))
+    length = _nudged(draw, k * p.length
+                     + draw(st.sampled_from([-1e-6, 0.0, 1e-6])))
+    theta = draw(st.sampled_from([k * p.holonomy, k * p.holonomy + 2e-6,
+                                  draw(angles)]))
+    char = draw(st.sampled_from([p.char_value ** k, draw(units)]))
+    return length, theta, char, primitives
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:  # l / p past the float range, in either route
+        return OverflowError
+
+
+@settings(max_examples=500, deadline=None)
+@example((1.0, 0.0, 1 + 0j, [GeodesicClass(l, 0.0, 1 + 0j, l, 1, "a")
+                             for l in (1e-7, 0.5, 0.5, 0.5)]))
+@example((5.0, 0.0, 1 + 0j, [GeodesicClass(l, 0.0, 1 + 0j, l, 1, "a")
+                             for l in (5e-324, 2.5)]))
+@given(power_root_cases())
+def test_bisected_power_root_is_the_first_match_in_order(case):
+    length, theta, char, primitives = case
+    want = _outcome(linear_power_root, (length, theta, char), primitives)
+    assert _outcome(_power_root, length, theta, char, primitives,
+                    [p.length for p in primitives]) == want
+
+
+# the class words of length <= 4 on two generators, as letter tuples
+LETTERS2 = sorted((g, e) for g in range(2) for e in (-1, 1))
+CLASS_WORDS = [word for _, word in
+               W.necklace_walk([(l,) for l in LETTERS2], 4, operator.add)]
+
+
+@st.composite
+def trace_clusters(draw):
+    """`found` tuples, sorted by (word length, word), whose trace keys
+    sit on a grid of step between TRACE_TOL and 2 TRACE_TOL or at its
+    half steps, each moved by up to three ulps in each part, so that a
+    key is often within TRACE_TOL of two cluster keys and its real
+    part often within 2 TRACE_TOL of a key it does not join."""
+    step = draw(st.floats(TRACE_TOL, 2 * TRACE_TOL))
+    origin = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    words = sorted(draw(st.sets(st.sampled_from(CLASS_WORDS), min_size=1,
+                                max_size=30)), key=lambda w: (len(w), w))
+    units = st.sampled_from([1 + 0j, -1 + 0j, 1j, cmath.exp(0.4j * math.pi)])
+    found = []
+    for word in words:
+        grid = origin + complex(draw(st.integers(0, 8)) * step / 2,
+                                draw(st.integers(0, 2)) * step)
+        key = complex(_nudged(draw, grid.real), _nudged(draw, grid.imag))
+        found.append((word, key, 1.0, 0.0, draw(units)))
+    return found
+
+
+def _merged(merge, found):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kept = merge(list(found))
+    return kept, [str(w.message) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_clusters())
+def test_bisected_trace_clusters_are_the_first_within_tolerance(found):
+    assert _merged(_merge_conjugates, found) == _merged(linear_merge, found)
 
 
 # --- trace prefilter -------------------------------------------------------
@@ -385,20 +496,34 @@ def test_frozen_fixture_matches_enumeration(fig8, tmp_path):
     assert p.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
 
 
-def _enumerated(capsys, tmp_path, rho, max_word_len, cutoff) -> str:
-    """stdout of `spectrum enumerate` on the figure-eight matrices with
-    the character value rho on both generators."""
+def _matrices(tmp_path, rho):
+    """The figure-eight matrices file with the character value rho on
+    both generators."""
     matrices = json.loads(read_fixture("fig8_matrices.json"))
     matrices["rho"] = [[rho.real, rho.imag]] * 2
     path = tmp_path / "matrices.json"
     path.write_text(json.dumps(matrices), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiscretenessSuspect)
+    return path
+
+
+def _enumerate_with_warnings(capsys, path, max_word_len, cutoff):
+    """stdout of `spectrum enumerate` on the matrices file `path`, and
+    its warnings as the lines the command prints on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.run(["spectrum", "enumerate", str(path), "--max-word-len",
                         str(max_word_len), "--cutoff", str(cutoff)])
     out, _ = capsys.readouterr()
     assert code == 0
-    return out
+    return out, "".join(cli._warning_line(w.message, w.category, w.filename,
+                                          w.lineno) for w in caught)
+
+
+def _enumerated(capsys, tmp_path, rho, max_word_len, cutoff) -> str:
+    """stdout of `spectrum enumerate` on the figure-eight matrices with
+    the character value rho on both generators."""
+    return _enumerate_with_warnings(capsys, _matrices(tmp_path, rho),
+                                    max_word_len, cutoff)[0]
 
 
 ZETA5 = cmath.exp(0.4j * math.pi)
@@ -426,6 +551,42 @@ def test_enumerated_file_round_trips_byte_for_byte(capsys, tmp_path, rho):
     path = tmp_path / "spectrum.csv"
     path.write_text(text, encoding="utf-8")
     assert format_spectrum(load_spectrum(path)) == text
+
+
+# sha256 of stdout and of the warning lines of `spectrum enumerate` on
+# the figure-eight matrices, taken when the trace clusters and the
+# power roots were matched by linear scans: (character on both
+# generators, --max-word-len, --cutoff) -> (stdout, warnings)
+ENUMERATE_OUTPUT_SHA256 = {
+    ("fixture", 8, 3): (
+        "6b7af8f7adcdacf282f32cc5b3582febb97bddec44a4245c4a6c1236132e4a5a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fixture", 10, 4): (
+        "2957721738d4ae48b92359f1c3c6a43a0fbfa40e18b098e8c7a2a2539f6711fc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fixture", 12, 4): (
+        "1f07311e5429c0a91c649ca8bbcd60519c4b962c398c95ca8719e47b7a92fb68",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # 162 and 782 DiscretenessSuspect lines
+    ("zeta3", 10, 4): (
+        "4bd095115793614b249a13ced09f1b04d3ef35dd5f7bc5eec4eda23c1a57eae5",
+        "937d55cd9bc9b33e58c1f3da7f20e1e9253822caf608c562bc7e9b5e790cfdad"),
+    ("zeta5", 10, 4): (
+        "f24f373213a086268734e9b03c8569218cdafc12a5501ab241572c130b666ac6",
+        "52fccc2f7b716b26f64460612c145788f30126bc6b043fdea6b9192dfd2c3ce2"),
+}
+
+
+def test_enumerate_output_bytes_are_pinned(capsys, tmp_path):
+    chars = {"zeta3": cmath.exp(2j * math.pi / 3), "zeta5": ZETA5}
+    got = {}
+    for name, max_word_len, cutoff in ENUMERATE_OUTPUT_SHA256:
+        path = (FIXTURES / "fig8_matrices.json" if name == "fixture"
+                else _matrices(tmp_path, chars[name]))
+        got[name, max_word_len, cutoff] = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in _enumerate_with_warnings(capsys, path, max_word_len, cutoff))
+    assert got == ENUMERATE_OUTPUT_SHA256
 
 
 def test_load_rejects_malformed_rows(tmp_path):
