@@ -12,7 +12,7 @@ import pathlib
 
 from cuspedzeta.alexander import alexander_invariant
 from cuspedzeta.laurent import format_poly
-from cuspedzeta.presentation import fox_derivative, parse_presentation
+from cuspedzeta.presentation import fox_row, parse_presentation
 from cuspedzeta.verdict import main_conjecture_report
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -24,9 +24,7 @@ def show(name):
     print("generators:", " ".join(p.generator_names))
 
     # the Fox matrix row of the single relator
-    r = p.relators[0]
-    for j, g in enumerate(p.generator_names):
-        d = fox_derivative(r, j, rho, eps)
+    for g, d in zip(p.generator_names, fox_row(p.relators[0], rho, eps)):
         print(f"  d(relator)/d{g} -> {format_poly(d)}")
 
     data = alexander_invariant(p, rho, eps)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CuspedZetaError
 from .laurent import LaurentPoly, ord_at_one, smith_form
-from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
-                           fox_derivative)
+from .presentation import Epsilon, GroupPresentation, UnitCharacter, fox_row
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
     entry rho(x_j) t^eps(x_j) - 1 per generator.  d1 followed by d0 is
     zero."""
     n = rho.modulus
-    d1 = [[fox_derivative(r, j, rho, eps) for j in range(p.arity)] for r in p.relators]
+    d1 = [fox_row(r, rho, eps) for r in p.relators]
     d0 = []
     for j in range(p.arity):
         # -1 at height 0, and zeta^rho(x_j) at height eps(x_j)
@@ -46,7 +45,7 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
         d0.append(LaurentPoly.from_zeta_counts(n, counts))
     zero = LaurentPoly.zero(n)
     for row in d1:
-        if not sum((a * b for a, b in zip(row, d0)), zero).is_zero():
+        if not sum((a * b for a, b in zip(row, d0) if not a.is_zero()), zero).is_zero():
             raise CuspedZetaError(
                 "Fox matrix times the augmentation column is nonzero")
     return d1, d0

@@ -10,8 +10,10 @@ place that knows how an element of Q(zeta_n) is stored: a scalar is a
 polynomial with one row, and `cyclotomic` supplies only integer
 arithmetic mod Phi_n and the inverse on bare numerators.  A sum is one
 signed integer pass; a product gathers the unreduced zeta-products of
-each power of t and reduces each once by Phi_n; division inverts the
-leading coefficient once and then runs on integer rows.
+each power of t and reduces each once by Phi_n; division by a unit
+c t^k is one product by c^-1, and any other division runs on integer
+rows after one inverse of the leading coefficient, which each
+polynomial computes at most once.
 
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
@@ -32,9 +34,11 @@ class LaurentPoly:
     """Immutable Laurent polynomial rows / den; ``rows[i]`` is the
     coefficient of ``t**(low+i)`` and both end rows are nonzero unless
     the polynomial is zero (no rows, low 0, den 1).  `from_rows` builds
-    every instance; the class itself takes no arguments."""
+    every instance; the class itself takes no arguments.  ``_inv``, the
+    inverse of the top coefficient, is filled in by the first call of
+    `_lead_inverse`."""
 
-    __slots__ = ("n", "low", "rows", "den")
+    __slots__ = ("n", "low", "rows", "den", "_inv")
 
     # constructors ----------------------------------------------------
     @staticmethod
@@ -170,11 +174,17 @@ class LaurentPoly:
     def _lead_inverse(self):
         """Integer numerators and denominator of the inverse of the top
         coefficient: one inverse in Q(zeta_n), or (None, 1) when the top
-        coefficient is 1."""
+        coefficient is 1.  Computed on the first call and kept."""
+        try:
+            return self._inv
+        except AttributeError:
+            pass
         top = self.rows[-1]
         if top[0] == self.den and not any(top[1:]):
-            return None, 1
-        return invert(self.n, top, self.den)
+            self._inv = None, 1
+        else:
+            self._inv = invert(self.n, top, self.den)
+        return self._inv
 
     def divmod(self, other):
         """a = q*b + r with span(r) < span(b)."""
@@ -183,8 +193,13 @@ class LaurentPoly:
         span = other.span
         if self.span < span:
             return LaurentPoly.zero(self.n), self
-        phi = cyclotomic_polynomial(self.n)
         inum, iden = other._lead_inverse()
+        if not span:
+            # b = c t^k is a unit: q = a c^-1 t^-k and r = 0
+            return (LaurentPoly.from_rows(self.n, self.low - other.low,
+                                          _times(self.n, inum, self.rows), self.den * iden),
+                    LaurentPoly.zero(self.n))
+        phi = cyclotomic_polynomial(self.n)
         # other over its top coefficient is b / d, and b's top row is (d, 0, ...)
         b, d = _times(self.n, inum, other.rows), other.den * iden
         # rem and quo are integer rows over one denominator den
@@ -212,6 +227,8 @@ class LaurentPoly:
         return q, LaurentPoly.from_rows(self.n, self.low, rem[:span], den)
 
     def __mod__(self, other):
+        if other.is_unit():
+            return LaurentPoly.zero(self.n)
         return self.divmod(other)[1]
 
     def divides(self, other):
@@ -295,7 +312,13 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     matrix, given as its list of rows: diagonalize, then gcd/lcm repair.
 
     Row and column elimination with smallest-span pivots leaves a
-    diagonal matrix; one pass over pairs i < j then replaces
+    diagonal matrix.  The row pass reduces the pivot column below the
+    pivot, and a remainder that is not zero becomes the pivot.  Once a
+    row pass ends with no such swap, that column is zero below the
+    pivot, so a column operation changes the pivot row alone: each
+    entry right of the pivot is replaced by its remainder, which is zero
+    for a unit pivot, and a remainder that is not zero becomes the pivot
+    and the row pass starts again.  One pass over pairs i < j then replaces
     (d_i, d_j) by (gcd, lcm), as diag(a, b) is equivalent to
     diag(gcd, lcm), which makes each divisor divide the next.
 
@@ -324,8 +347,9 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
         e[k], e[i0] = e[i0], e[k]
         for row in e:
             row[k], row[j0] = row[j0], row[k]
-        while True:
-            dirty = False
+        swapped = True
+        while swapped:
+            swapped = False
             for i in range(k + 1, rows):
                 if e[i][k].is_zero():
                     continue
@@ -334,23 +358,18 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
                 e[i] = [a if b.is_zero() else a - q * b for a, b in zip(e[i], e[k])]
                 if not r.is_zero():
                     e[k], e[i] = e[i], e[k]
-                    dirty = True
+                    swapped = True
+            if swapped:
+                continue
             for j in range(k + 1, cols):
                 if e[k][j].is_zero():
                     continue
-                q, r = e[k][j].divmod(e[k][k])
-                for row in e:
-                    if not row[k].is_zero():
-                        row[j] = row[j] - q * row[k]
+                r = e[k][j] = e[k][j] % e[k][k]
                 if not r.is_zero():
                     for row in e:
                         row[k], row[j] = row[j], row[k]
-                    dirty = True
-            if dirty:
-                continue
-            if all(e[i][k].is_zero() for i in range(k + 1, rows)) and \
-               all(e[k][j].is_zero() for j in range(k + 1, cols)):
-                break
+                    swapped = True
+                    break
         k += 1
 
     diag = [e[i][i] for i in range(k)]

@@ -1,5 +1,5 @@
 """Group presentations with an integral height map, a root-of-unity
-character, peripheral data, and the twisted Fox derivative.
+character, peripheral data, and the twisted Fox derivatives of a relator.
 
 The presentation file grammar (UTF-8, line oriented)::
 
@@ -15,9 +15,9 @@ Words are letter strings, uppercase meaning inverse.  Parsing then
 serializing then parsing is the identity.
 
 A character value rho(w) is kept as its exponent mod n, never as a
-field element: the Fox derivative counts the powers of zeta_n at each
-height and hands the counts to `LaurentPoly.from_zeta_counts`, so how
-an element of Q(zeta_n) is stored is known in `laurent` alone.
+field element: `fox_row` counts the powers of zeta_n at each height
+and hands the counts to `LaurentPoly.from_zeta_counts`, so how an
+element of Q(zeta_n) is stored is known in `laurent` alone.
 """
 
 from __future__ import annotations
@@ -77,30 +77,30 @@ class GroupPresentation:
         return len(self.generator_names)
 
 
-def fox_derivative(word: GroupWord, i: int, rho: UnitCharacter,
-                   eps: Epsilon) -> LaurentPoly:
-    """The Fox derivative of `word` with respect to generator i, under
-    the ring map sending a word w to rho(w) t^eps(w).
+def fox_row(word: GroupWord, rho: UnitCharacter, eps: Epsilon) -> list[LaurentPoly]:
+    """The Fox derivatives of `word` with respect to every generator,
+    in generator order, under the ring map sending a word w to
+    rho(w) t^eps(w).
 
     One pass over the word, carrying the prefix's character exponent
     mod n and its height: a letter x_i after the prefix p adds
-    rho(p) t^eps(p), and a letter x_i^-1 subtracts rho(p x_i^-1)
-    t^eps(p x_i^-1).  Satisfies d(uv) = du + rho(u) t^eps(u) dv.
+    rho(p) t^eps(p) to the i-th derivative, and a letter x_i^-1
+    subtracts rho(p x_i^-1) t^eps(p x_i^-1) from it.  Each derivative
+    satisfies d(uv) = du + rho(u) t^eps(u) dv.
     """
     n = rho.modulus
-    # height -> integer coefficient of each power of zeta_n
-    terms: dict[int, list[int]] = {}
+    # per generator: height -> integer coefficient of each power of zeta_n
+    terms: list[dict[int, list[int]]] = [{} for _ in rho.exponents]
     r = h = 0
     for g, e in word:
         if e < 0:
             r = (r - rho.exponents[g]) % n
             h -= eps.values[g]
-        if g == i:
-            terms.setdefault(h, [0] * n)[r] += e
+        terms[g].setdefault(h, [0] * n)[r] += e
         if e > 0:
             r = (r + rho.exponents[g]) % n
             h += eps.values[g]
-    return LaurentPoly.from_zeta_counts(n, terms)
+    return [LaurentPoly.from_zeta_counts(n, t) for t in terms]
 
 
 def peripheral_trivial(p: GroupPresentation, rho: UnitCharacter) -> bool:

@@ -1,5 +1,5 @@
 """Fox calculus in the integral free-group ring, an oracle for the
-one-pass twisted Fox derivative in `cuspedzeta.presentation`.
+one-pass twisted Fox derivatives of `cuspedzeta.presentation.fox_row`.
 
 `fox_derivative` here returns the derivative as a combination of
 freely reduced words, and `evaluate_twisted` then applies the ring map

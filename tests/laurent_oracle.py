@@ -13,6 +13,7 @@ and `to_library` converts back, so tests build their inputs here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import cuspedzeta.laurent
@@ -285,6 +286,32 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
             diag[i], diag[j] = g, a.exact_div(g) * b
     # no pivot was left, so the diagonal from k on is zero
     return [d.normalize() for d in diag] + [e[i][i] for i in range(k, size)]
+
+
+def determinant(m: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a square matrix by cofactor expansion along its
+    first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = LaurentPoly.zero(m[0][0].n)
+    for j, a in enumerate(m[0]):
+        if a.is_zero():
+            continue
+        term = a * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def determinantal_divisor(matrix: list[list[LaurentPoly]], k: int) -> LaurentPoly:
+    """The k-th determinantal divisor: the normalized gcd of every k x k
+    minor, zero when they all vanish.  The first is the gcd of the
+    entries, and the k-th is the product of the first k elementary
+    divisors."""
+    g = LaurentPoly.zero(matrix[0][0].n)
+    for rows in combinations(matrix, k):
+        for cols in combinations(range(len(matrix[0])), k):
+            g = g.gcd(determinant([[row[j] for j in cols] for row in rows]))
+    return g
 
 
 def from_library(p) -> LaurentPoly:

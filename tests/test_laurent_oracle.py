@@ -8,7 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuspedzeta.cyclotomic import euler_phi
 from cuspedzeta.laurent import LaurentPoly, format_poly, ord_at_one
 
 import cyclotomic_oracle
@@ -73,3 +76,29 @@ def test_arithmetic_matches_the_per_coefficient_oracle(n):
             agree(q, oq)
             agree(r, orr)
         agree(f.gcd(g), of.gcd(og))
+
+
+@st.composite
+def dividend_and_unit(draw):
+    """(n, terms of a dividend for `_build`, the power-basis coefficients
+    of a nonzero c, k): the unit is c t^k."""
+    n = draw(st.sampled_from((1, 3, 5, 7)))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = draw(st.lists(st.tuples(small, st.integers(0, n - 1), st.integers(-2, 3)),
+                          max_size=5))
+    c = draw(st.lists(small, min_size=euler_phi(n), max_size=euler_phi(n)).filter(any))
+    return n, terms, c, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dividend_and_unit())
+def test_division_by_a_unit_matches_the_oracle(case):
+    n, terms, c, k = case
+    a, oa = _build(n, terms)
+    ou = oracle.LaurentPoly(n, k, [cyclotomic_oracle.CyclotomicNumber(n, c)])
+    u = oracle.to_library(ou)
+    (q, r), (oq, orr) = a.divmod(u), oa.divmod(ou)
+    agree(q, oq)
+    agree(r, orr)
+    assert r.is_zero() and (a % u).is_zero()
+    assert q * u == a
