@@ -11,8 +11,9 @@ The presentation file grammar (UTF-8, line oriented)::
     rho n=5: 1 2
     vol 2.03       (optional)
 
-Words are letter strings, uppercase meaning inverse.  Parsing then
-serializing then parsing is the identity.
+Generators are named by the letters a-z, and words are letter strings,
+uppercase meaning inverse.  Parsing then serializing then parsing is
+the identity.
 
 A character value rho(w) is kept as its exponent mod n, never as a
 field element: `fox_row` counts the powers of zeta_n at each height
@@ -25,15 +26,51 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import words as W
 from .errors import InputError
 from .laurent import LaurentPoly
-from .words import GroupWord
 
 # Largest rho modulus a presentation file may ask for.  The exact side
 # costs grow fast with n (inverting in Q(zeta_n) multiplies phi(n) - 1
 # conjugates), and cyclotomic_polynomial(n) alone builds n + 1 terms.
 MAX_MODULUS = 500
+
+# A word is a tuple of (generator index, exponent) letters, exponent +1
+# or -1; the empty tuple is the identity.
+Letter = tuple[int, int]
+GroupWord = tuple[Letter, ...]
+
+
+def free_reduce(letters) -> GroupWord:
+    """Cancel adjacent x x^-1 pairs until none remain."""
+    out: list[Letter] = []
+    for g, e in letters:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def parse_letters(text: str, names, line=None, col_offset=0) -> GroupWord:
+    """Parse a letter string like ``abAB`` into a word on the generators
+    ``names``, each a letter a-z; its uppercase letter is its inverse."""
+    index = {}
+    for i, nm in enumerate(names):
+        index[nm] = (i, 1)
+        index[nm.upper()] = (i, -1)
+    letters: list[Letter] = []
+    for pos, ch in enumerate(text):
+        letter = index.get(ch)
+        if letter is None:
+            raise InputError(
+                f"unknown generator letter {ch!r}", line=line,
+                column=col_offset + pos + 1)
+        letters.append(letter)
+    return tuple(letters)
+
+
+def format_letters(word: GroupWord, names) -> str:
+    return "".join(names[g] if e == 1 else names[g].upper() for g, e in word)
 
 
 @dataclass(frozen=True)
@@ -142,16 +179,17 @@ def parse_presentation(text: str):
                 raise InputError("'gens' needs at least one name", line=lineno)
             names = parts[1:]
             for nm in names:
-                if len(nm) != 1 or not nm.isalpha() or not nm.islower():
+                # ASCII only: 'ß'.upper() is 'SS', which would not parse back
+                if len(nm) != 1 or not "a" <= nm <= "z":
                     raise InputError(
-                        f"generator name {nm!r} must be a single lowercase letter", line=lineno)
+                        f"generator name {nm!r} must be a single letter a-z", line=lineno)
         elif kw in ("rel", "peri"):
             need_gens(lineno)
             if len(parts) != 2:
                 raise InputError(f"'{kw}' needs exactly one word", line=lineno)
             col = raw.index(parts[1], raw.index(kw) + len(kw))
-            word = W.parse_letters(parts[1], len(names), names, line=lineno, col_offset=col)
-            word = W.free_reduce(word)
+            word = free_reduce(parse_letters(parts[1], names, line=lineno,
+                                             col_offset=col))
             (relators if kw == "rel" else peripheral).append(word)
         elif kw == "eps":
             need_gens(lineno)
@@ -219,10 +257,10 @@ def parse_presentation(text: str):
     for idx, r in enumerate(relators):
         if eps.of(r) != 0:
             problems.append(f"eps does not kill relator {idx + 1} "
-                            f"({W.format_letters(r, names)}): eps={eps.of(r)}")
+                            f"({format_letters(r, names)}): eps={eps.of(r)}")
         if rho.exponent_of(r) != 0:
             problems.append(f"rho is nontrivial on relator {idx + 1} "
-                            f"({W.format_letters(r, names)}): exponent "
+                            f"({format_letters(r, names)}): exponent "
                             f"{rho.exponent_of(r)} mod {rho.modulus}")
     if problems:
         raise InputError("; ".join(problems))
@@ -232,9 +270,9 @@ def parse_presentation(text: str):
 def serialize_presentation(p: GroupPresentation, eps: Epsilon, rho: UnitCharacter) -> str:
     lines = ["gens " + " ".join(p.generator_names)]
     for r in p.relators:
-        lines.append("rel " + W.format_letters(r, p.generator_names))
+        lines.append("rel " + format_letters(r, p.generator_names))
     for w in p.peripheral_words:
-        lines.append("peri " + W.format_letters(w, p.generator_names))
+        lines.append("peri " + format_letters(w, p.generator_names))
     lines.append("eps " + " ".join(str(v) for v in eps.values))
     lines.append(f"rho n={rho.modulus}: " + " ".join(str(e) for e in rho.exponents))
     if p.volume is not None:

@@ -3,20 +3,23 @@
 A matrix (a b; c d) is the tuple (a, b, c, d) throughout: the
 generators, their inverses and every word product.  Conjugacy classes
 of loxodromic elements are enumerated as cyclically reduced necklaces
-(``words.necklace_walk``), one canonical word per free conjugacy class,
-with the product carried down the walk.  `_complex_length` reads a
-class word's complex length off its product, or finds it not
-loxodromic; only a word whose trace can put it under the length cutoff
-L is read: the larger eigenvalue
-lambda = e^{(l + i theta)/2} of the normalized product gives
-|tr| = |lambda + 1/lambda| <= 2 cosh(l/2), so a product with
-|tr|^2 > (2 cosh(L/2))^2 |det| (1 + 1e-6) has l > L and is skipped
-unclassified.  Classes that are conjugate in the group but not freely
+(`necklace_walk`), one canonical word per free conjugacy class, with
+the product carried down the walk.  A word is a tuple of letter
+indices: letter i is ``sorted((g, e))[i]`` over the generators g and
+the exponents e = -1, 1, so index order is word order and letter
+i ^ 1 is the inverse of letter i.  `_complex_length` reads a class
+word's complex length off its product, or finds it not loxodromic;
+only a word whose trace can put it under the length cutoff L is read:
+the larger eigenvalue lambda = e^{(l + i theta)/2} of the normalized
+product gives |tr| = |lambda + 1/lambda| <= 2 cosh(l/2), so a product
+with |tr|^2 > (2 cosh(L/2))^2 |det| (1 + 1e-6) has l > L and is
+skipped unclassified.  Classes that are conjugate in the group but not freely
 are merged by trace clustering.  Each class carries its complex length
 (l, theta), character value, multiplicity data and its word, spelled
-as the spectrum CSV spells it.  Orientation
-convention: a class and its inverse are kept as two classes (the Euler
-product runs over oriented geodesics).
+as the spectrum CSV spells it: generator g is the letter
+``chr(ord("a") + g)``, and its inverse that letter's uppercase.  Orientation convention: a
+class and its inverse are kept as two classes (the Euler product runs
+over oriented geodesics).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import words as W
 from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
                      read_utf8)
 
@@ -178,14 +180,61 @@ def _power_root(length, theta, char, primitives, lengths):
     return 1, length
 
 
-def _merge_conjugates(found):
+def necklace_walk(values, max_len: int, mul):
+    """Depth-first walk over the freely reduced prenecklaces of length
+    1..max_len: the Fredricksen-Kessler-Maiorana recursion with the
+    inverse of the previous letter skipped.
+
+    ``values[i]`` is the value of letter i, one per letter, and
+    ``mul(x, y)`` the product of two values; each word carries the
+    product of its letters' values, taken left to right, down the walk.
+
+    Yields ``(indices, product)`` for the words that are the least
+    rotation of their cyclic reduction (the length is a multiple of the
+    longest Lyndon prefix, and the last letter does not cancel the
+    first), so each free conjugacy class of cyclically reduced length
+    <= max_len comes exactly once, in pre-order.
+    """
+    if max_len < 1:
+        raise ValueError(f"maximum word length {max_len} is below 1")
+    top = len(values) - 1
+    # stack entries: (letter indices, product, longest Lyndon prefix length)
+    stack = [((i,), values[i], 1) for i in range(top, -1, -1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        idx, m, p = pop()
+        n = len(idx)
+        if n % p == 0 and idx[0] != idx[-1] ^ 1:
+            yield idx, m
+        if n == max_len:
+            continue
+        ref = idx[n - p]
+        cancel = idx[-1] ^ 1
+        n += 1
+        if n == max_len:
+            # the children are leaves, yielded in order without a push
+            # when they are classes and never built when they are not
+            closes = idx[0] ^ 1
+            if n % p == 0 and ref != cancel and ref != closes:
+                yield idx + (ref,), mul(m, values[ref])
+            for j in range(ref + 1, top + 1):
+                if j != cancel and j != closes:
+                    yield idx + (j,), mul(m, values[j])
+            continue
+        for j in range(top, ref - 1, -1):
+            if j != cancel:
+                push((idx + (j,), mul(m, values[j]), p if j == ref else n))
+
+
+def _merge_conjugates(found, texts):
     """The classes kept from ``found``, (word, trace key, length,
-    holonomy, char) tuples sorted by (word length, word).
+    holonomy, char) tuples sorted by (word length, word), each word the
+    letter indices of a necklace; ``texts[i]`` spells letter i.
 
     Words that are conjugate in the group but not freely conjugate are
     merged by trace.  The trace cannot separate a class from its
     inverse, so each trace cluster keeps its first word plus the
-    canonical form of that word's inverse (the oriented-geodesic
+    necklace of that word's inverse (the oriented-geodesic
     convention), and every other member of the cluster is assumed
     conjugate to one of those two; a member whose character value
     matches neither is kept with a DiscretenessSuspect warning.  A word
@@ -206,7 +255,10 @@ def _merge_conjugates(found):
             if i < hit and abs(trk - clusters[i][0]) <= TRACE_TOL:
                 hit = i
         if hit == len(clusters):
-            inv = W.canonical_conjugacy_form(W.inverse(canon))
+            # the inverse of a necklace is cyclically reduced, so its
+            # canonical form is its least rotation
+            inv = tuple(i ^ 1 for i in reversed(canon))
+            inv = min(inv[i:] + inv[:i] for i in range(len(inv)))
             pos = bisect_right(reals, re)
             reals.insert(pos, re)
             ids.insert(pos, hit)
@@ -220,7 +272,7 @@ def _merge_conjugates(found):
         elif min(abs(char - cl[1]), abs(char - cl[1].conjugate())) > 1e-6:
             warnings.warn(
                 f"near-equal traces with incompatible character values: "
-                f"word {W.format_letters(canon)}",
+                f"word {''.join(map(texts.__getitem__, canon))}",
                 DiscretenessSuspect)
             kept.append(cand)
     return kept
@@ -263,13 +315,14 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         if not abs(abs(v) - 1) <= 1e-12:
             raise InputError(f"rho[{i}]: character value {v} "
                              f"is off the unit circle")
-    # letter i of the walk, its matrix and its character value
-    letters = sorted((g, e) for g in range(len(gens)) for e in (-1, 1))
-    mats, chars = [], []
-    for g, e in letters:
+    # letter i of the walk, its matrix, its character value and its text
+    mats, chars, texts = [], [], []
+    for g, e in sorted((g, e) for g in range(len(gens)) for e in (-1, 1)):
         a, b, c, d = gens[g]
         mats.append((a, b, c, d) if e == 1 else (d, -b, -c, a))
         chars.append(rho_values[g] if e == 1 else rho_values[g].conjugate())
+        texts.append(chr(ord("a" if e == 1 else "A") + g))
+    spell = texts.__getitem__
     # |tr|^2 of a product above this times |det| puts its length above the
     # cutoff; the margin is far above rounding, and no elliptic, parabolic
     # or identity trace (|tr| <= 2 + TRACE_TOL) reaches it.  |tr|^2
@@ -281,16 +334,14 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         bound = bound * bound * (1 + 1e-6)
 
     found = []  # (canonical word, trace_key, length, theta, char)
-    for idx, (a, b, c, d) in W.necklace_walk(mats, max_word_len, _matmul):
+    for idx, (a, b, c, d) in necklace_walk(mats, max_word_len, _matmul):
         # an entry past the float range, or inf - inf, makes the sum non-finite
         if not cmath.isfinite(a + b + c + d):
-            word = tuple(map(letters.__getitem__, idx))
-            raise CuspedZetaError(
-                f"the matrix product of word {W.format_letters(word)} is not finite")
+            raise CuspedZetaError(f"the matrix product of word "
+                                  f"{''.join(map(spell, idx))} is not finite")
         det = a * d - b * c
         if det == 0:
-            word = tuple(map(letters.__getitem__, idx))
-            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
+            raise CuspedZetaError(f"the matrix product of word {''.join(map(spell, idx))} "
                                   f"has determinant 0 to rounding")
         tr = a + d
         if tr.real * tr.real + tr.imag * tr.imag > bound * abs(det):
@@ -301,12 +352,11 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
         char = 1 + 0j
         for i in idx:
             char *= chars[i]
-        found.append((tuple(map(letters.__getitem__, idx)), _trace_key(tr),
-                      *lth, char))
+        found.append((idx, _trace_key(tr), *lth, char))
     found.sort(key=lambda f: (len(f[0]), f[0]))
-    kept = _merge_conjugates(found)
+    kept = _merge_conjugates(found, texts)
 
-    # the row order, (length, holonomy) ties broken by the tuple word.
+    # the row order, (length, holonomy) ties broken by the index word.
     # `_power_root` reads only primitives under two thirds of a class's
     # length, which any order by length puts first, so ties cannot change
     # a multiplicity.
@@ -317,7 +367,7 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     for canon, trk, length, theta, char in kept:
         mult, prim_len = _power_root(length, theta, char, primitives, lengths)
         cls = GeodesicClass(length, theta, char, prim_len, mult,
-                            W.format_letters(canon))
+                            "".join(map(spell, canon)))
         classes.append(cls)
         if mult == 1:
             primitives.append(cls)
@@ -366,8 +416,9 @@ def _row(line: str, lineno: int) -> GeodesicClass | None:
     try:
         length, theta, re_c, im_c, prim = map(_finite_float, parts[:5])
         mult = int(parts[5])
-        # parsed for the message that names a letter outside a-z, A-Z
-        W.parse_letters(parts[6], 26)
+        for ch in parts[6]:
+            if not (ch.isascii() and ch.isalpha()):
+                raise InputError(f"unknown generator letter {ch!r}")
         cls = GeodesicClass(length, theta, complex(re_c, im_c), prim, mult,
                             parts[6])
     except Exception as exc:

@@ -11,17 +11,46 @@ against.  The trace-cluster merge and the power-root matching are the
 package's linear scans, copied: `merge_conjugates` takes the first
 cluster within TRACE_TOL by a scan over all clusters and `_power_root`
 scans the primitives in order, where the package bisects.
+
+The oracle keeps words as tuples of (generator, exponent) letters,
+where the package keeps letter indices, and canonicalizes them with
+the free-group helpers below, which the package no longer needs.
 """
 
 import cmath
 import math
+import string
 import warnings
 from dataclasses import dataclass
 
-from cuspedzeta import words as W
 from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
+from cuspedzeta.presentation import GroupWord, format_letters, free_reduce
 from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass, Spectrum,
-                                 _canonical_angle, _trace_key)
+                                 _canonical_angle, _trace_key, necklace_walk)
+
+
+def word_inverse(word: GroupWord) -> GroupWord:
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def cyclic_reduce(word: GroupWord) -> GroupWord:
+    """Freely reduce, then strip cancelling first/last letters."""
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+def canonical_conjugacy_form(word: GroupWord) -> GroupWord:
+    """Least cyclic rotation of the cyclic reduction; a canonical
+    representative of the free-conjugacy class."""
+    w = cyclic_reduce(word)
+    return min((w[i:] + w[:i] for i in range(len(w))), default=w)
+
+
+def spell(word: GroupWord) -> str:
+    """The letter text of a word on the generators a-z."""
+    return format_letters(word, string.ascii_lowercase)
 
 
 @dataclass(frozen=True)
@@ -105,7 +134,7 @@ def merge_conjugates(found):
                 hit = cl
                 break
         if hit is None:
-            inv = W.canonical_conjugacy_form(W.inverse(canon))
+            inv = canonical_conjugacy_form(word_inverse(canon))
             clusters.append([trk, char, inv if inv != canon else None])
             kept.append(cand)
         elif canon == hit[2]:
@@ -114,7 +143,7 @@ def merge_conjugates(found):
         elif min(abs(char - hit[1]), abs(char - hit[1].conjugate())) > 1e-6:
             warnings.warn(
                 f"near-equal traces with incompatible character values: "
-                f"word {W.format_letters(canon)}",
+                f"word {spell(canon)}",
                 DiscretenessSuspect)
             kept.append(cand)
     return kept
@@ -154,15 +183,15 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     mats = [gens[g] if e == 1 else inverse(gens[g]) for g, e in letters]
 
     found = []  # (canonical word, trace_key, length, theta, char)
-    for idx, m in W.necklace_walk(mats, max_word_len, matmul):
+    for idx, m in necklace_walk(mats, max_word_len, matmul):
         word = tuple(letters[i] for i in idx)
         if not cmath.isfinite(m.a + m.b + m.c + m.d):
             raise CuspedZetaError(
-                f"the matrix product of word {W.format_letters(word)} is not finite")
+                f"the matrix product of word {spell(word)} is not finite")
         try:
             et = classify(MoebiusMatrix.normalized(m.a, m.b, m.c, m.d))
         except ZeroDivisionError:
-            raise CuspedZetaError(f"the matrix product of word {W.format_letters(word)} "
+            raise CuspedZetaError(f"the matrix product of word {spell(word)} "
                                   f"has determinant 0 to rounding") from None
         if et.kind != "loxodromic" or et.length > cutoff_length:
             continue
@@ -188,6 +217,6 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
 
     classes.sort(key=lambda c: (c.length, c.holonomy, c.word))
     # spelled as the package stores a word, after the tuple-word order
-    classes = [c._replace(word=W.format_letters(c.word)) for c in classes]
+    classes = [c._replace(word=spell(c.word)) for c in classes]
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
                     max_word_len=max_word_len).validate()

@@ -7,10 +7,11 @@ w -> rho(w) t^eps(w).  The library computes the composite in one pass
 over the word without ever forming the words.
 """
 
-from cuspedzeta import words as W
+import string
+
 from cuspedzeta.laurent import LaurentPoly
-from cuspedzeta.presentation import Epsilon, UnitCharacter
-from cuspedzeta.words import GroupWord, Letter
+from cuspedzeta.presentation import (Epsilon, GroupWord, Letter, UnitCharacter,
+                                     format_letters, free_reduce)
 
 import laurent_oracle
 from cyclotomic_oracle import CyclotomicNumber
@@ -20,7 +21,7 @@ def concat(*words: GroupWord) -> GroupWord:
     letters: list[Letter] = []
     for w in words:
         letters.extend(w)
-    return W.free_reduce(letters)
+    return free_reduce(letters)
 
 
 class GroupRingElement:
@@ -68,7 +69,7 @@ class GroupRingElement:
             return "0"
         parts = []
         for w, c in sorted(self.terms.items()):
-            parts.append(f"{c}*[{W.format_letters(w)}]")
+            parts.append(f"{c}*[{format_letters(w, string.ascii_lowercase)}]")
         return " + ".join(parts)
 
 

@@ -8,8 +8,8 @@ and validates every row again.  `fried_residual` sums the log Euler
 product and each of the three `s_log` sums in a pass of its own, and
 `fried_check` evaluates a whole Euler product to read its tail bound.
 The edits to the bodies: `load_spectrum` calls the `parse_letters`
-below instead of `words.parse_letters`, keeps the word as its letter
-text, as the package does, applies the Delta rule at every length,
+below, a copy of the letter parser it once shared with presentation
+files, keeps the word as its letter text, as the package does, applies the Delta rule at every length,
 where `GeodesicClass.validate` now evaluates it only for short classes,
 and refuses a header line that repeats a key, as the package does.
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta import words as W
 from cuspedzeta.errors import InputError
 from cuspedzeta.laurent import LaurentPoly
-from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_row, parse_presentation,
+from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_row, free_reduce,
+                                     parse_letters, parse_presentation,
                                      peripheral_trivial, serialize_presentation)
 
 import fox_oracle
@@ -37,6 +37,8 @@ def test_comments_and_blank_lines_ignored():
 @pytest.mark.parametrize("text,fragment,line", [
     ("rel ab\ngens a b\neps 1 1\nrho n=1: 0 0", "before 'gens'", 1),
     ("gens a b\nrel ab!\neps 1 1\nrho n=1: 0 0", "!", 2),
+    # the Kelvin sign lowercases to 'k' but is no letter a-z
+    ("gens a k\nrel a\u212a\neps 1 0\nrho n=1: 0 0", "unknown generator letter '\u212a'", 2),
     ("gens a b\nrel ab\neps 1 1\nrho 5: 1 1", "rho n=", 4),
     ("gens a b\nrel ab\neps 1 1\nrho n=0: 0 0", "positive", 4),
     ("gens a b\nrel aB\neps 1 1\nrho n=10000000000000000000000: 0 0",
@@ -68,8 +70,8 @@ def test_bad_rho_fixture_rejected():
 
 def test_epsilon_and_character_values():
     p, eps, rho = parse_presentation(read_fixture("fig8_zeta5.pres"))
-    assert eps.of(W.parse_letters("ab", 2)) == 2
-    assert eps.of(W.parse_letters("aB", 2)) == 0
+    assert eps.of(parse_letters("ab", "ab")) == 2
+    assert eps.of(parse_letters("aB", "ab")) == 0
     assert rho.modulus == 5 and rho.exponents == (1, 1)
     assert rho.exponent_of(p.relators[0]) == 0
 
@@ -87,7 +89,7 @@ def twisted(draw, max_size=12):
     eps = Epsilon(tuple(draw(st.lists(st.integers(-2, 2),
                                       min_size=g, max_size=g))))
     letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
-    word = W.free_reduce(draw(st.lists(letter, max_size=max_size)))
+    word = free_reduce(draw(st.lists(letter, max_size=max_size)))
     return word, rho, eps
 
 
@@ -126,9 +128,9 @@ def test_fox_product_rule(case, data):
     # d(uv) = du + rho(u) t^eps(u) dv
     u, rho, eps = case
     g = len(rho.exponents)
-    v = W.free_reduce(data.draw(st.lists(
+    v = free_reduce(data.draw(st.lists(
         st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1))), max_size=8)))
-    uv = W.free_reduce(u + v)
+    uv = free_reduce(u + v)
     for du, dv, duv in zip(fox_row(u, rho, eps), fox_row(v, rho, eps), fox_row(uv, rho, eps)):
         assert duv == du + unit(u, rho, eps) * dv
 
@@ -147,8 +149,8 @@ def test_fundamental_fox_identity(case):
 
 def test_evaluate_twisted_is_multiplicative_on_units():
     _, eps, rho = parse_presentation(read_fixture("fig8_zeta5.pres"))
-    u = W.parse_letters("abA", 2)
-    v = W.parse_letters("Bab", 2)
+    u = parse_letters("abA", "ab")
+    v = parse_letters("Bab", "ab")
     pu = evaluate_twisted(GroupRingElement.of_word(u), rho, eps)
     pv = evaluate_twisted(GroupRingElement.of_word(v), rho, eps)
     puv = evaluate_twisted(GroupRingElement.of_word(fox_oracle.concat(u, v)), rho, eps)

@@ -56,7 +56,7 @@ BUILTINS = {
         "every caller catches it and raises a located InputError",
     ("spectrum", "load_spectrum", "ValueError"):
         "caught in the row loop, which sends the row to _row to be named",
-    ("words", "necklace_walk", "ValueError"):
+    ("spectrum", "necklace_walk", "ValueError"):
         "library argument check; the parser bounds --max-word-len to 1..20",
 }
 

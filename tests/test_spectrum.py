@@ -14,16 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta import cli
-from cuspedzeta import words as W
+from cuspedzeta import cli, spectrum
 from cuspedzeta.errors import DiscretenessSuspect, InputError
+from cuspedzeta.presentation import parse_letters, parse_presentation
 from cuspedzeta.spectrum import (TRACE_TOL, GeodesicClass, Spectrum,
                                  _complex_length, _merge_conjugates, _power_root,
                                  enumerate_classes, format_spectrum,
-                                 load_spectrum)
+                                 load_spectrum, necklace_walk)
 
 from conftest import FIXTURES, fig8_generators, read_fixture
-from enumerate_oracle import MoebiusMatrix, classify
+from enumerate_oracle import MoebiusMatrix, canonical_conjugacy_form, classify
 from enumerate_oracle import enumerate_classes as reference_enumeration
 from enumerate_oracle import _power_root as linear_power_root
 from enumerate_oracle import inverse, matmul
@@ -53,7 +53,7 @@ def _long_word_product() -> tuple:
     a, b = (MoebiusMatrix(*g) for g in fig8_generators())
     mats = {(0, 1): a, (0, -1): inverse(a), (1, 1): b, (1, -1): inverse(b)}
     m = mats[(0, -1)]
-    for l in W.parse_letters("Abbaababaab", 2):
+    for l in parse_letters("Abbaababaab", "ab"):
         m = matmul(m, mats[l])
     return _entries(m)
 
@@ -164,7 +164,7 @@ def test_max_word_len_below_one_rejected():
             enumerate_classes(fig8_generators(), [1.0, 1.0],
                               max_word_len=n, cutoff_length=3.0)
         with pytest.raises(ValueError):
-            next(W.necklace_walk(range(4), n, mul))
+            next(necklace_walk(range(4), n, mul))
 
 
 @pytest.mark.parametrize("rho, where", [
@@ -205,7 +205,7 @@ def test_necklace_counts_match_closed_form():
     want = [4, 8, 12, 26, 52, 132, 316, 836, 2196, 5936]
     assert [_necklace_count(n) for n in range(1, 11)] == want
     # only the words are counted; the values and their product are a stand-in
-    got = Counter(len(idx) for idx, _ in W.necklace_walk(range(4), 10, max))
+    got = Counter(len(idx) for idx, _ in necklace_walk(range(4), 10, max))
     assert [got[n] for n in range(1, 11)] == want
 
 
@@ -215,10 +215,10 @@ def test_necklaces_are_the_canonical_forms_of_reduced_words():
     for _ in range(7):
         level = [w + (l,) for w in level for l in letters
                  if not w or w[-1] != (l[0], -l[1])]
-        canon |= {W.canonical_conjugacy_form(w) for w in level}
+        canon |= {canonical_conjugacy_form(w) for w in level}
     canon.discard(())
     # the product of 1-tuples under + is the word itself
-    walked = list(W.necklace_walk([(l,) for l in letters], 7, operator.add))
+    walked = list(necklace_walk([(l,) for l in letters], 7, operator.add))
     classes = [word for _, word in walked]
     assert len(classes) == len(set(classes))
     assert set(classes) == canon
@@ -232,7 +232,7 @@ def _reduced_word_walk(values, max_len, mul):
 
     def extend(idx, m):
         word = tuple(letters[i] for i in idx)
-        if W.canonical_conjugacy_form(word) == word:
+        if canonical_conjugacy_form(word) == word:
             yield idx, m
         if len(word) < max_len:
             for j, (g, e) in enumerate(letters):
@@ -260,7 +260,7 @@ def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
 
     cases = [(3, 4.0), (6, 3.0), (8, 3.5)]
     fast = [run(*c) for c in cases]
-    monkeypatch.setattr(W, "necklace_walk", _reduced_word_walk)
+    monkeypatch.setattr(spectrum, "necklace_walk", _reduced_word_walk)
     assert [run(*c) for c in cases] == fast
 
 
@@ -319,10 +319,11 @@ def test_bisected_power_root_is_the_first_match_in_order(case):
                     [p.length for p in primitives]) == want
 
 
-# the class words of length <= 4 on two generators, as letter tuples
+# the class words of length <= 4 on two generators, as letter indices;
+# letter i is LETTERS2[i], spelled TEXTS2[i]
 LETTERS2 = sorted((g, e) for g in range(2) for e in (-1, 1))
-CLASS_WORDS = [word for _, word in
-               W.necklace_walk([(l,) for l in LETTERS2], 4, operator.add)]
+TEXTS2 = "AaBb"
+CLASS_WORDS = [idx for idx, _ in necklace_walk(range(4), 4, max)]
 
 
 @st.composite
@@ -353,10 +354,17 @@ def _merged(merge, found):
     return kept, [str(w.message) for w in caught]
 
 
+def _as_pairs(found):
+    """``found`` with each index word spelled in (generator, exponent)
+    letters, as the oracle keeps words."""
+    return [(tuple(LETTERS2[i] for i in word), *rest) for word, *rest in found]
+
+
 @settings(max_examples=500, deadline=None)
 @given(trace_clusters())
 def test_bisected_trace_clusters_are_the_first_within_tolerance(found):
-    assert _merged(_merge_conjugates, found) == _merged(linear_merge, found)
+    kept, caught = _merged(lambda f: _merge_conjugates(f, TEXTS2), found)
+    assert (_as_pairs(kept), caught) == _merged(linear_merge, _as_pairs(found))
 
 
 # --- trace prefilter -------------------------------------------------------
@@ -478,6 +486,76 @@ def test_length_is_at_least_the_trace_bound(m):
     length, _ = _complex_length(*_entries(m))
     tr = abs(m.trace) / math.sqrt(abs(m.det))
     assert length >= 2 * math.acosh(max(1.0, tr / 2)) - 1e-12
+
+
+# --- the two figure-eight fixtures -----------------------------------------
+# fig8_matrices.json must be a representation of the group of fig8.pres
+# into SL(2, Z[omega]), omega = e^{2 pi i/3}: an element a + b omega of
+# Z[omega] is the pair (a, b), and omega^2 = -1 - omega
+
+OMEGA = cmath.exp(2j * math.pi / 3)
+IDENTITY = ((1, 0), (0, 0), (0, 0), (1, 0))
+
+
+def _in_z_omega(z: complex):
+    """The pair (a, b) with |z - (a + b omega)| <= 1e-12, or None."""
+    b = round(2 * z.imag / math.sqrt(3))
+    a = round(z.real + b / 2)
+    return (a, b) if abs(z - (a + b * OMEGA)) <= 1e-12 else None
+
+
+def _z_omega_matmul(m, n):
+    """The product of two 2 x 2 matrices over Z[omega], exactly."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1],
+                x[0] * y[1] + x[1] * y[0] - x[1] * y[1])
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    a, b, c, d = m
+    e, f, g, h = n
+    return (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+            add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+
+
+def _z_omega_word(word, mats):
+    """The product over Z[omega] of the matrices of a (generator,
+    exponent) word, each generator of determinant 1."""
+    out = IDENTITY
+    for g, e in word:
+        a, b, c, d = mats[g]
+        if e == -1:
+            a, b, c, d = d, (-b[0], -b[1]), (-c[0], -c[1]), a
+        out = _z_omega_matmul(out, (a, b, c, d))
+    return out
+
+
+def _represents(gens, pres) -> bool:
+    """Whether every generator entry lies in Z[omega] and every relator
+    of `pres` evaluates to +I there."""
+    mats = [tuple(map(_in_z_omega, g)) for g in gens]
+    if any(None in m for m in mats):
+        return False
+    return all(_z_omega_word(r, mats) == IDENTITY for r in pres.relators)
+
+
+def test_fig8_fixtures_present_one_group(tmp_path):
+    gens, _ = cli._load_matrices(str(FIXTURES / "fig8_matrices.json"))
+    pres, _, _ = parse_presentation(read_fixture("fig8.pres"))
+    assert _represents(gens, pres)
+    mats = [tuple(map(_in_z_omega, g)) for g in gens]
+    longitude = parse_letters("bABaaBAb", pres.generator_names)
+    assert longitude in pres.peripheral_words
+    lam = _z_omega_word(longitude, mats)
+    assert lam == ((-1, 0), (-2, -4), (0, 0), (-1, 0))  # (-1, -2 - 4 omega; 0, -1)
+    assert _z_omega_matmul(lam, mats[0]) == _z_omega_matmul(mats[0], lam)
+    # the check can fail: one changed entry breaks the relator
+    matrices = json.loads(read_fixture("fig8_matrices.json"))
+    matrices["generators"][1][2] = [1.0, 0.0]
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(matrices), encoding="utf-8")
+    assert not _represents(cli._load_matrices(str(path))[0], pres)
 
 
 # --- persistence -----------------------------------------------------------

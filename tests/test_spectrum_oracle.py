@@ -6,6 +6,7 @@ import cmath
 import hashlib
 import math
 import random
+import string
 import tempfile
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import cli, ruelle
-from cuspedzeta import words as W
 from cuspedzeta.errors import CuspedZetaError, InputError
+from cuspedzeta.presentation import format_letters
 from cuspedzeta.spectrum import (DELTA_RULE_BELOW, GeodesicClass, Spectrum,
                                  format_spectrum, load_spectrum)
 
@@ -48,8 +49,9 @@ def power_closed_spectrum(seed: int, n_primitive: int) -> Spectrum:
         theta = rng.uniform(-math.pi, math.pi)
         q = rng.randint(1, 6)
         p = rng.randrange(q)
-        word = W.format_letters(tuple((rng.randrange(26), rng.choice((1, -1)))
-                                      for _ in range(rng.randint(1, 6))))
+        word = format_letters(tuple((rng.randrange(26), rng.choice((1, -1)))
+                                    for _ in range(rng.randint(1, 6))),
+                              string.ascii_lowercase)
         for k in range(1, int(cutoff // length) + 1):
             classes.append(GeodesicClass(
                 length=k * length, holonomy=_angle(k * theta),
