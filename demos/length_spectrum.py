@@ -1,5 +1,6 @@
-"""Enumerate the figure-eight geodesic spectrum and test the
-factorization identity of the Ruelle function on it.
+"""Enumerate the figure-eight geodesic spectrum, evaluate the truncated
+Ruelle function on it, and check that its rows hold every power of
+every primitive class under the cutoff.
 
 Run:  python3 demos/length_spectrum.py
 """
@@ -7,7 +8,7 @@ Run:  python3 demos/length_spectrum.py
 import cmath
 import math
 
-from cuspedzeta.ruelle import euler_product, fried_residual
+from cuspedzeta.ruelle import euler_product, power_closure
 from cuspedzeta.spectrum import enumerate_classes
 
 # the standard parabolic generator pair of the figure-eight knot group
@@ -30,7 +31,10 @@ def main():
     rep = euler_product(spectrum, z)
     print(f"\nR(z={z}) truncated: {rep.value.real:.15f} "
           f"({rep.terms_used} primitive factors), tail bound {rep.tail_bound:.2e}")
-    print(f"factorization residual at z={z}: {fried_residual(spectrum, z).value:.2e}")
+    residual, bound, closed = power_closure(spectrum, z)
+    print(f"power-closure residual at z={z}: {residual:.2e} "
+          f"(rounding bound {bound:.2e})")
+    print(f"closed under powers: {str(closed).lower()}")
 
 
 if __name__ == "__main__":

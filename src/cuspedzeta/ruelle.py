@@ -1,11 +1,11 @@
 """Ruelle zeta evaluation from a truncated geodesic spectrum.
 
-Everything here is a finite sum or product over a Spectrum, together
-with a heuristic tail bound from the exponential counting estimate
-N(L) <= C e^{2L}.  Every spectrum is a truncation, whether enumerated,
-loaded or synthetic: each evaluation reports the tail bound, and a
-point outside the region Re z > 2, where the Euler product converges,
-raises CuspedZetaError.
+Everything here is a finite sum or product over a Spectrum.  Every
+spectrum is a truncation, whether enumerated or loaded: `euler_product`
+reports a heuristic tail bound from the exponential counting estimate
+N(L) <= C e^{2L}, `power_closure` checks that the rows hold every power
+of every primitive row under the cutoff, and a point outside the region
+Re z > 2, where the Euler product converges, raises CuspedZetaError.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CuspedZetaError
-from .spectrum import GeodesicClass, Spectrum, _canonical_angle
+from .spectrum import Spectrum
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,19 @@ def _overflow(term: str, length: float) -> OverflowError:
     return OverflowError(f"{term} overflows at the class of length {length!r}")
 
 
+def _check_region(z: complex):
+    """Raise CuspedZetaError unless Re z > 2."""
+    if z.real <= 2:
+        raise CuspedZetaError(
+            f"Re z = {z.real} is not in the convergence region Re z > 2")
+
+
 def _tail_bound(s: Spectrum, z: complex) -> float:
     """Heuristic truncation tail for geometric sums over the spectrum at
     z, monotone decreasing in both Re z and the cutoff; a z with
     Re z <= 2 raises CuspedZetaError."""
+    _check_region(z)
     x = z.real
-    if x <= 2:
-        raise CuspedZetaError(
-            f"Re z = {x} is not in the convergence region Re z > 2")
     try:
         c = counting_constant(s)
     except OverflowError as exc:
@@ -90,44 +95,57 @@ def euler_product(s: Spectrum, z: complex) -> TruncationReport:
     return TruncationReport(value=value, tail_bound=tail, terms_used=len(rows))
 
 
-def fried_residual(s: Spectrum, z: complex) -> TruncationReport:
-    """Defect of the factorization R(z) = S0(z) S0(z+2) / S1(z+1) on the
-    truncated class set, with log S_j(w) = -sum a_j(g) e^{-w l(g)} / l(g);
-    zero up to the tail for a power-closed set.  One pass over the
-    classes feeds all four sums, with the per-class weights
-    a0 = rho(g) l0 / Delta, Delta = det(I - A^s) = 1 - 2 e^{-l} cos(theta)
-    + e^{-2l}, and a1 = a0 * 2 cos(theta).  An exponent whose imaginary
-    part leaves the float range raises a located OverflowError, as in
-    `euler_product`."""
-    tail = _tail_bound(s, z)
-    exp, rexp, cos = cmath.exp, math.exp, math.cos
-    nz, nz1, nz2 = -z, -(z + 1), -(z + 2)
-    log_r = s0 = s0_shift = s1 = 0j
+def power_closure(s: Spectrum, z: complex) -> tuple[float, float, bool]:
+    """(residual, bound, closed): whether the rows hold every power of
+    every primitive row under the cutoff, read at z.
+
+    Each row g = g0^k adds rho(g) e^{-z l} l0 / l to `got`, and each
+    primitive row p adds x_p^k / k, x_p = rho(p) e^{-z l_p}, to `want`
+    for each of its K_p powers k l_p under the cutoff: on rows that are
+    exactly the powers of their primitives the two agree term by term.
+    A power within the loader's 1e-9 slack of the cutoff is left out of
+    both, whether it is a row or not.  `closed` needs |got - want| <=
+    bound and sum K_p equal to the rows compared; the power loops take at
+    most as many steps as there are rows.
+
+    The bound, with u = 2^-53, n the rows compared, S the sum of their
+    terms' moduli and L the cutoff: the two sums of n terms round by
+    2 sqrt(2) n u S; the products of a term, sqrt(5) u each, k - 1 more
+    for x_p^k and as many taken to be in the row's rho(g) = rho(p)^k,
+    by (4.5 n + 14) u S; the rounded exponent z l, on each side and in
+    the row's l = k l_p, by 4 u |z| L S.  So bound = (8 n + 16
+    + 4 |z| L) u S, capped at 2 S, where the exponent's rounding can
+    spoil every term.  An exponent whose imaginary part leaves the float
+    range raises a located OverflowError, as in `euler_product`."""
+    _check_region(z)
+    edge = s.cutoff_length - 1e-9
+    budget = len(s.classes)
+    exp, nz = cmath.exp, -z
+    got = want = 0j
+    size = 0.0
+    rows = powers = steps = 0
     try:
-        for length, holonomy, char, prim, _, _ in s.classes:
-            el = rexp(-length)
-            cos_t = cos(holonomy)
-            a0 = char * prim / (1 - 2 * el * cos_t + el * el)
-            e = exp(nz * length)
-            log_r -= char * e * prim / length
-            s0 -= a0 * e / length
-            s0_shift -= a0 * exp(nz2 * length) / length
-            s1 -= a0 * 2 * cos_t * exp(nz1 * length) / length
+        for length, _, char, prim, mult, _ in s.classes:
+            if mult > 1 and mult * prim > edge:
+                continue
+            x = char * exp(nz * length)
+            term = x * prim / length
+            got += term
+            size += abs(term)
+            rows += 1
+            if mult == 1:
+                want += x
+                k, xk = 1, x
+                # past `budget` steps, sum K_p exceeds the row count
+                while (k + 1) * length <= edge and steps < budget:
+                    k += 1
+                    xk *= x
+                    want += xk / k
+                    steps += 1
+                powers += k
     except ValueError:
-        raise _overflow(f"e^(-z l) in the Fried sums at z = {z}", length) from None
-    return TruncationReport(value=abs(log_r - (s0 + s0_shift - s1)),
-                            tail_bound=tail, terms_used=len(s.classes))
-
-
-def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,
-                          powers: int) -> Spectrum:
-    """Synthetic spectrum of one primitive class and its powers
-    1..powers, truncated at the cutoff powers * length like any other
-    spectrum."""
-    classes = []
-    for k in range(1, powers + 1):
-        classes.append(GeodesicClass(
-            length=k * length, holonomy=_canonical_angle(holonomy * k),
-            char_value=char_value ** k,
-            primitive_length=length, multiplicity=k, word="a" * k))
-    return Spectrum(classes=classes, cutoff_length=powers * length).validate()
+        raise _overflow(f"e^(-z l) in the power sums at z = {z}", length) from None
+    residual = abs(got - want)
+    slack = 8 * rows + 16 + 4 * (abs(z.real) + abs(z.imag)) * s.cutoff_length
+    bound = min(slack * 2.0 ** -53, 2.0) * size
+    return residual, bound, residual <= bound and powers == rows

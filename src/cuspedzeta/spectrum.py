@@ -36,9 +36,6 @@ from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
 
 TRACE_TOL = 1e-9
 DET_TOL = 1e-12
-# classes at least this long pass the Delta rule of GeodesicClass.validate
-# whatever their holonomy, so the rule is evaluated only below it
-DELTA_RULE_BELOW = 1e-3
 
 
 def _canonical_angle(theta: float) -> float:
@@ -101,16 +98,8 @@ class GeodesicClass(NamedTuple):
             raise InputError(f"multiplicity {multiplicity} is below 1")
         if not word:
             raise InputError("empty word")
-        # Delta = |1 - e^{-(l + i theta)}|^2, the denominator of the
-        # Ruelle weights, must not round to zero.  Delta >= (1 - e^{-l})^2,
-        # which is at least 9.9e-7 for l >= DELTA_RULE_BELOW = 1e-3, and
-        # rounding moves the computed Delta by less than 1e-15: only a
-        # shorter class, or a holonomy that is not finite, can fail
-        if length < DELTA_RULE_BELOW or not math.isfinite(holonomy):
-            el = math.exp(-length)
-            if not 1 - 2 * el * math.cos(holonomy) + el * el > 0:
-                raise InputError(f"length {length} and holonomy {holonomy} "
-                                 f"give det(1 - P) = 0 to rounding")
+        if not math.isfinite(holonomy):
+            raise InputError(f"holonomy {holonomy} is not finite")
         return self
 
 
@@ -477,7 +466,7 @@ def load_spectrum(path) -> Spectrum:
     append = classes.append
     limit = cutoff + 1e-9
     last = -math.inf
-    isfinite, exp, cos = math.isfinite, math.exp, math.cos
+    isfinite = math.isfinite
     # GeodesicClass(...) without the Python-level __new__ of a NamedTuple
     new = tuple.__new__
     # (re, im) text -> character value that passed the check; a finite
@@ -510,10 +499,6 @@ def load_spectrum(path) -> Spectrum:
             if not length > 0 or mult < 1 or not (text.isascii()
                                                    and text.isalpha()):
                 raise ValueError
-            if length < DELTA_RULE_BELOW:  # theta is finite here
-                el = exp(-length)
-                if not 1 - 2 * el * cos(theta) + el * el > 0:
-                    raise ValueError
             cls = new(GeodesicClass, (length, theta, char, prim, mult, text))
         except Exception:
             cls = _row(line, lineno)

@@ -1,31 +1,39 @@
-"""The spectrum read path and the factorization check as they were
-before each became one pass, kept as test oracles.
+"""The spectrum read path and the Fried factorization sums as they were
+before each became one pass or left the package, kept as test oracles,
+and a slow reference for the power-closure check.
 
 `load_spectrum` parses every number through `_finite_float`, every word
 through a letter index rebuilt per row (`parse_letters`), validates
 each row, and then `Spectrum.validate` checks the cutoff and the order
-and validates every row again.  `fried_residual` sums the log Euler
-product and each of the three `s_log` sums in a pass of its own, and
-`fried_check` evaluates a whole Euler product to read its tail bound.
-The edits to the bodies: `load_spectrum` calls the `parse_letters`
-below, a copy of the letter parser it once shared with presentation
-files, keeps the word as its letter text, as the package does, applies the Delta rule at every length,
-where `GeodesicClass.validate` now evaluates it only for short classes,
-and refuses a header line that repeats a key, as the package does.
+and validates every row again.  The edits to its body: it calls the
+`parse_letters` below, a copy of the letter parser it once shared with
+presentation files, keeps the word as its letter text, as the package
+does, and refuses a header line that repeats a key, as the package
+does; the Delta rule, which refused a row with
+1 - 2 e^{-l} cos(theta) + e^{-2l} rounding to 0, left with the Fried
+weights it protected.
 
-`weights` and `log_euler_product` are the per-class Ruelle weights and
-the log Euler product those sums are made of; `ruelle.fried_residual`
-computes both inline.
+`fried_residual` is the defect of Fried's factorization
+R(z) = S0(z) S0(z+2) / S1(z+1), summing the log Euler product and each
+of the three `s_log` sums in a pass of its own.  `weights` and
+`log_euler_product` are the per-class Ruelle weights and the log Euler
+product those sums are made of.  Each row's terms cancel exactly,
+a0 (1 + e^{-2l}) - a1 e^{-l} = rho l0, so the residual is rounding on
+any rows at all: that is why `fried check` now checks power closure.
+`single_orbit_spectrum` is the synthetic spectrum the factorization
+tests ran on.
+
+`power_closed` decides power closure by matching rows, with no sums
+and no point z: the verdict `ruelle.power_closure` must reach.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from cuspedzeta import ruelle
 from cuspedzeta.errors import InputError
 from cuspedzeta.ruelle import TruncationReport, _tail_bound
-from cuspedzeta.spectrum import GeodesicClass, Spectrum
+from cuspedzeta.spectrum import GeodesicClass, Spectrum, _canonical_angle
 
 
 @dataclass(frozen=True)
@@ -129,11 +137,6 @@ def load_spectrum(path) -> Spectrum:
                             primitive_length=prim, multiplicity=mult, word=word)
         try:
             cls.validate()
-            # the Delta rule at every length, where `validate` evaluates
-            # it only below DELTA_RULE_BELOW
-            if not weights(cls).delta > 0:
-                raise InputError(f"length {length} and holonomy {theta} "
-                                 f"give det(1 - P) = 0 to rounding")
         except InputError as exc:
             raise InputError(str(exc), line=lineno)
         classes.append(cls)
@@ -160,8 +163,49 @@ def fried_residual(s: Spectrum, z: complex) -> float:
     return abs(lhs - rhs)
 
 
-def fried_check(s: Spectrum, z: complex) -> tuple[float, float]:
-    """(residual, tail bound) as `fried check` printed them."""
-    residual = fried_residual(s, z)
-    tail = ruelle.euler_product(s, z).tail_bound
-    return residual, tail
+def single_orbit_spectrum(length: float, holonomy: float, char_value: complex,
+                          powers: int) -> Spectrum:
+    """Synthetic spectrum of one primitive class and its powers
+    1..powers, truncated at the cutoff powers * length like any other
+    spectrum."""
+    classes = []
+    for k in range(1, powers + 1):
+        classes.append(GeodesicClass(
+            length=k * length, holonomy=_canonical_angle(holonomy * k),
+            char_value=char_value ** k,
+            primitive_length=length, multiplicity=k, word="a" * k))
+    return Spectrum(classes=classes, cutoff_length=powers * length).validate()
+
+
+def power_closed(s: Spectrum, tol: float = 1e-9) -> bool:
+    """Whether the rows are the primitive rows and their powers under the
+    cutoff, by matching.  Each primitive p expects its k-th power
+    (k l_p, rho_p^k), k >= 2, for every k l_p up to the cutoff less the
+    loader's 1e-9 slack; a row of multiplicity k and primitive length
+    l_p matches it within `tol`, and each row matches once.  Every power
+    row up to that length must be matched; a power row above it may be
+    there or not.  A primitive with more powers under the cutoff than
+    there are rows fails at once.  Every expected power scans every
+    row."""
+    edge = s.cutoff_length - 1e-9
+    unmatched = [c for c in s.classes if c.multiplicity > 1
+                 and c.multiplicity * c.primitive_length <= edge]
+    for p in s.classes:
+        if p.multiplicity > 1:
+            continue
+        if edge / p.length > len(s.classes) + 1:
+            return False
+        k = 2
+        while k * p.length <= edge:
+            want_length, want_char = k * p.length, p.char_value ** k
+            for i, c in enumerate(unmatched):
+                if (c.multiplicity == k
+                        and abs(c.primitive_length - p.length) <= tol
+                        and abs(c.length - want_length) <= tol
+                        and abs(c.char_value - want_char) <= tol):
+                    del unmatched[i]
+                    break
+            else:
+                return False
+            k += 1
+    return not unmatched

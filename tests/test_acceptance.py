@@ -24,7 +24,7 @@ from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
 from cuspedzeta.laplace import EULER_GAMMA
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
-from cuspedzeta.spectrum import enumerate_classes
+from cuspedzeta.spectrum import Spectrum, enumerate_classes, load_spectrum
 from cuspedzeta.verdict import main_conjecture_report
 
 from conftest import FIXTURES, fig8_generators, read_fixture
@@ -33,6 +33,7 @@ from heat_oracle import (HeatAtom, atom_function, closed_value, evaluate,
                          log_derivative_series, residue_at, spectral_lprime,
                          y_series)
 from quadrature_oracle import quadrature_lprime
+from spectrum_oracle import single_orbit_spectrum
 from wada_oracle import wada_holds
 
 
@@ -122,21 +123,35 @@ def test_criterion_3_alexander_exactness():
 # -- 4 ----------------------------------------------------------------------
 
 def test_criterion_4_factorization():
-    orbit = ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
-    ok = ruelle.fried_residual(orbit, 4 + 0j).value <= 1e-12
-    fig8 = enumerate_classes(fig8_generators(), [1.0, 1.0],
-                             max_word_len=8, cutoff_length=3.0)
-    residual = ruelle.fried_residual(fig8, 5 + 0j).value
-    tail = ruelle.euler_product(fig8, 5 + 0j).tail_bound
-    ok &= residual <= tail
-    _verdict(4, ok, f"factorization residuals: orbit {1e-12:.0e} bound met, "
-                    f"figure-eight {residual:.2e} <= tail {tail:.2e}")
+    # Fried's factorization holds row by row on any truncation, so the
+    # check that can fail is its premise: the rows hold every power of
+    # every primitive row under the cutoff
+    z = 3 + 0j
+    spectra = {"fixture": load_spectrum(FIXTURES / "fig8_spectrum.csv")}
+    for word_len, cutoff in ((10, 3.5), (12, 4.0)):
+        spectra[f"({cutoff}, {word_len})"] = enumerate_classes(
+            fig8_generators(), [1.0, 1.0], max_word_len=word_len,
+            cutoff_length=cutoff)
+    worst = 0.0
+    ok = True
+    for sp in spectra.values():
+        residual, bound, closed = ruelle.power_closure(sp, z)
+        ok &= closed
+        worst = max(worst, residual)
+    fixture = spectra["fixture"]
+    dropped = Spectrum(classes=[c for c in fixture.classes if c.word != "AbAb"],
+                       cutoff_length=fixture.cutoff_length)
+    residual, bound, closed = ruelle.power_closure(dropped, z)
+    ok &= not closed and residual > 1e-6
+    _verdict(4, ok, f"power closure at z=3 on the fixture and the (3.5, 10), "
+                    f"(4, 12) spectra (residuals <= {worst:.1e}, within bound); "
+                    f"fails without AbAb (residual {residual:.1e})")
 
 
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_5_heat_and_derivative_identities():
-    orbit = ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
+    orbit = single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
     z = 3.0
 
     def transform(j):

@@ -45,7 +45,7 @@ BUILTINS = {
         "the located OverflowError, which cli.run reports with exit 70",
     ("ruelle", "euler_product", "_overflow"):
         "the located OverflowError, which cli.run reports with exit 70",
-    ("ruelle", "fried_residual", "_overflow"):
+    ("ruelle", "power_closure", "_overflow"):
         "the located OverflowError, which cli.run reports with exit 70",
     ("ruelle", "_tail_bound", "OverflowError"):
         "counting_constant's located OverflowError with z in front; exit 70",

@@ -1,5 +1,6 @@
-"""Truncated Euler products, the factorization identity, and heat-trace
-transforms of the length spectrum."""
+"""Truncated Euler products, the power-closure check, the factorization
+identity kept as a test oracle, and heat-trace transforms of the length
+spectrum."""
 
 import cmath
 import math
@@ -14,12 +15,13 @@ from conftest import FIXTURES
 from heat_oracle import (hyperbolic_heat, log_derivative,
                          log_derivative_series, y_series)
 from quadrature_oracle import quadrature_lprime
-from spectrum_oracle import log_euler_product, weights
+from spectrum_oracle import (fried_residual, log_euler_product,
+                             single_orbit_spectrum, weights)
 
 
 @pytest.fixture(scope="module")
 def orbit():
-    return ruelle.single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
+    return single_orbit_spectrum(1.0, 0.7, cmath.exp(0.4j), 60)
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +47,14 @@ def test_log_euler_product_matches_product(fig8):
 
 
 def test_single_orbit_factorization_residual(orbit):
-    assert ruelle.fried_residual(orbit, 4 + 0j).value <= 1e-12
+    assert fried_residual(orbit, 4 + 0j) <= 1e-12
 
 
 def test_fig8_factorization_residual(fig8):
-    residual = ruelle.fried_residual(fig8, 5 + 0j).value
-    # the class list is power-closed: the residual is pure roundoff
-    assert residual <= 1e-12
+    # the old Fried sums, and the power-closure check that replaced them
+    assert fried_residual(fig8, 5 + 0j) <= 1e-12
+    residual, bound, closed = ruelle.power_closure(fig8, 5 + 0j)
+    assert closed and residual <= bound <= 1e-13
 
 
 def test_log_derivative_identity(orbit):
@@ -79,7 +82,7 @@ def test_heat_transforms_match_y_series(orbit):
 
 
 def test_tail_bound_monotone():
-    s = ruelle.single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
+    s = single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
     tails = [ruelle.euler_product(s, x + 0j).tail_bound
              for x in (2.5, 3.0, 4.0, 6.0)]
     assert all(t > 0 for t in tails)
@@ -88,10 +91,10 @@ def test_tail_bound_monotone():
 
 def test_convergence_region_enforced_when_incomplete(fig8):
     # every spectrum is a truncation, the synthetic one included
-    s = ruelle.single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
+    s = single_orbit_spectrum(1.0, 0.0, 1.0 + 0j, 10)
     for sp in (s, fig8):
         for z in (2 + 0j, 1.5 + 0j, 0.01 + 3j):
-            for evaluate in (ruelle.euler_product, ruelle.fried_residual):
+            for evaluate in (ruelle.euler_product, ruelle.power_closure):
                 with pytest.raises(CuspedZetaError, match="convergence region"):
                     evaluate(sp, z)
 

@@ -1,27 +1,29 @@
-"""The one-pass spectrum loader and factorization check against the
-routes they replaced (`spectrum_oracle`): equal spectra, and residuals
-and tail bounds equal bit for bit."""
+"""The one-pass spectrum loader against the route it replaced
+(`spectrum_oracle`), equal spectra, and the power-closure check against
+a slow reference that matches rows, the same verdict."""
 
 import cmath
 import hashlib
+import json
 import math
 import random
 import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import cli, ruelle
-from cuspedzeta.errors import CuspedZetaError, InputError
+from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
 from cuspedzeta.presentation import format_letters
-from cuspedzeta.spectrum import (DELTA_RULE_BELOW, GeodesicClass, Spectrum,
+from cuspedzeta.spectrum import (GeodesicClass, Spectrum, enumerate_classes,
                                  format_spectrum, load_spectrum)
 
 import spectrum_oracle as oracle
-from conftest import FIXTURES
+from conftest import FIXTURES, fig8_generators, read_fixture
 
 # points inside the convergence region Re z > 2, and outside it
 Z_CONVERGENT = (2.05 + 0j, 2.5 + 1.25j, 3.7 - 4.2j, 5 + 0j, 4.4 + 11j)
@@ -110,10 +112,11 @@ def scan_spectrum_text(seed: int, n_primitive: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# sha256 of the stdout of `ruelle eval` and `fried check`, taken before
-# the loader kept words as letter text and the sums bound their
-# functions to locals: reordering any float operation of the loader or
-# of the sums changes a digest
+# sha256 of the stdout of `ruelle eval`, taken before the loader kept
+# words as letter text and the sums bound their functions to locals, and
+# of `fried check`, taken when it became the power-closure check:
+# reordering any float operation of the loader or of the sums changes a
+# digest
 SCAN_OUTPUT_SHA256 = {
     ("fixture", "ruelle", "2.5+1.25j"):
         "2f2db67c65a12a7c665b99cddd1f47af44de884e2b56ca7df324ec45f222fd80",
@@ -122,11 +125,11 @@ SCAN_OUTPUT_SHA256 = {
     ("fixture", "ruelle", "4.4+11j"):
         "54f1b5c0bf6d8647fc65406e38a108ae094566f1a187da1fba0eb030be40e289",
     ("fixture", "fried", "2.5+1.25j"):
-        "64381c305a9ce7c92d26fc6fb29e1565f72575e4be98d657ec66e7fd7573c263",
+        "906818b876d19b9125ac76bdec77d2e72aa0ef2585f17e77a4e38438ea455a68",
     ("fixture", "fried", "3.7-4.2j"):
-        "0f0107f67c94646f14bf6a3be2f64380f8881dfc36d79f1f4c49151fd1f450cc",
+        "1b5c7130b7440050f0151cdc0e766897da262b7ac42e03db8075136e97d6c8db",
     ("fixture", "fried", "4.4+11j"):
-        "61935d3ec9309625eb9d9d3839bca9adde72ecf01e991fcb61813f4d743875ec",
+        "dfab3cefb0b438b024bd72878866c1c6126d9d452e62824ee29533e84f1e27a1",
     ("scan-5", "ruelle", "2.5+1.25j"):
         "0cb0eb09d92e5b50c8c23e97dbb85fc76958fb63aaf6859dad28cabf748a40d1",
     ("scan-5", "ruelle", "3.7-4.2j"):
@@ -134,11 +137,11 @@ SCAN_OUTPUT_SHA256 = {
     ("scan-5", "ruelle", "4.4+11j"):
         "781c930f1a1b7960824de6c1836d8e1122e064caa7a731a1ad640ec2cfad7f28",
     ("scan-5", "fried", "2.5+1.25j"):
-        "784373a4fb0eebaa3a78326f2ae8fa8bb4cf5301b6c8e461f2cb20019e0cc3bb",
+        "c4630f30f0dd3912d8b8143cef0d3b8f88f76d1da61e68f3304d4df438b609da",
     ("scan-5", "fried", "3.7-4.2j"):
-        "cc0938b3dd4f36175cdafde9d286c431e268b70aa674abe067a2ce505c0db2c7",
+        "ae0ed36489c1fbdaa43afeefc598fe9581ae7cc47327a5910fe969e368931e00",
     ("scan-5", "fried", "4.4+11j"):
-        "48767557502dc8c8de027d05f29b6bbe59e6e1249a09bbd197bb340294364635",
+        "2e75a040a8ffdbda59d0b3d99c587def42dec0756b47ae78f30eec8f963f39eb",
     ("scan-6", "ruelle", "2.5+1.25j"):
         "3ff8fbba9ecdff66eed3e9563cd2f2c31df6ee3384edc278b08baa8a96988680",
     ("scan-6", "ruelle", "3.7-4.2j"):
@@ -146,11 +149,11 @@ SCAN_OUTPUT_SHA256 = {
     ("scan-6", "ruelle", "4.4+11j"):
         "1bcdecfcb1229404775eea46e3889afdf991edec460605258ca87b2be5d5098e",
     ("scan-6", "fried", "2.5+1.25j"):
-        "3b94add922ec0133242dae2f5b09b5acaf49daa8aee5cf011b7a7ac6bec5e1c7",
+        "03d0fb0ad3dce85ebee6ea30b342a214fe9e1d3f79c5735955c7761955aaf34f",
     ("scan-6", "fried", "3.7-4.2j"):
-        "5d18207679966570cea5d2a38a57ab6a4bbdb36240ba0e41f23c43a76570d543",
+        "e977407613f0ee360cf1d32b50ada3cdf313e54a20a3e98ff7b8a5f87b893885",
     ("scan-6", "fried", "4.4+11j"):
-        "d66d5e095595e20b4a44308ba041d8c184610344ebd2465b62a1d4df4597eaeb",
+        "b410cb57098e6c5f6f3c9975cf8bc2bafab220a6ce0af148cad44452b1e2943e",
 }
 
 
@@ -180,7 +183,7 @@ def _cases(tmp_path):
     for length, holonomy, char, powers in ((1.0, 0.7, cmath.exp(0.4j), 50),
                                            (0.3, -2.9, -1 + 0j, 40),
                                            (2.2, 0.0, 1j, 3)):
-        sp = ruelle.single_orbit_spectrum(length, holonomy, char, powers)
+        sp = oracle.single_orbit_spectrum(length, holonomy, char, powers)
         name = f"orbit-{length}"
         cases.append((name, _written(tmp_path, name, sp)))
     for seed in (1, 2, 3):
@@ -215,15 +218,58 @@ def test_loader_matches_oracle(tmp_path):
         assert load_spectrum(path) == oracle.load_spectrum(path), name
 
 
-def test_fried_check_matches_oracle_bit_for_bit(tmp_path):
-    for name, path in _cases(tmp_path):
+def _open_cases(tmp_path):
+    """(name, CSV path) for spectra that are not closed under powers."""
+    rows = read_fixture("fig8_spectrum.csv").splitlines(keepends=True)
+    cases = []
+    for word in ("AbAb", "aBaB", "AAAb", "aaaB"):
+        path = tmp_path / f"without-{word}"
+        path.write_text("".join(r for r in rows if not r.endswith(f",{word}\n")))
+        cases.append((f"without-{word}", path))
+    # AbAb as a primitive row: its primitive length is its own length
+    path = tmp_path / "AbAb-primitive"
+    path.write_text("".join(rows).replace(
+        "1.0870701449957394,2,AbAb", "2.1741402899914783,1,AbAb"))
+    cases.append(("AbAb-primitive", path))
+    # a primitive so short that its powers under the cutoff outnumber the
+    # rows past any integer
+    path = tmp_path / "subnormal"
+    path.write_text("# cutoff=3\n1e-320,1,1,0,1e-320,1,a\n")
+    cases.append(("subnormal", path))
+    # zeta3 on both generators: the four primitives of length 1.087 have
+    # four squares, and eight rows are matched as squares
+    z3 = cmath.exp(2j * math.pi / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiscretenessSuspect)
+        sp = enumerate_classes(fig8_generators(), [z3, z3], max_word_len=8,
+                               cutoff_length=3.0)
+    cases.append(("zeta3", _written(tmp_path, "zeta3", sp)))
+    return cases
+
+
+def test_fried_check_fails_on_rows_that_are_not_power_closed(capsys, tmp_path):
+    for name, path in _open_cases(tmp_path):
+        for z in ("3", "5"):
+            assert cli.run(["fried", "check", str(path), "--z", z]) == 0
+            assert json.loads(capsys.readouterr().out)["withinBound"] is False, \
+                (name, z)
+
+
+def test_fried_check_agrees_with_the_matching_oracle(tmp_path):
+    cases = [(name, path, True) for name, path in _cases(tmp_path)]
+    for word_len, cutoff in ((10, 3.5), (12, 4.0)):
+        name = f"enumerated-{word_len}-{cutoff}"
+        sp = enumerate_classes(fig8_generators(), [1, 1], max_word_len=word_len,
+                               cutoff_length=cutoff)
+        cases.append((name, _written(tmp_path, name, sp), True))
+    cases += [(name, path, False) for name, path in _open_cases(tmp_path)]
+    for name, path, closed in cases:
         sp = load_spectrum(path)
+        assert oracle.power_closed(sp) is closed, name
         for z in Z_CONVERGENT:
-            rep = ruelle.fried_residual(sp, z)
-            residual, tail = oracle.fried_check(sp, z)
-            assert repr(rep.value) == repr(residual), (name, z)
-            assert repr(rep.tail_bound) == repr(tail), (name, z)
-            assert rep.terms_used == len(sp.classes)
+            residual, bound, within = ruelle.power_closure(sp, z)
+            assert within is closed, (name, z)
+            assert math.isfinite(residual) and bound >= 0, (name, z)
 
 
 def test_fried_check_keeps_the_convergence_region(tmp_path):
@@ -231,10 +277,31 @@ def test_fried_check_keeps_the_convergence_region(tmp_path):
         sp = load_spectrum(path)
         for z in Z_OUTSIDE:
             with pytest.raises(CuspedZetaError) as new:
-                ruelle.fried_residual(sp, z)
+                ruelle.power_closure(sp, z)
             with pytest.raises(CuspedZetaError) as old:
-                oracle.fried_check(sp, z)
+                oracle.fried_residual(sp, z)
             assert str(new.value) == str(old.value), (name, z)
+
+
+def test_old_fried_residual_vanishes_on_rows_that_form_no_spectrum():
+    # each row's Fried terms cancel exactly, so the residual of the sums
+    # that `fried check` once printed is rounding on any rows at all:
+    # here 500 rows of random lengths, holonomies, characters and
+    # multiplicities, no spectrum and not closed under powers
+    rng = random.Random(29)
+    classes = []
+    for _ in range(500):
+        mult = rng.randint(1, 4)
+        prim = rng.uniform(0.05, 2.0)
+        classes.append(GeodesicClass(
+            mult * prim, rng.uniform(-math.pi, math.pi),
+            cmath.exp(1j * rng.uniform(-math.pi, math.pi)), prim, mult, "a"))
+    classes.sort()
+    sp = Spectrum(classes=classes, cutoff_length=8.0).validate()
+    assert not oracle.power_closed(sp)
+    for z in (2.1 + 0j, 3 + 0j, 5 + 2j):
+        assert oracle.fried_residual(sp, z) < 1e-12
+        assert ruelle.power_closure(sp, z)[2] is False
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +322,7 @@ def _nudged(draw, x: float) -> float:
 @st.composite
 def edge_rows(draw):
     """Spectrum body lines with rows at the edge of each rule: |c| near
-    1 +- 1e-12, length - mult * prim near 1e-9, Delta near 0, a length
+    1 +- 1e-12, length - mult * prim near 1e-9, a length near 0, a length
     1e-12 below the last one or near cutoff + 1e-9, nan or inf in one
     field, and blank lines.  Character texts repeat across rows, so a
     text can appear on a good row and then on a bad one or the other
@@ -264,7 +331,7 @@ def edge_rows(draw):
     lines = []
     last = draw(st.floats(0.5, 1.0))
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["plain", "char", "multiple", "delta",
+        kind = draw(st.sampled_from(["plain", "char", "multiple", "short",
                                      "order", "cutoff", "non-finite", "blank"]))
         if kind == "blank":
             lines.append(draw(st.sampled_from(["", " \t "])))
@@ -284,11 +351,9 @@ def edge_rows(draw):
             p = length / mult
             gap = _nudged(draw, draw(st.sampled_from([1e-9, -1e-9])))
             length, prim = mult * p + gap, _fmt(p)
-        elif kind == "delta":
-            # the last two sit on either side of DELTA_RULE_BELOW
+        elif kind == "short":
             length = draw(st.sampled_from([
-                5e-324, 1e-320, 1e-300, 1e-17, 1.1e-16, 2.2e-16, 1e-8,
-                math.nextafter(DELTA_RULE_BELOW, 0), DELTA_RULE_BELOW]))
+                5e-324, 1e-320, 1e-300, 1e-17, 1.1e-16, 2.2e-16, 1e-8, 1e-3]))
             theta = draw(st.sampled_from([0.0, 1e-9, -1e-8, 1e-4]))
             prim = _fmt(length)
         elif kind == "order":
@@ -343,25 +408,3 @@ def test_edge_rows_load_as_the_oracle_loads_them(body):
         path.write_text(head + "".join(line + "\n" for line in body),
                         encoding="utf-8")
         assert _loaded(path) == want
-
-
-def test_edge_rows_fall_on_both_sides_of_the_delta_rule_bound():
-    # the loader evaluates the Delta rule only below DELTA_RULE_BELOW;
-    # the edge rows must reach both branches, next to the bound too
-    for length in (math.nextafter(DELTA_RULE_BELOW, 0), DELTA_RULE_BELOW):
-        find(edge_rows(), lambda body: length in [
-            float(line.split(",")[0]) for line in body if line.strip()])
-
-
-@settings(max_examples=500, deadline=None)
-@example(DELTA_RULE_BELOW, 0.0)
-@example(DELTA_RULE_BELOW, 2 * math.pi)
-@example(DELTA_RULE_BELOW, 1e308)
-@example(1e308, 0.0)
-@given(st.floats(min_value=DELTA_RULE_BELOW, allow_infinity=False),
-       st.floats(allow_nan=False, allow_infinity=False))
-def test_delta_rule_holds_at_every_length_it_is_not_evaluated(length, theta):
-    # Delta >= (1 - e^{-l})^2 >= 9.9e-7 for l >= 1e-3, against a
-    # rounding error below 1e-15, so the rule cannot fail there
-    c = GeodesicClass(length, theta, 1 + 0j, length, 1, "a")
-    assert oracle.weights(c).delta > 0

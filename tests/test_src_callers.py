@@ -35,8 +35,7 @@ SHARED = {
                   "LatticeCharacter.is_trivial by cuspterms for the zero mode",
     "validate": "GeodesicClass.validate by Spectrum.validate and by _row, "
                 "where the rows load_spectrum's inline checks refuse go; "
-                "Spectrum.validate by enumerate_classes and "
-                "ruelle.single_orbit_spectrum",
+                "Spectrum.validate by enumerate_classes",
 }
 
 
