@@ -145,6 +145,10 @@ EPSTEIN = ["epstein", str(FIXTURES / "square_lattice.json")]
 CSV_HEAD = "# cutoff=3 covolume=1 volume=1\n"
 RUELLE_IN = ["ruelle", "eval", "{in}", "--z", "5"]
 FRIED_IN = ["fried", "check", "{in}", "--z", "5"]
+# a row whose z l has a finite real part and an imaginary part past the
+# float range, so e^(-z l) in the power sums overflows
+CSV_OVERFLOW_FRIED = "# cutoff=1e308 covolume=1 volume=1\n1e307,0,1,0,1e307,1,a\n"
+FRIED_OVERFLOW = ["fried", "check", "{in}", "--z", "3+100j"]
 
 # (case, input file content or None, argv with "{in}" for that file,
 #  exit code, text the message must hold)
@@ -235,6 +239,8 @@ BAD_INPUTS = [
      EX_DATAERR, "not UTF-8: byte 0xe9, invalid continuation byte (line 2)"),
     ("csv-overflow-eval", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
      ["ruelle", "eval", "{in}", "--z", "3"], EX_SOFTWARE, "computation failed"),
+    ("csv-overflow-fried", CSV_OVERFLOW_FRIED, FRIED_OVERFLOW, EX_SOFTWARE,
+     "computation failed"),
     ("z-overflow", None, RUELLE + ["--z", "-1000"], EX_SOFTWARE,
      "computation failed"),
     ("epstein-overflow", {"b1": [1e300, 0], "b2": [0, 1e300]}, ["epstein", "{in}"],
@@ -301,6 +307,9 @@ BAD_INPUTS = [
      ["ruelle", "eval", "{in}", "--z", "3"], EX_SOFTWARE,
      "tail bound at z = (3+0j): e^(2 l) in the counting constant overflows at the "
      "class of length 400.0"),
+    ("csv-overflow-fried-located", CSV_OVERFLOW_FRIED, FRIED_OVERFLOW, EX_SOFTWARE,
+     "e^(-z l) in the power sums at z = (3+100j) overflows at the class of length "
+     "1e+307"),
     # every spectrum is a truncation, so a point outside Re z > 2 is
     # refused before anything is summed
     ("fixture-eval-outside-region", None, RUELLE + ["--z", "0.01"], EX_SOFTWARE,
@@ -415,7 +424,7 @@ GOOD_EDGE_INPUTS = [
      {"withinBound": False}),
     # e^{2 l} of the counting constant overflows, but `fried check` reads
     # no tail; the square at length 800 is missing
-    ("csv-overflow-fried", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
+    ("csv-tail-overflow-fried", "# cutoff=1000 covolume=1 volume=1\n400,0,1,0,400,1,a\n",
      ["fried", "check", "{in}", "--z", "3"],
      {"bound": 0, "residual": 0, "withinBound": False}),
 ]
