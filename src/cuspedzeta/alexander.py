@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CuspedZetaError
-from .laurent import LaurentPoly, ord_at_one, smith_form
+from .laurent import LaurentPoly, dot, ord_at_one, smith_form
 from .presentation import Epsilon, GroupPresentation, UnitCharacter, fox_row
 
 
@@ -34,7 +34,7 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
                   ) -> tuple[list[list[LaurentPoly]], list[LaurentPoly]]:
     """(d1, d0): d1 holds one row of Fox derivatives per relator, d0 the
     entry rho(x_j) t^eps(x_j) - 1 per generator.  d1 followed by d0 is
-    zero."""
+    zero, checked exactly with one `dot` per relator."""
     n = rho.modulus
     d1 = [fox_row(r, rho, eps) for r in p.relators]
     d0 = []
@@ -43,9 +43,8 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
         counts = {0: [-1] + [0] * (n - 1)}
         counts.setdefault(eps.values[j], [0] * n)[rho.exponents[j] % n] += 1
         d0.append(LaurentPoly.from_zeta_counts(n, counts))
-    zero = LaurentPoly.zero(n)
     for row in d1:
-        if not sum((a * b for a, b in zip(row, d0) if not a.is_zero()), zero).is_zero():
+        if not dot(n, row, d0).is_zero():
             raise CuspedZetaError(
                 "Fox matrix times the augmentation column is nonzero")
     return d1, d0

@@ -4,9 +4,10 @@ The functions take and return bare integer lists on the power basis
 1, zeta, ..., zeta^(phi(n)-1), and `invert` also a denominator.  How an
 element of Q(zeta_n) is stored (such numerators over one positive
 denominator, in lowest terms) is decided in `laurent` alone.  Phi_n is
-monic over Z, so reduction runs in integers; the inverse is the
-product of the other Galois conjugates over the rational norm.
-Nothing here ever rounds.
+monic over Z, so reduction runs in integers; the inverse of a root of
+unity +-zeta^j is +-zeta^(n-j), reduced by one division, and any other
+inverse is the product of the other Galois conjugates over the rational
+norm.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -65,10 +66,19 @@ def invert(n: int, num, den: int) -> tuple[tuple[int, ...], int]:
 
     x^-1 = p / N(x): p is the product of the conjugates zeta -> zeta^k,
     k a unit mod n other than 1, and x p is the rational norm N(x).
-    On the numerators a over d: (a / d)^-1 = d p(a) / N(a)."""
+    On the numerators a over d: (a / d)^-1 = d p(a) / N(a).  A root of
+    unity +-zeta^j skips the norm: its inverse is +-zeta^(n-j) reduced
+    mod Phi_n, whose integer coefficients have gcd 1 as it is a unit
+    of Z[zeta]."""
     if not any(num):
         raise ZeroDivisionError("inverse of zero cyclotomic number")
     phi = cyclotomic_polynomial(n)
+    terms = [j for j, c in enumerate(num) if c]
+    if len(terms) == 1 and abs(num[terms[0]]) == den:
+        j = terms[0]
+        power = [0] * (n + 1)
+        power[n - j] = num[j] // den
+        return tuple(_divmod_monic(power, phi)[1]), 1
     p = [1] + [0] * (len(num) - 1)
     for k in range(2, n):
         if gcd(k, n) == 1:

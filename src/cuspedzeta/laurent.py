@@ -9,11 +9,13 @@ every entry, so equal polynomials are stored alike.  This is the one
 place that knows how an element of Q(zeta_n) is stored: a scalar is a
 polynomial with one row, and `cyclotomic` supplies only integer
 arithmetic mod Phi_n and the inverse on bare numerators.  A sum is one
-signed integer pass; a product gathers the unreduced zeta-products of
-each power of t and reduces each once by Phi_n; division by a unit
-c t^k is one product by c^-1, and any other division runs on integer
-rows after one inverse of the leading coefficient, which each
-polynomial computes at most once.
+signed integer pass.  `dot`, the one convolution loop, gathers
+unreduced zeta-products into a table with one row per power of t and
+reduces each row once by Phi_n: a product, a sum of products and the
+Smith row update a - q b each fill one such table and build one
+polynomial.  Division by a unit c t^k is one product by c^-1, and
+any other division runs on integer rows after one inverse of the
+leading coefficient, which each polynomial computes at most once.
 
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, euler_phi, invert
 from .errors import CuspedZetaError
@@ -154,22 +156,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.rows or not other.rows:
-            return LaurentPoly.zero(self.n)
-        phi = cyclotomic_polynomial(self.n)
-        m = len(phi) - 1
-        acc = [[0] * (2 * m - 1) for _ in range(len(self.rows) + len(other.rows) - 1)]
-        theirs = [(j, b) for j, b in enumerate(other.rows) if any(b)]
-        for i, a in enumerate(self.rows):
-            for j, b in theirs:
-                out = acc[i + j]
-                for p, x in enumerate(a):
-                    if x:
-                        for q, y in enumerate(b, p):
-                            out[q] += x * y
-        if m > 1:
-            acc = [_divmod_monic(r, phi)[1] for r in acc]
-        return LaurentPoly.from_rows(self.n, self.low + other.low, acc, self.den * other.den)
+        return dot(self.n, (self,), (other,))
 
     def _lead_inverse(self):
         """Integer numerators and denominator of the inverse of the top
@@ -275,6 +262,47 @@ class LaurentPoly:
         return format_poly(self)
 
 
+def dot(n, xs, ys, start=None, sign=1):
+    """start + sign * sum x * y over the pairs of xs and ys, polynomials
+    of modulus n, with start zero when None.  The rows of start and the
+    unreduced zeta-products of every pair go into one integer table over
+    the lcm of the denominators, one row per power of t, and each row is
+    reduced once by Phi_n, with one `from_rows`.  This is the one
+    convolution loop of the module."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x.rows and y.rows]
+    if start is None:
+        start = LaurentPoly.zero(n)
+    if not pairs:
+        return start
+    x, y = pairs[0]
+    den, low, high = start.den, x.low + y.low, x.high + y.high
+    if start.rows:
+        low, high = min(low, start.low), max(high, start.high)
+    for x, y in pairs:
+        den = lcm(den, x.den * y.den)
+        low, high = min(low, x.low + y.low), max(high, x.high + y.high)
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    acc = [[0] * (2 * m - 1) for _ in range(high - low + 1)]
+    f = den // start.den
+    for i, r in enumerate(start.rows, start.low - low):
+        acc[i][:m] = r if f == 1 else [f * c for c in r]
+    for x, y in pairs:
+        f = sign * den // (x.den * y.den)
+        # the nonzero numerators of each nonzero row of y, times f
+        theirs = [(j, [(q, f * c) for q, c in enumerate(b) if c])
+                  for j, b in enumerate(y.rows, x.low + y.low - low) if any(b)]
+        for i, a in enumerate(x.rows):
+            for j, b in theirs:
+                out = acc[i + j]
+                for p, c in enumerate(a):
+                    if c:
+                        for q, d in b:
+                            out[p + q] += c * d
+    rows = [_divmod_monic(r, phi)[1] if any(r[m:]) else r[:m] for r in acc]
+    return LaurentPoly.from_rows(n, low, rows, den)
+
+
 def _times(n, num, rows):
     """Each integer row times the integer numerators num, mod Phi_n;
     num None stands for 1."""
@@ -330,11 +358,15 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     size = min(rows, cols)
 
     def find_pivot(k):
+        """The first entry of least span in row-major order: the first
+        unit, as soon as one is met."""
         best = None
         for i in range(k, rows):
             for j in range(k, cols):
                 p = e[i][j]
                 if not p.is_zero() and (best is None or p.span < e[best[0]][best[1]].span):
+                    if p.is_unit():
+                        return i, j
                     best = (i, j)
         return best
 
@@ -354,8 +386,11 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
                 if e[i][k].is_zero():
                     continue
                 q, r = e[i][k].divmod(e[k][k])
-                # a zero entry of the pivot row leaves its column as it is
-                e[i] = [a if b.is_zero() else a - q * b for a, b in zip(e[i], e[k])]
+                # a - q b in one pass; a zero entry of the pivot row leaves
+                # its column as it is
+                q = (q,)
+                e[i] = [a if b.is_zero() else dot(a.n, q, (b,), a, -1)
+                        for a, b in zip(e[i], e[k])]
                 if not r.is_zero():
                     e[k], e[i] = e[i], e[k]
                     swapped = True

@@ -87,7 +87,11 @@ class GeodesicClass(NamedTuple):
 
     def validate(self):
         length, holonomy, char_value, primitive_length, multiplicity, word = self
-        if abs(length - multiplicity * primitive_length) > 1e-9:
+        if not math.isfinite(primitive_length):
+            raise InputError(f"primitive length {primitive_length} is not finite")
+        # relative below length 1, so that l0 / l stays near 1 / m on a
+        # tiny class; abs leaves a length <= 0 to the rule that names it
+        if abs(length - multiplicity * primitive_length) > 1e-9 * min(1, abs(length)):
             raise InputError(
                 f"length {length} is not multiplicity x primitive length")
         if abs(abs(char_value) - 1) > 1e-12:
@@ -482,9 +486,12 @@ def load_spectrum(path) -> Spectrum:
             # which only sends the row to the slow path
             if not isfinite(length + theta + prim):
                 raise ValueError
-            # the rules of GeodesicClass.validate, in its order
+            # the rules of GeodesicClass.validate, in its order; for the
+            # length > 0 of every row kept, the first is
+            # gap > 1e-9 * min(1, length)
             mult = int(m)
-            if abs(length - mult * prim) > 1e-9:
+            gap = abs(length - mult * prim)
+            if gap and (gap > 1e-9 or gap > 1e-9 * length):
                 raise ValueError
             key = re_c, im_c
             char = chars.get(key)

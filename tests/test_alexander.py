@@ -14,6 +14,7 @@ import functools
 
 import pytest
 
+from cuspedzeta import alexander
 from cuspedzeta.alexander import (_homology, alexander_invariant,
                                   build_complex, twisted_betti)
 from cuspedzeta.errors import CuspedZetaError
@@ -123,6 +124,25 @@ def test_complex_condition_violation():
     for build in (build_complex, alexander_invariant):
         with pytest.raises(CuspedZetaError, match="augmentation column is nonzero"):
             build(p, rho, eps)
+
+
+@pytest.mark.parametrize("name", ["fig8.pres", "fig8_zeta5.pres", "trefoil_zeta5.pres"])
+def test_complex_check_refuses_each_changed_fox_entry(monkeypatch, name):
+    """d1 d0 = 0 is checked on one integer table per relator: adding 1 to
+    any one Fox derivative adds the nonzero d0 entry of its generator."""
+    p, eps, rho = load(name)
+    build_complex(p, rho, eps)
+    fox_row = alexander.fox_row
+    for target in p.relators:
+        for j in range(p.arity):
+            def changed(word, rho, eps, target=target, j=j):
+                row = fox_row(word, rho, eps)
+                if word is target:
+                    row[j] += LaurentPoly.one(rho.modulus)
+                return row
+            monkeypatch.setattr(alexander, "fox_row", changed)
+            with pytest.raises(CuspedZetaError, match="augmentation column is nonzero"):
+                build_complex(p, rho, eps)
 
 
 # --- torus knots T(2, k) ---------------------------------------------------

@@ -5,11 +5,13 @@ import argparse
 import cmath
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -224,6 +226,9 @@ BAD_INPUTS = [
      "empty word (line 2)"),
     ("csv-beyond-cutoff", CSV_HEAD + "4,0,1,0,4,1,a\n", RUELLE_IN, EX_DATAERR,
      "class length 4.0 beyond cutoff (line 2)"),
+    # l0 / l would be inf: the multiplicity rule is relative below length 1
+    ("csv-tiny-class-multiplicity", CSV_HEAD + "1e-320,0,1,0,1e-9,1,a\n", FRIED_IN,
+     EX_DATAERR, "length 1e-320 is not multiplicity x primitive length (line 2)"),
     ("csv-unsorted", CSV_HEAD + "2,0,1,0,2,1,a\n1,0,1,0,1,1,b\n", FRIED_IN,
      EX_DATAERR, "classes are not sorted by length (line 3)"),
     ("csv-bad-letter", CSV_HEAD + "1,0,1,0,1,1,a1\n", RUELLE_IN, EX_DATAERR,
@@ -709,6 +714,35 @@ def test_exact_side_output_matches_golden_bytes(capsys, golden):
     code, out, _ = invoke(capsys, command, str(FIXTURES / f"{fixture}.pres"))
     assert code in (0, 2)
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# sha256 of `verify` on fig8_zeta5.pres with only n= changed, as the
+# norm-route inverse of every leading coefficient printed it
+LARGE_MODULUS_VERIFY = {
+    455: "dc959184fbb28694a4300387dc971cf762e937350c982162579db66e808a8dea",
+    499: "10bb90073d4500000eaa2b575369db93d77ea9cecc7bd88f585f97c0cc0b7f10",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_MODULUS_VERIFY))
+def test_verify_at_a_large_modulus_keeps_its_bytes_within_2_s(capsys, tmp_path, n):
+    """455 = 5 * 7 * 13 is the slowest admitted modulus and 499 the
+    largest prime; each took 0.4-1 s with every root of unity inverted
+    by the norm, and the dense Smith-form tests allow 2 s."""
+    path = tmp_path / f"fig8_n{n}.pres"
+    path.write_text(read_fixture("fig8_zeta5.pres").replace("n=5:", f"n={n}:"))
+
+    def expire(signum, frame):
+        raise TimeoutError(f"verify at n={n} took longer than 2 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, _ = invoke(capsys, "verify", str(path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_MODULUS_VERIFY[n]
 
 
 def test_alexander_json(capsys):

@@ -685,6 +685,28 @@ def test_validate_rejects_inconsistent_class():
         s.validate()
 
 
+@pytest.mark.parametrize("primitive_length", [math.nan, math.inf, -math.inf])
+def test_validate_refuses_a_non_finite_primitive_length(primitive_length):
+    # abs(1 - nan) > tolerance is False, so the multiplicity rule alone
+    # let a nan through
+    c = GeodesicClass(1.0, 0.0, 1 + 0j, primitive_length, 1, "a")
+    with pytest.raises(InputError, match=re.escape(
+            f"primitive length {primitive_length} is not finite")):
+        c.validate()
+
+
+@pytest.mark.parametrize("length,primitive_length,ok", [
+    (1e-320, 1e-9, False), (1e-320, 1e-320, True), (1e-3, 1e-3 + 2e-12, False),
+    (1e-3, 1e-3 + 5e-13, True), (10.0, 10.0 + 5e-10, True), (10.0, 10.0 + 2e-9, False)])
+def test_validate_multiplicity_rule_is_relative_below_length_1(length, primitive_length, ok):
+    c = GeodesicClass(length, 0.0, 1 + 0j, primitive_length, 1, "a")
+    if ok:
+        assert c.validate() is c
+    else:
+        with pytest.raises(InputError, match="is not multiplicity x primitive length"):
+            c.validate()
+
+
 @pytest.mark.parametrize("length", [1e-4, 1.0])
 def test_validate_refuses_a_nan_holonomy_at_any_length(length):
     c = GeodesicClass(length, math.nan, 1 + 0j, length, 1, "a")
