@@ -5,7 +5,9 @@ The infinite cyclic cover is modelled by coefficients in the Laurent
 ring: a generator x maps to rho(x) * t^eps(x).  Homology of the twisted
 complex is computed over Q(zeta_n)[t, t^-1], a PID, from one Smith
 form of the Fox matrix; only orders and degrees at t=1 are contract values
-(characteristic polynomials carry the usual unit ambiguity).
+(characteristic polynomials carry the usual unit ambiguity).  Each is a
+closed form with no further division: H0 is read from the character,
+and each H1 divisor's order at t = 1 from its Taylor sums, once.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ def _homology(d1: list[list[LaurentPoly]], d0: list[LaurentPoly], rho: UnitChara
     then a nonzero ideal of a PID and so free of rank one: the divisors
     of coker d1, padded with zeros to one per generator, are those of H1
     followed by one zero.  Unimodular matrices stay invertible at t = 1,
-    so rank d1(1) is the number of divisors that do not vanish there.
+    so rank d1(1) is the number of divisors of order 0 there.
     """
     g = len(d0)
     divisors = smith_form(d1)
     divisors += [LaurentPoly.zero(rho.modulus)] * (g - len(divisors))
-    rank = sum(not d.vanishes_at_one() for d in divisors)
+    rank = sum(ord_at_one(d) == 0 for d in divisors)
     h0 = 1 if rho.is_trivial else 0
     return tuple(divisors[:-1]), h0, (g - rank) - (1 - h0)
 
@@ -79,16 +81,14 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
     d1, d0 = build_complex(p, rho, eps)
     n = rho.modulus
 
-    # the characteristic polynomial of t on H0 = coker d0
-    char0 = LaurentPoly.zero(n)
-    for x in d0:
-        char0 = char0.gcd(x) if not char0.is_zero() else x
-    char0 = char0.normalize()
-    # the hypothesis that matters for the order arithmetic is vanishing
-    # of the t=1 localized piece: rho factoring through eps leaves a
-    # one-dimensional H0 with t acting by a nontrivial root of unity,
-    # which contributes nothing at t=1
-    h0_inf_vanishes = ord_at_one(char0) == 0
+    # the characteristic polynomial of t on H0 = coker d0: the entries
+    # (zeta^c t)^eps_j - 1 of rho = zeta^(c eps) have the one common
+    # root t = zeta^-c, as gcd(eps) = 1, which also fixes c mod n; with
+    # no such c they have none
+    c = next((c for c in range(n) if all((c * e - r) % n == 0
+                                         for e, r in zip(eps.values, rho.exponents))), None)
+    char0 = LaurentPoly.one(n) if c is None else LaurentPoly.from_zeta_counts(
+        n, {0: [-(r == -c % n) for r in range(n)], 1: [1] + [0] * (n - 1)})
 
     divisors1, h0, h1 = _homology(d1, d0, rho)
     if any(d.is_zero() for d in divisors1):
@@ -106,11 +106,12 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
         raise CuspedZetaError("module H2 is not torsion")
     char2 = LaurentPoly.one(n)
 
-    ord1 = ord_at_one(char0) - ord_at_one(char1)
-    semisimple = all(d.is_unit() or ord_at_one(d) <= 1 for d in divisors1)
+    # ord char0 = h0, as t - zeta^-c vanishes at 1 only for rho trivial;
+    # otherwise H0 localized at t = 1 is zero, the hypothesis that matters
+    orders = [ord_at_one(d) for d in divisors1]
     return AlexanderData(char0=char0, char1=char1, char2=char2,
-                         ord_at_one=ord1, h0=h0, h1=h1,
-                         semisimple_at_one=semisimple,
-                         h0_infinity_vanishes=h0_inf_vanishes,
+                         ord_at_one=h0 - sum(orders), h0=h0, h1=h1,
+                         semisimple_at_one=max(orders, default=0) <= 1,
+                         h0_infinity_vanishes=not h0,
                          h1_divisors=divisors1)
 

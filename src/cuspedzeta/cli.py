@@ -258,24 +258,13 @@ def _cmd_verify(args, out):
 
 
 def _cmd_selftest(args, out):
-    from . import cuspterms, verdict
+    from . import cuspterms
     failures = []
 
     def check(name, ok):
         out.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
         if not ok:
             failures.append(name)
-
-    # order-prediction coherence across all small inputs
-    ok = True
-    for h0 in (0, 1):
-        for h1 in range(11):
-            for d in (False, True):
-                if h0 == 1 and not d:
-                    continue
-                b0, b1 = verdict.l2_betti(h0, h1, d)
-                ok &= verdict.ruelle_order_prediction(h0, h1, d) == 2 * (2 * b0 - b1)
-    check("order prediction matches Betti route", ok)
 
     # vanishing combinations
     u = cuspterms.unipotent_lprime(cuspterms.NontrivialRestriction(2.0, 1.3))
@@ -403,8 +392,7 @@ _COMMANDS = {
     "terms": ("trace-formula terms", _terms),
     "epstein": ("lattice L-function", _epstein),
     "verify": ("main comparison report", _presentation_command(_cmd_verify)),
-    "selftest": ("check the order prediction and the unipotent combinations",
-                 _selftest),
+    "selftest": ("check the unipotent combinations", _selftest),
 }
 
 

@@ -19,17 +19,17 @@ leading coefficient, which each polynomial computes at most once.
 
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
-clearing powers of t, which are units.
+clearing powers of t, which are units.  Only `smith_form` divides; the
+order at t = 1 is read from Taylor sums of the integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, inf, lcm
 
 from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, euler_phi, invert
-from .errors import CuspedZetaError
 
 
 class LaurentPoly:
@@ -92,10 +92,6 @@ class LaurentPoly:
         low, phi, zero = min(counts), cyclotomic_polynomial(n), [0] * n
         return cls.from_rows(n, low, [_divmod_monic(counts.get(h, zero), phi)[1]
                                       for h in range(low, max(counts) + 1)])
-
-    @classmethod
-    def t_minus_one(cls, n):
-        return cls.from_int_coeffs(n, [-1, 1])
 
     # predicates ------------------------------------------------------
     def is_zero(self):
@@ -243,11 +239,6 @@ class LaurentPoly:
             a, b = b, a % b
         return a.normalize() if not a.is_zero() else a
 
-    # evaluation ------------------------------------------------------
-    def vanishes_at_one(self) -> bool:
-        """f(1) = 0: the rows sum to zero."""
-        return not any(sum(col) for col in zip(*self.rows))
-
     # comparisons -----------------------------------------------------
     def __eq__(self, other):
         other = self._coerce(other)
@@ -323,16 +314,16 @@ def format_poly(p: LaurentPoly) -> str:
     return " + ".join(f"{coeff(r)}*t^{p.low + i}" for i, r in enumerate(p.rows) if any(r))
 
 
-def ord_at_one(f: LaurentPoly) -> int:
-    """Largest k with (t-1)^k dividing f, by exact repeated division."""
-    if f.is_zero():
-        raise CuspedZetaError("ord at t=1 of the zero polynomial")
-    tm1 = LaurentPoly.t_minus_one(f.n)
-    k = 0
-    while f.vanishes_at_one():
-        f = f.exact_div(tm1)
-        k += 1
-    return k
+def ord_at_one(f: LaurentPoly) -> int | float:
+    """Largest k with (t-1)^k dividing f: the first k whose Taylor
+    coefficient at t = 1 of t^-low f, the sum of binom(i, k) rows[i],
+    is nonzero.  The zero polynomial has order math.inf."""
+    rows = f.rows
+    for k in range(len(rows)):
+        if any(sum(comb(i, k) * r[q] for i, r in enumerate(rows[k:], k))
+               for q in range(len(rows[k]))):
+            return k
+    return inf
 
 
 def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
 from .laurent import LaurentPoly
@@ -33,6 +34,14 @@ from .laurent import LaurentPoly
 # costs grow fast with n (inverting in Q(zeta_n) multiplies phi(n) - 1
 # conjugates), and cyclotomic_polynomial(n) alone builds n + 1 terms.
 MAX_MODULUS = 500
+
+# Most powers of t that the prefix heights of one relator may span.
+# Each power is a row of phi(n) integers in every Fox derivative, so the
+# cost grows linearly with the span: on `rel abAB` with `eps E 1`, just
+# past the limit at E = 10^4, verify took 0.13 s and 26 MB at n = 1 and
+# 16 s and 264 MB at n = 499, and at E = 10^5 0.79 s and 56 MB at n = 1
+# (2 CPUs, Python 3.11).  Each fixture relator spans 4 powers.
+MAX_HEIGHT_SPAN = 10_000
 
 # A word is a tuple of (generator index, exponent) letters, exponent +1
 # or -1; the empty tuple is the identity.
@@ -163,6 +172,7 @@ def parse_presentation(text: str):
     rho_mod: int | None = None
     rho_exps: list[int] | None = None
     volume: float | None = None
+    once: dict[str, int] = {}  # the line of each keyword that may not repeat
 
     def need_gens(lineno):
         if names is None:
@@ -174,6 +184,11 @@ def parse_presentation(text: str):
             continue
         parts = line.split()
         kw = parts[0]
+        if kw in once:
+            raise InputError(f"repeated '{kw}' line, first given on line {once[kw]}",
+                             line=lineno)
+        if kw in ("gens", "eps", "rho", "vol"):
+            once[kw] = lineno
         if kw == "gens":
             if len(parts) < 2:
                 raise InputError("'gens' needs at least one name", line=lineno)
@@ -255,6 +270,11 @@ def parse_presentation(text: str):
     if not eps.values or math.gcd(*(abs(v) for v in eps.values)) != 1:
         problems.append("eps is not surjective (gcd of values is not 1)")
     for idx, r in enumerate(relators):
+        heights = list(accumulate((eps.values[g] * e for g, e in r), initial=0))
+        span = max(heights) - min(heights) + 1
+        if span > MAX_HEIGHT_SPAN:
+            problems.append(f"relator {idx + 1} ({format_letters(r, names)}) spans {span} "
+                            f"powers of t, above the limit {MAX_HEIGHT_SPAN}")
         if eps.of(r) != 0:
             problems.append(f"eps does not kill relator {idx + 1} "
                             f"({format_letters(r, names)}): eps={eps.of(r)}")

@@ -32,11 +32,10 @@ def l2_betti(h0: int, h1: int, delta_rho: bool) -> tuple[int, int]:
 
 
 def ruelle_order_prediction(h0: int, h1: int, delta_rho: bool) -> int:
-    """Predicted order of vanishing at z = 0: 2(2 h0 - h1 + 1) when the
-    cusp restriction is trivial, -2 h1 otherwise, which is
-    2(2 beta0 - beta1) in the L2 Betti numbers of `l2_betti`."""
-    l2_betti(h0, h1, delta_rho)  # rejects inputs no manifold has
-    return 2 * (2 * h0 - h1 + 1) if delta_rho else -2 * h1
+    """Predicted order of vanishing at z = 0: 2(2 beta0 - beta1) in the
+    L2 Betti numbers of `l2_betti`, which rejects inputs no manifold has."""
+    beta0, beta1 = l2_betti(h0, h1, delta_rho)
+    return 2 * (2 * beta0 - beta1)
 
 
 @dataclass

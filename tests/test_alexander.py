@@ -7,12 +7,16 @@ determinant identity on deficiency-one presentations (`wada_oracle`),
 and the classical closed form (t^k + 1)/(t + 1) for T(2, k).  A third,
 `h1_oracle`, keeps the earlier kernel-basis and t = 1 rank routes, and
 `laurent_oracle` takes the Smith form of T(2, k) on one cyclotomic
-number per coefficient.
+number per coefficient, and the gcd of the augmentation column that
+char0 was before it was read from the character.
 """
 
 import functools
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspedzeta import alexander
 from cuspedzeta.alexander import (_homology, alexander_invariant,
@@ -43,7 +47,7 @@ def test_trivial_character_fixtures(name, char1_coeffs):
     data = alexander_invariant(p, rho, eps)
     expected = LaurentPoly.from_int_coeffs(rho.modulus, char1_coeffs)
     assert unit_equal(data.char1, expected)
-    assert unit_equal(data.char0, LaurentPoly.t_minus_one(rho.modulus))
+    assert unit_equal(data.char0, LaurentPoly.from_int_coeffs(rho.modulus, [-1, 1]))
     assert data.char2 == LaurentPoly.one(rho.modulus)
     assert data.ord_at_one == 1
     assert data.h0 == 1 and data.h1 == 1
@@ -56,7 +60,7 @@ def test_zeta5_fixtures(name):
     p, eps, rho = load(name)
     data = alexander_invariant(p, rho, eps)
     # nontrivial character: the t = 1 fiber of degree-zero cohomology vanishes
-    assert not data.char0.vanishes_at_one()
+    assert ord_at_one(data.char0) == 0
     assert data.h0 == 0
     assert data.h0_infinity_vanishes is True
     # the order inequality, with equality expected when semisimple at t = 1
@@ -251,3 +255,43 @@ def test_h1_and_betti_match_old_routes(name):
         divisors, h0, h1 = data.h1_divisors, data.h0, data.h1
     assert repr(divisors) == repr(want_divisors)
     assert (h0, h1) == want_betti
+
+
+# --- H0 from the character ---------------------------------------------------
+
+@st.composite
+def character_pair(draw):
+    """(n, eps, rho) on 2 or 3 generators: eps_j in -2..2 with gcd 1 and
+    eps_0 != 0, and rho either c eps mod n with c != 0 or drawn freely."""
+    n, g = draw(st.integers(1, 12)), draw(st.sampled_from((2, 3)))
+    eps = draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g).filter(
+        lambda e: e[0] and math.gcd(*e) == 1))
+    if n > 1 and draw(st.booleans()):
+        c = draw(st.integers(1, n - 1))
+        return n, eps, [c * e % n for e in eps]
+    return n, eps, draw(st.lists(st.integers(0, n - 1), min_size=g, max_size=g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(character_pair())
+@example((5, [1, 1], [1, 1]))  # c = 1: char0 is t - zeta^4
+@example((7, [2, -1, 1], [4, 5, 2]))  # c = 2
+@example((6, [1, 2], [0, 1]))  # no c
+@example((3, [1, 0], [0, 0]))  # trivial
+def test_char0_is_the_gcd_of_the_augmentation_column(case):
+    """char0, read from the character, is the normalized gcd of the d0
+    entries, taken by `laurent_oracle`, on the torus group (two
+    generators) or Z x F2 with the first generator central (three), whose
+    H1 is torsion as eps_0 != 0."""
+    n, eps, rho = case
+    names = "abc"[:len(eps)]
+    rels = "".join(f"rel a{x}A{x.upper()}\n" for x in names[1:])
+    p, eps, rho = parse_presentation(
+        f"gens {' '.join(names)}\n{rels}eps {' '.join(map(str, eps))}\n"
+        f"rho n={n}: {' '.join(map(str, rho))}\n")
+    data = alexander_invariant(p, rho, eps)
+    _, d0 = build_complex(p, rho, eps)
+    want = laurent_oracle.determinantal_divisor(
+        [[laurent_oracle.from_library(x)] for x in d0], 1)
+    assert data.char0 == laurent_oracle.to_library(want)
+    assert data.h0_infinity_vanishes is (not rho.is_trivial)

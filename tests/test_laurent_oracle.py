@@ -4,6 +4,7 @@ remainders, gcds, normal forms, zeros at t = 1 and orders there, on
 seeded random polynomials shaped like the entries of a twisted Fox
 matrix."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -64,7 +65,7 @@ def test_arithmetic_matches_the_per_coefficient_oracle(n):
             agree(lib, orc)
             agree(-lib, -orc)
             agree(lib.normalize(), orc.normalize())
-            assert lib.vanishes_at_one() == orc.at_one().is_zero()
+            assert (ord_at_one(lib) > 0) == orc.at_one().is_zero()
             if not orc.is_zero():
                 assert ord_at_one(lib) == oracle.ord_at_one(orc)
         agree(f + g, of + og)
@@ -102,3 +103,31 @@ def test_division_by_a_unit_matches_the_oracle(case):
     agree(r, orr)
     assert r.is_zero() and (a % u).is_zero()
     assert q * u == a
+
+
+@st.composite
+def times_power_of_t_minus_one(draw):
+    """(n, terms of f for `_build`, k): the input f (t - 1)^k, k <= 4, with
+    terms down to t^-4 so that low is often negative."""
+    n = draw(st.sampled_from((1, 3, 5, 7)))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = draw(st.lists(st.tuples(small, st.integers(0, n - 1), st.integers(-4, 3)),
+                          max_size=5))
+    return n, terms, draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(times_power_of_t_minus_one())
+def test_taylor_order_matches_repeated_division(case):
+    """`ord_at_one` reads the order from Taylor sums; the oracle divides
+    by t - 1 until the value at 1 is nonzero."""
+    n, terms, k = case
+    f, of = _build(n, terms)
+    tm1, otm1 = _build(n, [(-1, 0, 0), (1, 0, 1)])
+    for _ in range(k):
+        f, of = f * tm1, of * otm1
+    if of.is_zero():
+        assert ord_at_one(f) == math.inf
+    else:
+        assert ord_at_one(f) == oracle.ord_at_one(of) >= k
+    assert ord_at_one(LaurentPoly.zero(n)) == math.inf

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cuspedzeta.errors import InputError
 from cuspedzeta.laurent import LaurentPoly
-from cuspedzeta.presentation import (Epsilon, UnitCharacter, fox_row, free_reduce,
-                                     parse_letters, parse_presentation,
+from cuspedzeta.presentation import (MAX_HEIGHT_SPAN, Epsilon, UnitCharacter, fox_row,
+                                     free_reduce, parse_letters, parse_presentation,
                                      peripheral_trivial, serialize_presentation)
 
 import fox_oracle
@@ -45,12 +45,28 @@ def test_comments_and_blank_lines_ignored():
      "rho modulus 10000000000000000000000 is above the limit", 4),
     ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nvol x", "float", 5),
     ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nbogus 1", "bogus", 5),
+    # rel and peri lines may repeat, the other keywords not
+    ("gens a b\nrel aB\neps 1 1\neps 1 1\nrho n=1: 0 0",
+     "repeated 'eps' line, first given on line 3", 4),
+    ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nrho n=5: 1 1",
+     "repeated 'rho' line, first given on line 4", 5),
+    ("gens a b\nrel aB\neps 1 1\nrho n=1: 0 0\nvol 2\nvol 3",
+     "repeated 'vol' line, first given on line 5", 6),
 ])
 def test_syntax_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(InputError) as exc:
         parse_presentation(text)
     assert fragment in str(exc.value)
     assert f"line {line}" in str(exc.value)
+
+
+def test_relator_height_span_is_bounded():
+    """The prefix heights of abAB under eps (E, 1) are 0, E, E + 1, 1, 0:
+    E + 2 powers of t."""
+    text = "gens a b\nrel abAB\neps {} 1\nrho n=1: 0 0\n"
+    parse_presentation(text.format(MAX_HEIGHT_SPAN - 2))
+    with pytest.raises(InputError, match=f"spans {MAX_HEIGHT_SPAN + 1} powers of t"):
+        parse_presentation(text.format(MAX_HEIGHT_SPAN - 1))
 
 
 def test_validation_failures_are_aggregated():
