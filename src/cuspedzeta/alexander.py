@@ -53,8 +53,9 @@ def build_complex(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
 
 
 def _homology(d1: list[list[LaurentPoly]], d0: list[LaurentPoly], rho: UnitCharacter
-              ) -> tuple[tuple[LaurentPoly, ...], int, int]:
-    """(H1 divisors, h0, h1) from one Smith form of d1.
+              ) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...], int, int]:
+    """(H1 divisors, their orders at t = 1, h0, h1) from one Smith form
+    of d1.
 
     0 -> H1 -> C1/im d1 -> im d0 -> 0 splits when d0 != 0, as im d0 is
     then a nonzero ideal of a PID and so free of rank one: the divisors
@@ -65,16 +66,17 @@ def _homology(d1: list[list[LaurentPoly]], d0: list[LaurentPoly], rho: UnitChara
     g = len(d0)
     divisors = smith_form(d1)
     divisors += [LaurentPoly.zero(rho.modulus)] * (g - len(divisors))
-    rank = sum(ord_at_one(d) == 0 for d in divisors)
+    orders = [ord_at_one(d) for d in divisors]
     h0 = 1 if rho.is_trivial else 0
-    return tuple(divisors[:-1]), h0, (g - rank) - (1 - h0)
+    return (tuple(divisors[:-1]), tuple(orders[:-1]), h0,
+            (g - orders.count(0)) - (1 - h0))
 
 
 def twisted_betti(p: GroupPresentation, rho: UnitCharacter) -> tuple[int, int]:
     """Dimensions (h0, h1) of the rho-twisted cohomology of the
     presentation complex over Q(zeta_n), with no t variable: the
     complex with every height 0 is the one at t = 1."""
-    return _homology(*build_complex(p, rho, Epsilon((0,) * p.arity)), rho)[1:]
+    return _homology(*build_complex(p, rho, Epsilon((0,) * p.arity)), rho)[2:]
 
 
 def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) -> AlexanderData:
@@ -90,7 +92,7 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
     char0 = LaurentPoly.one(n) if c is None else LaurentPoly.from_zeta_counts(
         n, {0: [-(r == -c % n) for r in range(n)], 1: [1] + [0] * (n - 1)})
 
-    divisors1, h0, h1 = _homology(d1, d0, rho)
+    divisors1, orders, h0, h1 = _homology(d1, d0, rho)
     if any(d.is_zero() for d in divisors1):
         raise CuspedZetaError("module H1 is not torsion")
     # the characteristic polynomial of t on the torsion module H1
@@ -108,7 +110,6 @@ def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon) 
 
     # ord char0 = h0, as t - zeta^-c vanishes at 1 only for rho trivial;
     # otherwise H0 localized at t = 1 is zero, the hypothesis that matters
-    orders = [ord_at_one(d) for d in divisors1]
     return AlexanderData(char0=char0, char1=char1, char2=char2,
                          ord_at_one=h0 - sum(orders), h0=h0, h1=h1,
                          semisimple_at_one=max(orders, default=0) <= 1,

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .cyclotomic import euler_phi
 from .errors import InputError
 from .laurent import LaurentPoly
 
@@ -35,12 +36,14 @@ from .laurent import LaurentPoly
 # conjugates), and cyclotomic_polynomial(n) alone builds n + 1 terms.
 MAX_MODULUS = 500
 
-# Most powers of t that the prefix heights of one relator may span.
-# Each power is a row of phi(n) integers in every Fox derivative, so the
-# cost grows linearly with the span: on `rel abAB` with `eps E 1`, just
-# past the limit at E = 10^4, verify took 0.13 s and 26 MB at n = 1 and
-# 16 s and 264 MB at n = 499, and at E = 10^5 0.79 s and 56 MB at n = 1
-# (2 CPUs, Python 3.11).  Each fixture relator spans 4 powers.
+# Most integers that one Fox derivative of a relator may hold: the span
+# of the relator's prefix heights in powers of t, times phi(n), as each
+# power is a row of phi(n) integers.  The cost grows linearly with both:
+# on `rel abAB` with `eps E 1` (span E + 2), verify took 0.13 s and
+# 26 MB at E = 10^4 and n = 1, 0.79 s and 56 MB at E = 10^5 and n = 1,
+# and 30 s and 252 MB at E = 9,998 and n = 499 (2 CPUs, Python 3.11).
+# At n = 1 this bounds the span alone.  Each fixture relator spans 4
+# powers: 1,992 integers at n = 499.
 MAX_HEIGHT_SPAN = 10_000
 
 # A word is a tuple of (generator index, exponent) letters, exponent +1
@@ -269,12 +272,15 @@ def parse_presentation(text: str):
 
     if not eps.values or math.gcd(*(abs(v) for v in eps.values)) != 1:
         problems.append("eps is not surjective (gcd of values is not 1)")
+    phi = euler_phi(rho_mod)
     for idx, r in enumerate(relators):
         heights = list(accumulate((eps.values[g] * e for g, e in r), initial=0))
         span = max(heights) - min(heights) + 1
-        if span > MAX_HEIGHT_SPAN:
+        if span * phi > MAX_HEIGHT_SPAN:
+            per_power = "" if phi == 1 else (
+                f", each phi({rho_mod}) = {phi} integers, {span * phi} in all")
             problems.append(f"relator {idx + 1} ({format_letters(r, names)}) spans {span} "
-                            f"powers of t, above the limit {MAX_HEIGHT_SPAN}")
+                            f"powers of t{per_power}, above the limit {MAX_HEIGHT_SPAN}")
         if eps.of(r) != 0:
             problems.append(f"eps does not kill relator {idx + 1} "
                             f"({format_letters(r, names)}): eps={eps.of(r)}")

@@ -444,12 +444,15 @@ def load_spectrum(path) -> Spectrum:
     """Read a spectrum CSV in one pass; every error names its line.
 
     Each row is split and unpacked once and checked inline by the rules
-    of `GeodesicClass.validate`.  Each distinct (re, im) character text
-    is parsed and checked once per call, and the primitive length is
-    not parsed again when its text equals the length's.  The word is
-    kept as its letter text.  A row that fails in any way, a blank line
-    included, goes to `_row`, which skips it or raises the located
-    message."""
+    of `GeodesicClass.validate`.  A row whose multiplicity text is ``1``
+    and whose primitive-length text is its length text is primitive
+    outright: its primitive length is its length and its gap 0, so it
+    skips the multiplicity and gap rules, which every other row keeps.
+    Each distinct character text is parsed and checked once per call,
+    kept in a table keyed by the real text and then the imaginary text.
+    The word is kept as its letter text.  A row that fails in any way,
+    a blank line included, goes to `_row`, which skips it or raises the
+    located message."""
     raw = read_utf8(path).splitlines()
     if not raw or not raw[0].startswith("# cutoff="):
         raise InputError("missing spectrum header", line=1)
@@ -473,34 +476,40 @@ def load_spectrum(path) -> Spectrum:
     isfinite = math.isfinite
     # GeodesicClass(...) without the Python-level __new__ of a NamedTuple
     new = tuple.__new__
-    # (re, im) text -> character value that passed the check; a finite
-    # order character repeats a handful of texts over the whole file
+    # re text -> im text -> character value that passed the check; a
+    # finite order character repeats a handful of texts over the file
     chars = {}
+    no_chars = {}
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
         try:
             l, th, re_c, im_c, pl, m, text = line.split(",")
             length = float(l)
             theta = float(th)
-            prim = length if pl == l else float(pl)
-            # a sum of finite numbers is finite unless it overflows,
-            # which only sends the row to the slow path
-            if not isfinite(length + theta + prim):
-                raise ValueError
-            # the rules of GeodesicClass.validate, in its order; for the
-            # length > 0 of every row kept, the first is
-            # gap > 1e-9 * min(1, length)
-            mult = int(m)
-            gap = abs(length - mult * prim)
-            if gap and (gap > 1e-9 or gap > 1e-9 * length):
-                raise ValueError
-            key = re_c, im_c
-            char = chars.get(key)
+            if m == "1" and pl == l:
+                # a primitive row: prim is the length, mult 1, gap 0
+                prim, mult = length, 1
+                if not isfinite(length + theta):
+                    raise ValueError
+            else:
+                prim = float(pl)
+                # a sum of finite numbers is finite unless it overflows,
+                # which only sends the row to the slow path
+                if not isfinite(length + theta + prim):
+                    raise ValueError
+                # the rules of GeodesicClass.validate, in its order; for
+                # the length > 0 of every row kept, the first is
+                # gap > 1e-9 * min(1, length)
+                mult = int(m)
+                gap = abs(length - mult * prim)
+                if gap and (gap > 1e-9 or gap > 1e-9 * length):
+                    raise ValueError
+            char = chars.get(re_c, no_chars).get(im_c)
             if char is None:
                 re_v, im_v = float(re_c), float(im_c)
                 char = complex(re_v, im_v)
                 if not isfinite(re_v + im_v) or abs(abs(char) - 1) > 1e-12:
                     raise ValueError
-                chars[key] = char
+                chars.setdefault(re_c, {})[im_c] = char
             # ASCII letters are the 52 of the a-z alphabet, and an empty
             # word is not alphabetic
             if not length > 0 or mult < 1 or not (text.isascii()

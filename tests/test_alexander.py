@@ -238,21 +238,22 @@ ORACLE_INPUTS = {
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_h1_and_betti_match_old_routes(name):
     """The padded Smith form of d1 gives the H1 divisors of the kernel-
-    basis route and the (h0, h1) of the t = 1 rank route, also where
-    H1 or H2 is not torsion."""
+    basis route, each with its order at t = 1, and the (h0, h1) of the
+    t = 1 rank route, also where H1 or H2 is not torsion."""
     p, eps, rho = ORACLE_INPUTS[name]()
     c = build_complex(p, rho, eps)
     want_divisors = h1_oracle._h1_divisors(*c)
     want_betti = h1_oracle.twisted_betti(p, rho)
     assert twisted_betti(p, rho) == want_betti
+    divisors, orders, h0, h1 = _homology(*c, rho)
+    assert orders == tuple(ord_at_one(d) for d in divisors)
     try:
         data = alexander_invariant(p, rho, eps)
     except CuspedZetaError as exc:
         which = "H1" if any(d.is_zero() for d in want_divisors) else "H2"
         assert str(exc) == f"module {which} is not torsion"
-        divisors, h0, h1 = _homology(*c, rho)
     else:
-        divisors, h0, h1 = data.h1_divisors, data.h0, data.h1
+        assert repr((data.h1_divisors, data.h0, data.h1)) == repr((divisors, h0, h1))
     assert repr(divisors) == repr(want_divisors)
     assert (h0, h1) == want_betti
 

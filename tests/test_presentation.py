@@ -62,11 +62,21 @@ def test_syntax_errors_carry_line_numbers(text, fragment, line):
 
 def test_relator_height_span_is_bounded():
     """The prefix heights of abAB under eps (E, 1) are 0, E, E + 1, 1, 0:
-    E + 2 powers of t."""
-    text = "gens a b\nrel abAB\neps {} 1\nrho n=1: 0 0\n"
-    parse_presentation(text.format(MAX_HEIGHT_SPAN - 2))
-    with pytest.raises(InputError, match=f"spans {MAX_HEIGHT_SPAN + 1} powers of t"):
-        parse_presentation(text.format(MAX_HEIGHT_SPAN - 1))
+    E + 2 powers of t, each phi(n) integers in a Fox row."""
+    text = "gens a b\nrel abAB\neps {} 1\nrho n={}: 1 0\n"
+    parse_presentation(text.format(MAX_HEIGHT_SPAN - 2, 1))
+    with pytest.raises(InputError) as exc:
+        parse_presentation(text.format(MAX_HEIGHT_SPAN - 1, 1))
+    assert str(exc.value) == (f"relator 1 (abAB) spans {MAX_HEIGHT_SPAN + 1} powers "
+                              f"of t, above the limit {MAX_HEIGHT_SPAN}")
+    # phi(499) = 498: a span of 20 is 9,960 integers, and 21 is 10,458
+    parse_presentation(text.format(18, 499))
+    for e, span in ((19, 21), (MAX_HEIGHT_SPAN - 2, MAX_HEIGHT_SPAN)):
+        with pytest.raises(InputError) as exc:
+            parse_presentation(text.format(e, 499))
+        assert str(exc.value) == (
+            f"relator 1 (abAB) spans {span} powers of t, each phi(499) = 498 "
+            f"integers, {span * 498} in all, above the limit {MAX_HEIGHT_SPAN}")
 
 
 def test_validation_failures_are_aggregated():

@@ -324,15 +324,19 @@ def edge_rows(draw):
     """Spectrum body lines with rows at the edge of each rule: |c| near
     1 +- 1e-12, length - mult * prim near 1e-9, a length near 0, a length
     1e-12 below the last one or near cutoff + 1e-9, nan or inf in one
-    field, and blank lines.  Character texts repeat across rows, so a
-    text can appear on a good row and then on a bad one or the other
+    field, blank lines, and multiplicity-1 rows that the loader's
+    primitive-row test does not take (the multiplicity spelled other
+    than ``1``, the primitive length spelled other than the length, or
+    off it by a gap near 1e-9).  Character texts repeat across rows, so
+    a text can appear on a good row and then on a bad one or the other
     way round."""
     texts = list(ONE[:3]) + [("0", "1"), ("-0.5", "0.8660254037844386")]
     lines = []
     last = draw(st.floats(0.5, 1.0))
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(["plain", "char", "multiple", "short",
-                                     "order", "cutoff", "non-finite", "blank"]))
+                                     "order", "cutoff", "non-finite", "blank",
+                                     "spelling"]))
         if kind == "blank":
             lines.append(draw(st.sampled_from(["", " \t "])))
             continue
@@ -340,6 +344,7 @@ def edge_rows(draw):
         theta = draw(st.sampled_from([0.0, 0.5, -2.0, math.pi]))
         char = draw(st.sampled_from(texts))
         mult = 1
+        mult_text = "1"
         prim = _fmt(length)
         if kind == "char":
             r = _nudged(draw, 1 + draw(st.sampled_from([1e-12, -1e-12])))
@@ -351,6 +356,7 @@ def edge_rows(draw):
             p = length / mult
             gap = _nudged(draw, draw(st.sampled_from([1e-9, -1e-9])))
             length, prim = mult * p + gap, _fmt(p)
+            mult_text = str(mult)
         elif kind == "short":
             length = draw(st.sampled_from([
                 5e-324, 1e-320, 1e-300, 1e-17, 1.1e-16, 2.2e-16, 1e-8, 1e-3]))
@@ -362,7 +368,18 @@ def edge_rows(draw):
         elif kind == "cutoff":
             length = _nudged(draw, EDGE_CUTOFF + 1e-9)
             prim = _fmt(length)
-        fields = [_fmt(length), _fmt(theta), *char, prim, str(mult),
+        elif kind == "spelling":
+            how = draw(st.sampled_from(["mult", "prim", "gap"]))
+            if how == "mult":
+                mult_text = draw(st.sampled_from(["01", "+1", " 1", "1 "]))
+            elif how == "prim":
+                prim = draw(st.sampled_from([
+                    repr(length), "+" + prim, format(length, ".17e"),
+                    format(length, ".25f")]))
+            else:
+                gap = _nudged(draw, draw(st.sampled_from([1e-9, -1e-9])))
+                length += gap
+        fields = [_fmt(length), _fmt(theta), *char, prim, mult_text,
                   "ab" * mult]
         if kind == "non-finite":
             fields[draw(st.integers(0, 4))] = draw(st.sampled_from(NON_FINITE))
