@@ -28,8 +28,12 @@ class Lattice2D:
     b2: complex
 
     def __post_init__(self):
-        b1, b2 = self.b1, self.b2
-        if Fraction(b1.real) * Fraction(b2.imag) == Fraction(b1.imag) * Fraction(b2.real):
+        if not (cmath.isfinite(self.b1) and cmath.isfinite(self.b2)):
+            raise InputError("lattice basis vectors must be finite")
+        (x1, d1), (y1, e1), (x2, d2), (y2, e2) = (
+            t.as_integer_ratio() for t in (self.b1.real, self.b1.imag,
+                                           self.b2.real, self.b2.imag))
+        if x1 * y2 * e1 * d2 == y1 * x2 * d1 * e2:
             raise InputError("lattice basis is linearly dependent over the reals")
 
     @property
@@ -43,7 +47,7 @@ class LatticeCharacter:
     v2: complex
 
     def __post_init__(self):
-        if abs(abs(self.v1) - 1) > 1e-12 or abs(abs(self.v2) - 1) > 1e-12:
+        if not (abs(abs(self.v1) - 1) <= 1e-12 and abs(abs(self.v2) - 1) <= 1e-12):
             raise InputError("lattice character values must lie on the unit circle")
 
     @property
@@ -90,32 +94,44 @@ def identity_lprime(vol: float):
 # close to the trivial one along both reduced basis vectors, or a too
 # large |Im s|, is refused
 _WORK_CAP = 200_000
+# a phase within 1e-9 of an integer, but not on it, is refused by `_work`
+_NEAR = (1e-9).as_integer_ratio()
 
 
 def _reduced(lat: Lattice2D, chi: LatticeCharacter):
     """The Gauss-reduced basis, |b1| <= |b2| and |Re(b2/b1)| <= 1/2, as
     ((b1, a1), (b2, a2)) with chi(b_i) = e^{2 pi i a_i}, 0 <= a_i < 1.
     The steps run exactly on the float inputs, so a phase that is an
-    integer stays exactly 0.  A lattice whose covolume, |b1|^2 or
-    y = Im(b2/b1) is not a normal float is refused: the expansion
-    divides by each of them."""
-    def vec(b, a):
-        return (Fraction(b.real), Fraction(b.imag), a)
-
+    integer stays exactly 0.  Each coordinate and phase is an integer over
+    a power of two, so the steps run on integers over one common
+    denominator: the dot products, swaps and comparisons do not depend on
+    that scale, mu is the nearest integer with ties to even, and int/int
+    division, being correctly rounded, gives the floats of the exact
+    rationals.  A lattice whose covolume, |b1|^2 or y = Im(b2/b1) is not
+    a normal float is refused: the expansion divides by each of them."""
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1]
 
     a1, a2 = chi.phases
-    p, q = vec(lat.b1, a1), vec(lat.b2, a2)
-    if dot(p, p) > dot(q, q):
-        p, q = q, p
+    ratios = [t.as_integer_ratio() for t in (lat.b1.real, lat.b1.imag, a1,
+                                             lat.b2.real, lat.b2.imag, a2)]
+    den = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (den // d) for n, d in ratios]
+    p, q = scaled[:3], scaled[3:]
+    pp, qq = dot(p, p), dot(q, q)
+    if pp > qq:
+        p, q, pp, qq = q, p, qq, pp
     while True:
-        mu = round(dot(p, q) / dot(p, p))
-        q = tuple(qi - mu * pi for qi, pi in zip(q, p))
-        if dot(q, q) >= dot(p, p):
+        mu, rest = divmod(dot(p, q), pp)
+        if 2 * rest > pp or 2 * rest == pp and mu % 2:
+            mu += 1
+        q = [qi - mu * pi for qi, pi in zip(q, p)]
+        qq = dot(q, q)
+        if qq >= pp:
             break
-        p, q = q, p
-    basis = tuple((complex(float(x), float(y)), a % 1) for x, y, a in (p, q))
+        p, q, pp, qq = q, p, qq, pp
+    basis = tuple((complex(x / den, y / den), Fraction(a % den, den))
+                  for x, y, a in (p, q))
     b1 = basis[0][0]
     norm = b1.real * b1.real + b1.imag * b1.imag
     for name, value in (("covolume", lat.covolume),
@@ -140,19 +156,25 @@ def _work(b1: complex, cov: float, a: Fraction, c: Fraction,
     """A priori work of the expansion with Poisson summation along b1:
     the Dirichlet terms of the zeta values, and a Bessel term for
     each xi = k - a, n >= 1 with 2 pi |xi| n y < cutoff, which counts
-    1 + |Im sigma| because the step of `_besselk` shrinks like 1/|Im nu|."""
+    1 + |Im sigma| because the step of `_besselk` shrinks like 1/|Im nu|.
+    With a = p/q, |xi| is |k q - p|/q, and a phase's distance from the
+    integers is min(p, q - p)/q, compared with 1e-9 exactly."""
     def dirichlet(z, f):
-        d = min(f, 1 - f)
-        return _dirichlet_terms(z, float(d)) if d == 0 or d > 1e-9 else math.inf
+        q = f.denominator
+        d = min(f.numerator, q - f.numerator)
+        if d == 0 or d * _NEAR[1] > _NEAR[0] * q:
+            return _dirichlet_terms(z, d / q)
+        return math.inf
 
     span = _cutoff(sigma) / (2 * math.pi * cov / abs(b1) ** 2)
     if span > _WORK_CAP:
         return math.inf
-    bessel = sum(math.ceil(span / abs(k - a))
-                 for k in range(math.floor(a - span), math.ceil(a + span) + 1)
-                 if k != a)
+    p, q = a.numerator, a.denominator
+    bessel = sum(math.ceil(span / (abs(k * q - p) / q))
+                 for k in range(math.floor(p / q - span), math.ceil(p / q + span) + 1)
+                 if k * q != p)
     return (bessel * (1 + abs(sigma.imag)) + dirichlet(2 * sigma, a)
-            + (dirichlet(2 * sigma - 1, c) if a == 0 else 0))
+            + (dirichlet(2 * sigma - 1, c) if p == 0 else 0))
 
 
 def _bessel_terms(b1: complex, b2: complex, a: Fraction, c: Fraction,
@@ -171,7 +193,7 @@ def _bessel_terms(b1: complex, b2: complex, a: Fraction, c: Fraction,
     bessel = {}
     for k in range(math.floor(fa - span), math.ceil(fa + span) + 1):
         xi = k - fa
-        if k == a:
+        if not k and not a:  # k == a: a in [0, 1) is an integer only at 0
             continue
         for n in range(1, math.ceil(span / abs(xi))):
             key = abs(xi) * n

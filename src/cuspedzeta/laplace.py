@@ -26,6 +26,9 @@ EULER_GAMMA = 0.5772156649015329
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
               Fraction(7, 6), Fraction(-3617, 510)]
+# the coefficients B_2k/(2k (2k - 1)) of Stirling's series
+_STIRLING = [float(b) / (2 * k * (2 * k - 1))
+             for k, b in enumerate(_BERNOULLI, start=1)]
 
 
 def _log_gamma(z: complex) -> complex:
@@ -41,8 +44,8 @@ def _log_gamma(z: complex) -> complex:
         z += 1
     s = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi)
     term, inv2 = 1 / z, 1 / (z * z)
-    for k, b in enumerate(_BERNOULLI, start=1):
-        s += float(b) / (2 * k * (2 * k - 1)) * term
+    for coefficient in _STIRLING:
+        s += coefficient * term
         term *= inv2
     return s - cmath.log(shift)
 

@@ -11,6 +11,11 @@ an irrational character near Re s = 0.
 
 `epstein_mpmath` is the Chowla-Selberg expansion at 40 digits, with
 mpmath's zeta, polylog, gamma and besselk.
+
+`fraction_reduced`, `fraction_work` and `fraction_dependent` are the
+package's basis reduction, work estimate and dependence check as they
+were before they ran on integers: the same exact arithmetic on
+`fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -18,16 +23,73 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 
-from cuspedzeta.cuspterms import Lattice2D, LatticeCharacter
+from cuspedzeta.cuspterms import _WORK_CAP, Lattice2D, LatticeCharacter, _cutoff
 from cuspedzeta.errors import CuspedZetaError
+from cuspedzeta.laplace import _dirichlet_terms
 
 
 class ExtrapolationUnstable(CuspedZetaError):
     pass
+
+
+def fraction_dependent(b1: complex, b2: complex) -> bool:
+    """Are b1 and b2 linearly dependent over the reals, exactly?"""
+    return Fraction(b1.real) * Fraction(b2.imag) == Fraction(b1.imag) * Fraction(b2.real)
+
+
+def fraction_reduced(lat: Lattice2D, chi: LatticeCharacter):
+    """The Gauss-reduced basis as ((b1, a1), (b2, a2)), by exact
+    Fraction arithmetic on the float inputs; refuses a lattice whose
+    covolume, |b1|^2 or y = Im(b2/b1) is not a normal float."""
+    def vec(b, a):
+        return (Fraction(b.real), Fraction(b.imag), a)
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    a1, a2 = chi.phases
+    p, q = vec(lat.b1, a1), vec(lat.b2, a2)
+    if dot(p, p) > dot(q, q):
+        p, q = q, p
+    while True:
+        mu = round(dot(p, q) / dot(p, p))
+        q = tuple(qi - mu * pi for qi, pi in zip(q, p))
+        if dot(q, q) >= dot(p, p):
+            break
+        p, q = q, p
+    basis = tuple((complex(float(x), float(y)), a % 1) for x, y, a in (p, q))
+    b1 = basis[0][0]
+    norm = b1.real * b1.real + b1.imag * b1.imag
+    for name, value in (("covolume", lat.covolume),
+                        ("|b1|^2 of the reduced basis", norm),
+                        ("y = Im(b2/b1) of the reduced basis",
+                         lat.covolume / norm if norm else math.inf)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise CuspedZetaError(f"lattice b1 = {lat.b1}, b2 = {lat.b2}: {name} "
+                                  f"is {value:.3g}, outside the normal float range")
+    return basis
+
+
+def fraction_work(b1: complex, cov: float, a: Fraction, c: Fraction,
+                  sigma: complex) -> float:
+    """The a priori work of the expansion along b1, on Fractions."""
+    def dirichlet(z, f):
+        d = min(f, 1 - f)
+        return _dirichlet_terms(z, float(d)) if d == 0 or d > 1e-9 else math.inf
+
+    span = _cutoff(sigma) / (2 * math.pi * cov / abs(b1) ** 2)
+    if span > _WORK_CAP:
+        return math.inf
+    bessel = sum(math.ceil(span / abs(k - a))
+                 for k in range(math.floor(a - span), math.ceil(a + span) + 1)
+                 if k != a)
+    return (bessel * (1 + abs(sigma.imag)) + dirichlet(2 * sigma, a)
+            + (dirichlet(2 * sigma - 1, c) if a == 0 else 0))
 
 
 # rounding level of a block sum relative to its size: up to 2.5e5
