@@ -34,11 +34,11 @@ def show(name):
     print(f"ord at t=1: {data.ord_at_one}   h0={data.h0} h1={data.h1} "
           f"semisimple={data.semisimple_at_one}")
     if data.h0_infinity_vanishes:
-        report = main_conjecture_report(p, rho, eps)
+        report, _ = main_conjecture_report(p, rho, eps)
         print(f"order comparison: predicted Ruelle order "
-              f"{report.predicted_ruelle_order}, inequality holds: "
-              f"{report.inequality_holds}, equality expected: "
-              f"{report.equality_expected}")
+              f"{report['predictedRuelleOrder']}, inequality holds: "
+              f"{report['inequalityHolds']}, equality expected: "
+              f"{report['equalityExpected']}")
     else:
         print("degree-zero cohomology of the cover is nonzero; "
               "order comparison is informational only")

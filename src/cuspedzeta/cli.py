@@ -252,9 +252,9 @@ def _cmd_epstein(args, out):
 def _cmd_verify(args, out):
     from . import verdict
     p, eps, rho = _load_presentation(args.presentation)
-    report = verdict.main_conjecture_report(p, rho, eps)
-    _jdump(report.to_json(), out)
-    return report.exit_code
+    report, code = verdict.main_conjecture_report(p, rho, eps)
+    _jdump(report, out)
+    return code
 
 
 def _cmd_selftest(args, out):

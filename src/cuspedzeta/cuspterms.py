@@ -169,11 +169,16 @@ def _work(b1: complex, cov: float, a: Fraction, c: Fraction,
     span = _cutoff(sigma) / (2 * math.pi * cov / abs(b1) ** 2)
     if span > _WORK_CAP:
         return math.inf
+    # a phase within 1e-9 of an integer makes the total infinite, and
+    # one far closer would overflow the Bessel count
+    head = dirichlet(2 * sigma, a)
+    if head == math.inf:
+        return math.inf
     p, q = a.numerator, a.denominator
     bessel = sum(math.ceil(span / (abs(k * q - p) / q))
                  for k in range(math.floor(p / q - span), math.ceil(p / q + span) + 1)
                  if k * q != p)
-    return (bessel * (1 + abs(sigma.imag)) + dirichlet(2 * sigma, a)
+    return (bessel * (1 + abs(sigma.imag)) + head
             + (dirichlet(2 * sigma - 1, c) if p == 0 else 0))
 
 

@@ -8,14 +8,14 @@ t^(low+i), all over one positive ``den`` and in lowest terms across
 every entry, so equal polynomials are stored alike.  This is the one
 place that knows how an element of Q(zeta_n) is stored: a scalar is a
 polynomial with one row, and `cyclotomic` supplies only integer
-arithmetic mod Phi_n and the inverse on bare numerators.  A sum is one
-signed integer pass.  `dot`, the one convolution loop, gathers
-unreduced zeta-products into a table with one row per power of t and
-reduces each row once by Phi_n: a product, a sum of products and the
-Smith row update a - q b each fill one such table and build one
-polynomial.  Division by a unit c t^k is one product by c^-1, and
-any other division runs on integer rows after one inverse of the
-leading coefficient, which each polynomial computes at most once.
+arithmetic mod Phi_n and the inverse on bare numerators.  `dot`, the
+one convolution loop, gathers unreduced zeta-products into a table
+with one row per power of t and reduces each row once by Phi_n: a
+product, a sum of products and the Smith row update a - q b each fill
+one such table and build one polynomial, and so do a + b, a - b and
+-a, as products by 1.  Division by a unit c t^k is one product by
+c^-1, and any other division runs on integer rows after one inverse of
+the leading coefficient, which each polynomial computes at most once.
 
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
@@ -118,35 +118,18 @@ class LaurentPoly:
             raise ValueError("mixed cyclotomic moduli")
         return other
 
-    def _plus(self, other, sign):
-        """self + sign * other over the lcm of the two denominators."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.rows:
-            return self
-        if not self.rows:
-            return other if sign > 0 else -other
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, self.den // g * sign
-        low = min(self.low, other.low)
-        out = [(0,) * len(self.rows[0])] * (max(self.high, other.high) - low + 1)
-        i = self.low - low
-        out[i:i + len(self.rows)] = self.rows if fa == 1 else \
-            [tuple(fa * x for x in r) for r in self.rows]
-        for i, r in enumerate(other.rows, other.low - low):
-            out[i] = tuple(x + fb * y for x, y in zip(out[i], r))
-        return LaurentPoly.from_rows(self.n, low, out, fa * self.den)
-
     def __add__(self, other):
-        return self._plus(other, 1)
+        other = self._coerce(other)
+        return other if other is NotImplemented else \
+            dot(self.n, (other,), (LaurentPoly.one(self.n),), self)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        other = self._coerce(other)
+        return other if other is NotImplemented else \
+            dot(self.n, (other,), (LaurentPoly.one(self.n),), self, -1)
 
     def __neg__(self):
-        return LaurentPoly.from_rows(self.n, self.low, [tuple(-x for x in r) for r in self.rows],
-                                     self.den)
+        return dot(self.n, (self,), (LaurentPoly.one(self.n),), None, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CuspedZetaError
-from .spectrum import Spectrum
+from .spectrum import CUTOFF_SLACK, Spectrum
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def power_closure(s: Spectrum, z: complex) -> tuple[float, float, bool]:
     primitive row p adds x_p^k / k, x_p = rho(p) e^{-z l_p}, to `want`
     for each of its K_p powers k l_p under the cutoff: on rows that are
     exactly the powers of their primitives the two agree term by term.
-    A power within the loader's 1e-9 slack of the cutoff is left out of
+    A power within the loader's CUTOFF_SLACK of the cutoff is left out of
     both, whether it is a row or not.  `closed` needs |got - want| <=
     bound and sum K_p equal to the rows compared; the power loops take at
     most as many steps as there are rows.
@@ -118,7 +118,7 @@ def power_closure(s: Spectrum, z: complex) -> tuple[float, float, bool]:
     spoil every term.  An exponent whose imaginary part leaves the float
     range raises a located OverflowError, as in `euler_product`."""
     _check_region(z)
-    edge = s.cutoff_length - 1e-9
+    edge = s.cutoff_length - CUTOFF_SLACK
     budget = len(s.classes)
     exp, nz = cmath.exp, -z
     got = want = 0j

@@ -36,6 +36,8 @@ from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
 
 TRACE_TOL = 1e-9
 DET_TOL = 1e-12
+# how far past its cutoff a spectrum file may list a class
+CUTOFF_SLACK = 1e-9
 
 
 def _canonical_angle(theta: float) -> float:
@@ -120,7 +122,7 @@ class Spectrum:
         last = -math.inf
         for c in self.classes:
             c.validate()
-            if c.length > self.cutoff_length + 1e-9:
+            if c.length > self.cutoff_length + CUTOFF_SLACK:
                 raise InputError(f"class length {c.length} beyond cutoff")
             if c.length < last - 1e-12:
                 raise InputError("classes are not sorted by length")
@@ -471,7 +473,7 @@ def load_spectrum(path) -> Spectrum:
         body_start = 2
     classes = []
     append = classes.append
-    limit = cutoff + 1e-9
+    limit = cutoff + CUTOFF_SLACK
     last = -math.inf
     isfinite = math.isfinite
     # GeodesicClass(...) without the Python-level __new__ of a NamedTuple

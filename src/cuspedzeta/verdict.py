@@ -6,12 +6,19 @@ predicted order clears the bound coming from the t = 1 order of the
 twisted Alexander invariant.  The Ruelle side is the closed-form
 prediction from the Betti numbers, labelled as such; no analytic
 continuation is attempted.
+
+`alexander` gives h1 = h0 + #{v_i >= 1} and ordAtOne = h0 - sum v_i
+over the orders v_i at t = 1 of the H1 divisors, so with
+beta1 = h1 - delta_rho the inequality 2(2 beta0 - beta1) >=
+2(delta_rho + ordAtOne) reduces to sum v_i >= #{v_i >= 1} in every
+branch, and always holds: `verify` exits 0, or 2 when h0 = 1
+(hypothesisNotMet).  Exit 3, a failed inequality, can occur only once
+beta1 is computed from the cusp instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .alexander import alexander_invariant
 from .errors import CuspedZetaError
@@ -38,49 +45,10 @@ def ruelle_order_prediction(h0: int, h1: int, delta_rho: bool) -> int:
     return 2 * (2 * beta0 - beta1)
 
 
-@dataclass
-class Report:
-    inputs_digest: str
-    h0: int
-    h1: int
-    delta_rho: bool
-    beta0: int
-    beta1: int
-    predicted_ruelle_order: int
-    alexander_order: int
-    corollary_branch: str  # trivialRestriction | nontrivialRestriction | hypothesisNotMet
-    inequality_holds: bool
-    equality_expected: bool
-    warnings: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "alexanderOrder": self.alexander_order,
-            "beta0": self.beta0,
-            "beta1": self.beta1,
-            "corollaryBranch": self.corollary_branch,
-            "deltaRho": self.delta_rho,
-            "equalityExpected": self.equality_expected,
-            "h0": self.h0,
-            "h1": self.h1,
-            "inequalityHolds": self.inequality_holds,
-            "inputsDigest": self.inputs_digest,
-            "predictedRuelleOrder": self.predicted_ruelle_order,
-            "ruelleSideProvenance": "predicted (order formula, not continued numerically)",
-            "warnings": list(self.warnings),
-        }
-
-    @property
-    def exit_code(self) -> int:
-        if not self.inequality_holds:
-            return 3
-        if self.corollary_branch == "hypothesisNotMet":
-            return 2
-        return 0
-
-
 def main_conjecture_report(p: GroupPresentation, rho: UnitCharacter,
-                           eps: Epsilon) -> Report:
+                           eps: Epsilon) -> tuple[dict, int]:
+    """The report that `verify` prints, keyed as printed, and its exit
+    code: 3 when the inequality fails, 2 for hypothesisNotMet, else 0."""
     digest = hashlib.sha256(
         serialize_presentation(p, eps, rho).encode()).hexdigest()
     data = alexander_invariant(p, rho, eps)
@@ -100,9 +68,13 @@ def main_conjecture_report(p: GroupPresentation, rho: UnitCharacter,
             "degree-zero cohomology of the infinite cyclic cover does not "
             "vanish; the comparison below is informational only")
         branch = "hypothesisNotMet"
-    return Report(
-        inputs_digest=digest, h0=h0, h1=h1, delta_rho=delta_rho,
-        beta0=beta0, beta1=beta1, predicted_ruelle_order=predicted,
-        alexander_order=data.ord_at_one, corollary_branch=branch,
-        inequality_holds=predicted >= rhs,
-        equality_expected=data.semisimple_at_one, warnings=warnings)
+    holds = predicted >= rhs
+    return {
+        "alexanderOrder": data.ord_at_one, "beta0": beta0, "beta1": beta1,
+        "corollaryBranch": branch, "deltaRho": delta_rho,
+        "equalityExpected": data.semisimple_at_one, "h0": h0, "h1": h1,
+        "inequalityHolds": holds, "inputsDigest": digest,
+        "predictedRuelleOrder": predicted,
+        "ruelleSideProvenance": "predicted (order formula, not continued numerically)",
+        "warnings": warnings,
+    }, 3 if not holds else 2 if branch == "hypothesisNotMet" else 0

@@ -85,10 +85,13 @@ def fraction_work(b1: complex, cov: float, a: Fraction, c: Fraction,
     span = _cutoff(sigma) / (2 * math.pi * cov / abs(b1) ** 2)
     if span > _WORK_CAP:
         return math.inf
+    head = dirichlet(2 * sigma, a)
+    if head == math.inf:
+        return math.inf
     bessel = sum(math.ceil(span / abs(k - a))
                  for k in range(math.floor(a - span), math.ceil(a + span) + 1)
                  if k != a)
-    return (bessel * (1 + abs(sigma.imag)) + dirichlet(2 * sigma, a)
+    return (bessel * (1 + abs(sigma.imag)) + head
             + (dirichlet(2 * sigma - 1, c) if a == 0 else 0))
 
 

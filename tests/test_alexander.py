@@ -66,9 +66,9 @@ def test_zeta5_fixtures(name):
     # the order inequality, with equality expected when semisimple at t = 1
     assert data.ord_at_one <= -data.h1
     if p.peripheral_words:  # trefoil_zeta5.pres has none, so no report
-        report = main_conjecture_report(p, rho, eps)
-        assert report.inequality_holds is True
-        assert report.equality_expected is data.semisimple_at_one
+        report, _ = main_conjecture_report(p, rho, eps)
+        assert report["inequalityHolds"] is True
+        assert report["equalityExpected"] is data.semisimple_at_one
     if data.semisimple_at_one:
         assert data.ord_at_one == -data.h1
     assert wada_holds(p, rho, eps, data)
@@ -98,9 +98,9 @@ def test_betti_matches_invariant():
 def test_nonvanishing_h0_leaves_the_comparison_informational():
     p, eps, rho = load("fig8.pres")
     assert alexander_invariant(p, rho, eps).h0_infinity_vanishes is False
-    report = main_conjecture_report(p, rho, eps)
-    assert report.corollary_branch == "hypothesisNotMet"
-    assert report.exit_code == 2
+    report, code = main_conjecture_report(p, rho, eps)
+    assert report["corollaryBranch"] == "hypothesisNotMet"
+    assert code == 2
 
 
 # --- modules that are not torsion ------------------------------------------

@@ -4,9 +4,9 @@ change to the cusp side that moves one output byte fails here.
 
 The grid is the two lattice fixtures and `test_cuspterms.py`'s BASES x
 CHARACTERS, each at the four S_VALUES and with `--residue`, plus
-lattices the expansion refuses: a character too close to the trivial one
-or a too large |Im s| ("term evaluations"), and bases scaled out of the
-normal float range.
+lattices the expansion refuses: a character too close to the trivial one,
+down to a phase of 2.2e-308, or a too large |Im s| ("term evaluations"),
+and bases scaled out of the normal float range.
 """
 
 import hashlib
@@ -51,6 +51,11 @@ def _cases() -> dict:
         "flat-reduced": (_lattice(1e-170 + 0j, 1e-170 + 1e170j, 1 + 0j, 1 + 0j),
                          ["--s", "1"]),
         "tall-reduced": (_lattice(1e-5 + 0j, 1e305j, 1 + 0j, 1 + 0j), ["--s", "1"]),
+        # a phase 2.2e-308 from the trivial one, named as too many terms
+        # rather than failing on an infinite count
+        "tiny-phase": (_lattice(1j, 1 + 0j, complex(1, 1.398e-307), 1 + 0j), ["--s", "1"]),
+        "tiny-phase-residue": (_lattice(1j, 1 + 0j, complex(1, 1.398e-307), 1 + 0j),
+                               ["--residue"]),
     }
     out.update(refused)
     return out
@@ -254,6 +259,10 @@ DIGESTS = {
                      'fc7162d2338fe81984ee923efd801bec42109d7e069d65d1c16051b54478d59a'),
     'tall-reduced': (70, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                      'e1dd499c65fca71bb2115bd6aa812a9b50ceca30151426720b6f6be46327d839'),
+    'tiny-phase': (70, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                   'dfa569d47b9b1132289fd153b279d666272173854f7f8d7ca2f0c8a349fc5650'),
+    'tiny-phase-residue': (70, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                           '8555421c1c204b45e71317afd8ea02acd773a65b006abeefe634f9a9edb8403f'),
 }
 
 

@@ -1,17 +1,19 @@
 """Order predictions, branch selection, and the comparison report."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
-from cuspedzeta.cli import _jdump
+from cuspedzeta import verdict
+from cuspedzeta.cli import _jdump, run
 from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.verdict import (l2_betti, main_conjecture_report,
                                 ruelle_order_prediction)
 
-from conftest import read_fixture
+from conftest import FIXTURES, read_fixture
 
 
 def test_l2_betti_cases():
@@ -51,32 +53,32 @@ def _report(name):
 
 
 def report_json_text(r):
-    """The report as the CLI emits it."""
+    """The report of a (report, exit code) pair as the CLI emits it."""
     buf = io.StringIO()
-    _jdump(r.to_json(), buf)
+    _jdump(r[0], buf)
     return buf.getvalue()
 
 
 def test_zeta5_report():
-    r = _report("fig8_zeta5.pres")
-    assert r.corollary_branch == "nontrivialRestriction"
-    assert r.delta_rho is False
-    assert r.predicted_ruelle_order == 0
-    assert r.alexander_order == 0
-    assert r.inequality_holds is True
-    assert r.equality_expected is True
-    assert r.warnings == []
-    assert r.exit_code == 0
+    r, code = _report("fig8_zeta5.pres")
+    assert r["corollaryBranch"] == "nontrivialRestriction"
+    assert r["deltaRho"] is False
+    assert r["predictedRuelleOrder"] == 0
+    assert r["alexanderOrder"] == 0
+    assert r["inequalityHolds"] is True
+    assert r["equalityExpected"] is True
+    assert r["warnings"] == []
+    assert code == 0
 
 
 def test_trivial_report_is_informational():
-    r = _report("fig8.pres")
-    assert r.corollary_branch == "hypothesisNotMet"
-    assert r.delta_rho is True
-    assert r.predicted_ruelle_order == 4
-    assert r.alexander_order == 1
-    assert r.warnings
-    assert r.exit_code == 2
+    r, code = _report("fig8.pres")
+    assert r["corollaryBranch"] == "hypothesisNotMet"
+    assert r["deltaRho"] is True
+    assert r["predictedRuelleOrder"] == 4
+    assert r["alexanderOrder"] == 1
+    assert r["warnings"]
+    assert code == 2
 
 
 def test_report_json_is_deterministic_and_sorted():
@@ -98,3 +100,20 @@ def test_digest_distinguishes_inputs():
     a = json.loads(report_json_text(_report("fig8.pres")))
     b = json.loads(report_json_text(_report("fig8_zeta5.pres")))
     assert a["inputsDigest"] != b["inputsDigest"]
+
+
+def test_failed_inequality_exits_3(monkeypatch, capsys):
+    # no presentation reaches this today: with beta1 = h1 - delta_rho the
+    # inequality always holds, so the Alexander data is replaced by data
+    # with ordAtOne = 1 and h0 = h1 = 0, where 2(2 beta0 - beta1) = 0 < 2
+    real = verdict.alexander_invariant
+
+    def broken(p, rho, eps):
+        return dataclasses.replace(real(p, rho, eps), ord_at_one=1, h0=0, h1=0)
+
+    monkeypatch.setattr(verdict, "alexander_invariant", broken)
+    code = run(["verify", str(FIXTURES / "fig8_zeta5.pres")])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert '"inequalityHolds": false' in out
+    assert json.loads(out)["corollaryBranch"] == "nontrivialRestriction"
