@@ -7,14 +7,16 @@ uses 0/2/3 for the report verdict.
 
 Each subcommand imports the modules it runs at the top of its body, so
 that a command loads neither half of the package it does not use.  A
-call builds the argument parser of the named command only, and writes
-its output, to stdout or the `-o` file, only once the command returns.
+call builds the argument parser of the named command only, on its first
+call in a process (later calls reuse it), and writes its output, to
+stdout or the `-o` file, only once the command returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import json
 import math
@@ -402,12 +404,18 @@ def _build_parser(argv: list) -> _Parser:
     for the help and "invalid choice" messages.  A usage error prints
     no usage line, so both parse a command's arguments to the same
     bytes."""
+    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> _Parser:
+    """`_build_parser`'s parser for `command`, built once per process:
+    parsing leaves it as it was, and help reads the width when printed."""
     ap = _Parser(prog="cuspedzeta",
                  description="Twisted Alexander invariants and Ruelle zeta "
                              "bookkeeping for one-cusped hyperbolic manifolds")
     sub = ap.add_subparsers(dest="command", required=True)
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in named:
+    for name in _COMMANDS if command is None else [command]:
         summary, configure = _COMMANDS[name]
         configure(sub.add_parser(name, help=summary))
     return ap

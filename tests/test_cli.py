@@ -106,6 +106,8 @@ def test_run_parses_as_the_parser_with_every_branch(capsys, argv):
     ([], 13),
 ], ids=["terms", "ruelle-eval", "no-command"])
 def test_run_builds_only_the_named_branch(capsys, monkeypatch, argv, parsers):
+    """The first call builds the named branch only; a second identical
+    call reuses it and builds none."""
     built = []
 
     class Counting(cli._Parser):
@@ -114,8 +116,75 @@ def test_run_builds_only_the_named_branch(capsys, monkeypatch, argv, parsers):
             built.append(self.prog)
 
     monkeypatch.setattr(cli, "_Parser", Counting)
-    invoke(capsys, *argv)
-    assert len(built) == parsers, built
+    cli._parser.cache_clear()
+    try:
+        invoke(capsys, *argv)
+        assert len(built) == parsers, built
+        invoke(capsys, *argv)
+        assert len(built) == parsers, built
+    finally:
+        # no Counting parser outlives the test
+        cli._parser.cache_clear()
+
+
+# one call of each command on a fixture that succeeds; the trivial
+# character of fig8_matrices.json prints no warning
+FIXTURE_CALLS = {
+    "alexander": ["alexander", str(FIXTURES / "fig8_zeta5.pres")],
+    "betti": ["betti", str(FIXTURES / "fig8.pres")],
+    "verify": ["verify", str(FIXTURES / "fig8_zeta5.pres")],
+    "spectrum": ["spectrum", "enumerate", str(FIXTURES / "fig8_matrices.json"),
+                 "--max-word-len", "4", "--cutoff", "3"],
+    "ruelle": ["ruelle", "eval", str(FIXTURES / "fig8_spectrum.csv"), "--z", "5"],
+    "fried": ["fried", "check", str(FIXTURES / "fig8_spectrum.csv"), "--z", "5"],
+    "terms": ["terms", "identity", "--vol", "2.0"],
+    "epstein": ["epstein", str(FIXTURES / "square_lattice.json")],
+    "selftest": ["selftest"],
+}
+
+
+def fresh(capsys, *argv):
+    """`invoke` with a parser built for this call alone."""
+    cli._parser.cache_clear()
+    return invoke(capsys, *argv)
+
+
+def test_reused_parsers_give_the_bytes_of_new_ones(capsys):
+    calls = [*PARSER_EXITS.values(), *FIXTURE_CALLS.values()]
+    # each call runs twice with every other call in between, then alone
+    # after the parsers are dropped
+    first = [fresh(capsys, *calls[0])] + [invoke(capsys, *a) for a in calls[1:]]
+    second = [invoke(capsys, *argv) for argv in calls]
+    alone = [fresh(capsys, *argv) for argv in calls]
+    assert first == second == alone
+    assert {code for code, _, _ in first} == {0, EX_USAGE}
+
+
+@pytest.mark.parametrize("before, after", [
+    (FIXTURE_CALLS["epstein"], [*FIXTURE_CALLS["epstein"], "--s", "abc"]),
+    ([*FIXTURE_CALLS["epstein"], "--s", "abc"], FIXTURE_CALLS["epstein"]),
+    ([*FIXTURE_CALLS["epstein"], "--s", "0.3"], FIXTURE_CALLS["epstein"]),
+    ([*FIXTURE_CALLS["terms"], "-o", "{out}"], FIXTURE_CALLS["terms"]),
+    ([*FIXTURE_CALLS["spectrum"], "-o", "{out}"], FIXTURE_CALLS["spectrum"]),
+], ids=["bad-s-after-default", "default-after-bad-s", "default-after-s",
+        "stdout-after-file", "enumerate-stdout-after-file"])
+def test_a_call_leaves_no_trace_for_the_next(capsys, tmp_path, before, after):
+    out = str(tmp_path / "out.txt")
+    invoke(capsys, *[out if a == "{out}" else a for a in before])
+    reused = invoke(capsys, *after)
+    assert reused == fresh(capsys, *after)
+    assert reused[0] in (0, EX_USAGE) and (reused[1] or reused[2])
+
+
+def test_reused_help_reads_the_width_when_printed(capsys, monkeypatch):
+    helps = {}
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = invoke(capsys, "epstein", "-h")
+        assert reused == fresh(capsys, "epstein", "-h")
+        helps.setdefault(columns, reused)
+        assert helps[columns] == reused
+    assert helps["40"] != helps["200"]
 
 
 @pytest.mark.parametrize("argv, want", [
