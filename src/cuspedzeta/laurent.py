@@ -209,9 +209,12 @@ class LaurentPoly:
         return q
 
     def normalize(self):
-        """Canonical unit representative: monic with lowest exponent 0."""
+        """Canonical unit representative: monic with lowest exponent 0,
+        so 1 for a unit, which needs no inverse."""
         if self.is_zero():
             return self
+        if self.is_unit():
+            return LaurentPoly.one(self.n)
         inum, iden = self._lead_inverse()
         return LaurentPoly.from_rows(self.n, 0, _times(self.n, inum, self.rows),
                                      self.den * iden)

@@ -31,9 +31,12 @@ from .cyclotomic import euler_phi
 from .errors import InputError
 from .laurent import LaurentPoly
 
-# Largest rho modulus a presentation file may ask for.  The exact side
-# costs grow fast with n (inverting in Q(zeta_n) multiplies phi(n) - 1
-# conjugates), and cyclotomic_polynomial(n) alone builds n + 1 terms.
+# Largest rho modulus a presentation file may ask for.  `alexander`,
+# and `verify` when an H1 divisor vanishes at t = 1, take a Smith form,
+# whose cost grows fast with n (inverting in Q(zeta_n) multiplies
+# phi(n) - 1 conjugates); `betti` and the rest of `verify` take a rank
+# at t = 1 and invert nothing.  cyclotomic_polynomial(n) alone builds
+# n + 1 terms.
 MAX_MODULUS = 500
 
 # Most integers that one Fox derivative of a relator may hold: the span

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .alexander import alexander_invariant
+from .alexander import alexander_invariant, build_complex, check_h2_torsion, rank_at_one
 from .errors import CuspedZetaError
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            peripheral_trivial, serialize_presentation)
@@ -45,34 +45,49 @@ def ruelle_order_prediction(h0: int, h1: int, delta_rho: bool) -> int:
     return 2 * (2 * beta0 - beta1)
 
 
+def _alexander_at_one(p: GroupPresentation, rho: UnitCharacter,
+                      eps: Epsilon) -> tuple[int, int, int, bool]:
+    """(ordAtOne, h0, h1, semisimpleAtOne) of `alexander_invariant`,
+    refused where it refuses, from one complex.  rank d1(1) counts the
+    H1 divisors that are nonzero at t = 1, so at rank g - 1 none
+    vanishes there: H1 is torsion, ordAtOne = h1 = h0 and the order is
+    semisimple, with no Smith form.  Below it the Smith form gives them."""
+    built = build_complex(p, rho, eps)
+    if rank_at_one(rho.modulus, built[0]) < p.arity - 1:
+        data = alexander_invariant(p, rho, eps, built)
+        return data.ord_at_one, data.h0, data.h1, data.semisimple_at_one
+    check_h2_torsion(p)
+    h0 = int(rho.is_trivial)
+    return h0, h0, h0, True
+
+
 def main_conjecture_report(p: GroupPresentation, rho: UnitCharacter,
                            eps: Epsilon) -> tuple[dict, int]:
     """The report that `verify` prints, keyed as printed, and its exit
     code: 3 when the inequality fails, 2 for hypothesisNotMet, else 0."""
     digest = hashlib.sha256(
         serialize_presentation(p, eps, rho).encode()).hexdigest()
-    data = alexander_invariant(p, rho, eps)
-    h0, h1 = data.h0, data.h1
+    ord_at_one, h0, h1, semisimple = _alexander_at_one(p, rho, eps)
     delta_rho = peripheral_trivial(p, rho)
     beta0, beta1 = l2_betti(h0, h1, delta_rho)
     predicted = ruelle_order_prediction(h0, h1, delta_rho)
     warnings = []
     if delta_rho:
-        rhs = 2 * (1 + data.ord_at_one)
+        rhs = 2 * (1 + ord_at_one)
         branch = "trivialRestriction"
     else:
-        rhs = 2 * data.ord_at_one
+        rhs = 2 * ord_at_one
         branch = "nontrivialRestriction"
-    if not data.h0_infinity_vanishes:
+    if h0:  # h0InfinityVanishes is `not h0`
         warnings.append(
             "degree-zero cohomology of the infinite cyclic cover does not "
             "vanish; the comparison below is informational only")
         branch = "hypothesisNotMet"
     holds = predicted >= rhs
     return {
-        "alexanderOrder": data.ord_at_one, "beta0": beta0, "beta1": beta1,
+        "alexanderOrder": ord_at_one, "beta0": beta0, "beta1": beta1,
         "corollaryBranch": branch, "deltaRho": delta_rho,
-        "equalityExpected": data.semisimple_at_one, "h0": h0, "h1": h1,
+        "equalityExpected": semisimple, "h0": h0, "h1": h1,
         "inequalityHolds": holds, "inputsDigest": digest,
         "predictedRuelleOrder": predicted,
         "ruelleSideProvenance": "predicted (order formula, not continued numerically)",

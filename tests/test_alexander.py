@@ -13,6 +13,8 @@ char0 was before it was read from the character.
 
 import functools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,9 +22,10 @@ from hypothesis import strategies as st
 
 from cuspedzeta import alexander
 from cuspedzeta.alexander import (_homology, alexander_invariant,
-                                  build_complex, twisted_betti)
+                                  build_complex, rank_at_one, twisted_betti)
 from cuspedzeta.errors import CuspedZetaError
-from cuspedzeta.laurent import LaurentPoly, format_poly, ord_at_one, smith_form
+from cuspedzeta.cyclotomic import euler_phi
+from cuspedzeta.laurent import LaurentPoly, dot, format_poly, ord_at_one, smith_form
 from cuspedzeta.presentation import (Epsilon, GroupPresentation, UnitCharacter,
                                      parse_presentation)
 from cuspedzeta.verdict import main_conjecture_report
@@ -256,6 +259,49 @@ def test_h1_and_betti_match_old_routes(name):
         assert repr((data.h1_divisors, data.h0, data.h1)) == repr((divisors, h0, h1))
     assert repr(divisors) == repr(want_divisors)
     assert (h0, h1) == want_betti
+
+
+# --- rank at t = 1 -----------------------------------------------------------
+
+def random_constant_matrix(seed, size, rank, n=11):
+    """A size x (size + 1) matrix of constants in Z[zeta_n] with entries
+    dense in [-2, 2] on the power basis, formed as B C with B of size
+    x rank and C of rank x (size + 1), so its rank is at most `rank`."""
+    rng = random.Random(seed)
+
+    def entry():
+        return LaurentPoly.from_rows(n, 0, [[rng.randint(-2, 2) for _ in range(euler_phi(n))]])
+    b = [[entry() for _ in range(rank)] for _ in range(size)]
+    c = [[entry() for _ in range(size + 1)] for _ in range(rank)]
+    return [[dot(n, row, [c[k][j] for k in range(rank)]) for j in range(size + 1)]
+            for row in b]
+
+
+@pytest.mark.parametrize("size,rank", [(s, r) for s in (4, 7, 10) for r in (s, s - 2)])
+def test_rank_at_one_matches_gauss_jordan_on_dense_matrices_within_2_s(size, rank):
+    """Dense matrices over Q(zeta_11) leave `rank_at_one` no root-of-unity
+    pivot, so every update is fraction-free and coefficients grow: it
+    still gives the rank of `h1_oracle`'s Gauss-Jordan elimination over
+    `Fraction`s, full or not, in under 2 s."""
+    m = random_constant_matrix(1000 * size + rank, size, rank)
+    start = time.perf_counter()
+    got = rank_at_one(11, m)
+    elapsed = time.perf_counter() - start
+    want = h1_oracle._rank_cyclotomic(
+        [[CyclotomicNumber(11, f.rows[0] if f.rows else []) for f in row] for row in m],
+        size + 1)
+    assert got == want == rank
+    assert elapsed < 2
+
+
+@pytest.mark.parametrize("k,n,e", TORUS_CASES)
+def test_rank_at_one_counts_the_divisors_nonzero_at_one(k, n, e):
+    """On T(2, k), where some divisor vanishes at t = 1 for the
+    characters of order 6, 10 and 14, rank d1(1) is the number of
+    Smith divisors of order 0 there."""
+    p, eps, rho = torus_knot(k, n, e)
+    d1, _ = build_complex(p, rho, eps)
+    assert rank_at_one(n, d1) == [ord_at_one(d) for d in smith_form(d1)].count(0)
 
 
 # --- H0 from the character ---------------------------------------------------

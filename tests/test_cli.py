@@ -824,6 +824,33 @@ def test_verify_at_a_large_modulus_keeps_its_bytes_within_2_s(capsys, tmp_path, 
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_MODULUS_VERIFY[n]
 
 
+# sha256 of `betti` on the same inputs, as the Smith form of the Fox
+# matrix at t = 1 printed it
+LARGE_MODULUS_BETTI = dict.fromkeys(
+    (97, 211, 455, 499), "b422a92518874d04635d43f6656bcba00f2c667ff0f3ae505b0ec815836e9cff")
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_MODULUS_BETTI))
+def test_betti_at_a_large_modulus_keeps_its_bytes_within_2_s(capsys, tmp_path, n):
+    """betti took 1.3 s at n = 211, 7.6 s at 455 and 25.7 s at 499 while
+    its Smith form inverted the one unit divisor by the norm to
+    normalize it; the rank at t = 1 inverts nothing."""
+    path = tmp_path / f"fig8_n{n}.pres"
+    path.write_text(read_fixture("fig8_zeta5.pres").replace("n=5:", f"n={n}:"))
+
+    def expire(signum, frame):
+        raise TimeoutError(f"betti at n={n} took longer than 2 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, _ = invoke(capsys, "betti", str(path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_MODULUS_BETTI[n]
+
+
 def test_alexander_json(capsys):
     code, out, _ = invoke(capsys, "alexander", str(FIXTURES / "trefoil.pres"))
     assert code == 0

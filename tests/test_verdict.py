@@ -1,18 +1,26 @@
 """Order predictions, branch selection, and the comparison report."""
 
-import dataclasses
+import contextlib
 import io
 import json
+import math
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspedzeta import verdict
+from cuspedzeta.alexander import alexander_invariant, twisted_betti
 from cuspedzeta.cli import _jdump, run
 from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.verdict import (l2_betti, main_conjecture_report,
                                 ruelle_order_prediction)
 
+import h1_oracle
 from conftest import FIXTURES, read_fixture
 
 
@@ -104,16 +112,95 @@ def test_digest_distinguishes_inputs():
 
 def test_failed_inequality_exits_3(monkeypatch, capsys):
     # no presentation reaches this today: with beta1 = h1 - delta_rho the
-    # inequality always holds, so the Alexander data is replaced by data
-    # with ordAtOne = 1 and h0 = h1 = 0, where 2(2 beta0 - beta1) = 0 < 2
-    real = verdict.alexander_invariant
+    # inequality always holds, so the Alexander values at t = 1 are
+    # replaced by ordAtOne = 1 and h0 = h1 = 0, where 2(2 beta0 - beta1)
+    # = 0 < 2
+    real = verdict._alexander_at_one
 
     def broken(p, rho, eps):
-        return dataclasses.replace(real(p, rho, eps), ord_at_one=1, h0=0, h1=0)
+        return (1, 0, 0) + real(p, rho, eps)[3:]
 
-    monkeypatch.setattr(verdict, "alexander_invariant", broken)
+    monkeypatch.setattr(verdict, "_alexander_at_one", broken)
     code = run(["verify", str(FIXTURES / "fig8_zeta5.pres")])
     out = capsys.readouterr().out
     assert code == 3
     assert '"inequalityHolds": false' in out
     assert json.loads(out)["corollaryBranch"] == "nontrivialRestriction"
+
+
+# --- rank d1(1) against the Smith form ----------------------------------------
+
+def inverse(word):
+    return word[::-1].swapcase()
+
+
+@st.composite
+def small_presentation(draw):
+    """Presentation text on 2-4 generators with rho modulus n <= 12 and
+    g - 1 relators, or one fewer or one more, so that H1 or H2 may not
+    be torsion, with zero to two peripheral words.  Two kinds in three
+    have eps = 1 and rho = zeta^c on every generator: the Wirtinger
+    relators x_(i+1) = x_i x_(i-1) x_i^-1 of T(2, g), whose divisor
+    vanishes at t = 1 for some c (T(2, 3) under n = 6, drawn often), or relators
+    x_i w x_(i+1)^-1 w^-1 with w drawn.  The third draws eps and rho
+    freely, and each relator is a commutator, which both kill."""
+    g, kind = draw(st.integers(2, 4)), draw(st.sampled_from(("torus", "knot", "free")))
+    # zeta_2g^c with c odd, c != g is a root of t^g = -1 other than -1
+    n = draw(st.integers(1, 12) | st.just(2 * g) if kind == "torus" else st.integers(1, 12))
+    names = "abcd"[:g]
+    word = st.text(names + names.upper(), min_size=1, max_size=3)
+    count = draw(st.sampled_from((g - 1,) * 4 + (g - 2, g)))
+    if kind == "free":
+        eps = draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g).filter(
+            lambda e: math.gcd(*e) == 1))
+        rho = draw(st.lists(st.integers(0, n - 1), min_size=g, max_size=g))
+        rels = [u + v + inverse(u) + inverse(v)
+                for u, v in draw(st.lists(st.tuples(word, word), min_size=count,
+                                          max_size=count))]
+    else:
+        eps, rho = [1] * g, [draw(st.integers(0, n - 1))] * g
+        conjugators = ([names[i].upper() for i in range(count)] if kind == "torus" else
+                       draw(st.lists(word | st.just(""), min_size=count, max_size=count)))
+        rels = [names[i - 1 if kind == "torus" else i] + w + names[(i + 1) % g].upper()
+                + inverse(w) for i, w in enumerate(conjugators)]
+    return "\n".join([f"gens {' '.join(names)}"] + [f"rel {r}" for r in rels]
+                     + [f"peri {w}" for w in draw(st.lists(word, max_size=2))]
+                     + [f"eps {' '.join(map(str, eps))}",
+                        f"rho n={n}: {' '.join(map(str, rho))}"]) + "\n"
+
+
+def smith_route(p, rho, eps):
+    """The values at t = 1 that `verify` read off `alexander_invariant`,
+    refused where it refuses."""
+    data = alexander_invariant(p, rho, eps)
+    return data.ord_at_one, data.h0, data.h1, data.semisimple_at_one
+
+
+def verify_bytes(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["verify", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_presentation())
+# T(2, 3) under zeta_6: its divisor vanishes at t = 1, rank d1(1) = 1 < 2
+@example("gens a b c\nrel acAB\nrel baBC\nperi a\neps 1 1 1\nrho n=6: 1 1 1\n")
+# H1 not torsion, then H2 not torsion at full rank, then no peripheral word
+@example("gens a b c\nrel abAB\nperi a\neps 1 0 0\nrho n=1: 0 0 0\n")
+@example("gens a b\nrel abAB\nrel abAB\nperi a\neps 1 0\nrho n=3: 0 1\n")
+@example("gens a b\nrel abAB\neps 1 0\nrho n=3: 0 1\n")
+def test_rank_at_one_gives_the_bytes_of_the_smith_form(text):
+    """`verify` prints the bytes and exits with the code of the route
+    through `alexander_invariant`, refusals included, and `betti` gives
+    the (h0, h1) of `h1_oracle`'s Gauss-Jordan rank."""
+    p, eps, rho = parse_presentation(text)
+    assert twisted_betti(p, rho) == h1_oracle.twisted_betti(p, rho)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.pres")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        got = verify_bytes(path)
+        with mock.patch.object(verdict, "_alexander_at_one", smith_route):
+            assert got == verify_bytes(path)
