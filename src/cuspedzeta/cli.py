@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-import warnings
 
 from .errors import CuspedZetaError, InputError, read_utf8
 
@@ -191,6 +190,9 @@ def _cmd_spectrum_enumerate(args, out):
     gens, rho = _load_matrices(args.matrices)
     sp = spectrum.enumerate_classes(gens, rho, max_word_len=args.max_word_len,
                                     cutoff_length=args.cutoff)
+    for word in sp.suspects:
+        sys.stderr.write("cuspedzeta: warning: near-equal traces with "
+                         f"incompatible character values: word {word}\n")
     out.write(spectrum.format_spectrum(sp))
     return 0
 
@@ -363,7 +365,7 @@ def _terms(p):
     p.add_argument("poles", nargs="?",
                    help="scattering poles JSON (scattering only)")
     p.add_argument("--vol", type=_finite(float, positive=True), default=1.0)
-    p.add_argument("--covolume", type=_finite(float))
+    p.add_argument("--covolume", type=_finite(float, positive=True))
     p.add_argument("--c-rho", type=_finite(float), dest="c_rho")
     p.add_argument("--trivial", action="store_true")
     p.set_defaults(func=_cmd_terms)
@@ -450,13 +452,7 @@ def run(argv=None) -> int:
         return EX_SOFTWARE
 
 
-def _warning_line(message, category, filename, lineno, line=None):
-    """A warning as one stderr line, without its source location."""
-    return f"cuspedzeta: warning: {message}\n"
-
-
 def main():
-    warnings.formatwarning = _warning_line
     raise SystemExit(run())
 
 

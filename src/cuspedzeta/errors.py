@@ -19,11 +19,6 @@ class InputError(CuspedZetaError):
         self.column = column
 
 
-class DiscretenessSuspect(Warning):
-    """Two enumerated words have nearly equal traces but incompatible
-    class data; reported, never fatal."""
-
-
 def read_utf8(path) -> str:
     """The text of the file at `path`; bytes that are not UTF-8 raise an
     InputError naming the first bad byte and its line."""

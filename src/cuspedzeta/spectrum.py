@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (CuspedZetaError, DiscretenessSuspect, InputError,
-                     read_utf8)
+from .errors import CuspedZetaError, InputError, read_utf8
 
 TRACE_TOL = 1e-9
 DET_TOL = 1e-12
@@ -114,6 +112,9 @@ class Spectrum:
     classes: list[GeodesicClass]
     cutoff_length: float
     max_word_len: int | None = None
+    # the words enumerated with a character value that no word of their
+    # trace cluster shares; the CSV omits them, so a loaded spectrum has none
+    suspects: tuple[str, ...] = ()
 
     def primitives(self):
         return [c for c in self.classes if c.multiplicity == 1]
@@ -224,7 +225,8 @@ def necklace_walk(values, max_len: int, mul):
 def _merge_conjugates(found, texts):
     """The classes kept from ``found``, (word, trace key, length,
     holonomy, char) tuples sorted by (word length, word), each word the
-    letter indices of a necklace; ``texts[i]`` spells letter i.
+    letter indices of a necklace, and the suspect words among them,
+    spelled by ``texts[i]`` for letter i, in the same order.
 
     Words that are conjugate in the group but not freely conjugate are
     merged by trace.  The trace cannot separate a class from its
@@ -232,11 +234,12 @@ def _merge_conjugates(found, texts):
     necklace of that word's inverse (the oriented-geodesic
     convention), and every other member of the cluster is assumed
     conjugate to one of those two; a member whose character value
-    matches neither is kept with a DiscretenessSuspect warning.  A word
-    joins the first cluster whose key is within TRACE_TOL of its own;
-    the candidates are the clusters whose key's real part lies within
-    2 TRACE_TOL, found by bisection."""
+    matches neither is kept as a suspect.  A word joins the first
+    cluster whose key is within TRACE_TOL of its own; the candidates
+    are the clusters whose key's real part lies within 2 TRACE_TOL,
+    found by bisection."""
     kept = []
+    suspects = []
     clusters = []  # [trace key, char, canonical inverse word or None]
     reals = []  # the clusters' key real parts, ascending ...
     ids = []  # ... and the index in `clusters` of each
@@ -265,12 +268,9 @@ def _merge_conjugates(found, texts):
             cl[2] = None  # the inverse orientation, kept once
             kept.append(cand)
         elif min(abs(char - cl[1]), abs(char - cl[1].conjugate())) > 1e-6:
-            warnings.warn(
-                f"near-equal traces with incompatible character values: "
-                f"word {''.join(map(texts.__getitem__, canon))}",
-                DiscretenessSuspect)
+            suspects.append("".join(map(texts.__getitem__, canon)))
             kept.append(cand)
-    return kept
+    return kept, suspects
 
 
 def _matmul(m, n):
@@ -293,7 +293,8 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
     value count other than the generator count, or a character value off
     the unit circle, raises InputError; a word whose matrix product
     leaves the float range, or whose determinant rounds to 0, raises
-    CuspedZetaError.
+    CuspedZetaError.  The suspect words of `_merge_conjugates` are the
+    spectrum's ``suspects``.
     """
     if len(gens) > 26:
         # the spectrum file spells words in the letters a-z
@@ -349,7 +350,7 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
             char *= chars[i]
         found.append((idx, _trace_key(tr), *lth, char))
     found.sort(key=lambda f: (len(f[0]), f[0]))
-    kept = _merge_conjugates(found, texts)
+    kept, suspects = _merge_conjugates(found, texts)
 
     # the row order, (length, holonomy) ties broken by the index word.
     # `_power_root` reads only primitives under two thirds of a class's
@@ -368,7 +369,7 @@ def enumerate_classes(gens, rho_values, max_word_len: int,
             primitives.append(cls)
             lengths.append(length)
     return Spectrum(classes=classes, cutoff_length=cutoff_length,
-                    max_word_len=max_word_len).validate()
+                    max_word_len=max_word_len, suspects=tuple(suspects)).validate()
 
 
 # ---------------------------------------------------------------------------

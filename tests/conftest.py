@@ -20,3 +20,13 @@ def fig8_generators() -> list[tuple]:
     (a, b, c, d) tuples: (1 1; 0 1) and (1 0; -omega 1), omega = e^{2 pi i/3}."""
     d = json.loads(read_fixture("fig8_matrices.json"))
     return [tuple(complex(*p) for p in g) for g in d["generators"]]
+
+
+def fig8_matrices_file(tmp_path, rho) -> pathlib.Path:
+    """The figure-eight matrices file with the character value rho on
+    both generators, written to `tmp_path`."""
+    matrices = json.loads(read_fixture("fig8_matrices.json"))
+    matrices["rho"] = [[rho.real, rho.imag]] * 2
+    path = tmp_path / "matrices.json"
+    path.write_text(json.dumps(matrices), encoding="utf-8")
+    return path

@@ -23,10 +23,16 @@ import string
 import warnings
 from dataclasses import dataclass
 
-from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
+from cuspedzeta.errors import CuspedZetaError, InputError
 from cuspedzeta.presentation import GroupWord, format_letters, free_reduce
 from cuspedzeta.spectrum import (DET_TOL, TRACE_TOL, GeodesicClass, Spectrum,
                                  _canonical_angle, _trace_key, necklace_walk)
+
+
+class DiscretenessSuspect(Warning):
+    """Two enumerated words have nearly equal traces but incompatible
+    class data: the warning `merge_conjugates` raises for each word the
+    package returns as a suspect."""
 
 
 def word_inverse(word: GroupWord) -> GroupWord:

@@ -15,7 +15,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +23,11 @@ from hypothesis import strategies as st
 from cuspedzeta import cli
 from cuspedzeta.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, run
 from cuspedzeta.errors import InputError
-from cuspedzeta.spectrum import Spectrum, format_spectrum, load_spectrum
+from cuspedzeta.spectrum import (Spectrum, enumerate_classes, format_spectrum,
+                                 load_spectrum)
 
 import spectrum_oracle
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, fig8_generators, fig8_matrices_file, read_fixture
 from epstein_oracle import epstein_mpmath
 
 
@@ -345,6 +345,11 @@ BAD_INPUTS = [
      "--vol"),
     ("vol-negative", None, ["terms", "identity", "--vol=-1"], EX_USAGE,
      "--vol"),
+    # a cusp covolume is an area
+    ("covolume-zero", None, ["terms", "unipotent", "--covolume", "0",
+                             "--c-rho", "1"], EX_USAGE, "--covolume: must be positive"),
+    ("covolume-negative", None, ["terms", "unipotent", "--covolume=-1",
+                                 "--c-rho", "1"], EX_USAGE, "--covolume: must be positive"),
     ("covolume-inf", None, ["terms", "unipotent", "--covolume", "inf",
                             "--c-rho", "1"], EX_USAGE, "--covolume"),
     ("c-rho-nan", None, ["terms", "unipotent", "--covolume", "1",
@@ -1003,7 +1008,7 @@ def _python(code, *argv):
                          ids=lambda c: c[0])
 def test_off_circle_rho_prints_no_warning(tmp_path, case):
     # the message is the only stderr line: no word is walked, so no
-    # DiscretenessSuspect is raised first
+    # suspect word is found first
     _, content, argv, want, needle = case
     path = tmp_path / "matrices.json"
     path.write_text(json.dumps(content))
@@ -1013,24 +1018,35 @@ def test_off_circle_rho_prints_no_warning(tmp_path, case):
     assert r.stderr == f"cuspedzeta: invalid input: {needle}\n"
 
 
-def test_discreteness_warnings_print_one_line_each(tmp_path):
+def test_discreteness_warnings_print_one_line_each(capsys, tmp_path):
     # rho = zeta5 on both figure-eight generators splits trace clusters
-    # by character value, which raises DiscretenessSuspect
-    d = json.loads(read_fixture("fig8_matrices.json"))
+    # by character value, which leaves suspect words
     z = cmath.exp(2j * math.pi / 5)
-    d["rho"] = [[z.real, z.imag]] * 2
-    path = tmp_path / "zeta5_matrices.json"
-    path.write_text(json.dumps(d))
+    path = fig8_matrices_file(tmp_path, z)
     argv = ["spectrum", "enumerate", str(path), "--max-word-len", "8",
             "--cutoff", "3"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+    suspects = enumerate_classes(fig8_generators(), [z, z], 8, 3.0).suspects
+    assert run(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+    err = capsys.readouterr().err
     r = _python("from cuspedzeta.cli import main; main()", *argv)
     assert r.returncode == 0
-    assert len(caught) > 1
-    assert r.stderr.splitlines() == [f"cuspedzeta: warning: {w.message}"
-                                     for w in caught]
+    assert len(suspects) > 1
+    assert err == r.stderr
+    assert r.stderr.splitlines() == [
+        "cuspedzeta: warning: near-equal traces with incompatible character "
+        f"values: word {w}" for w in suspects]
+
+
+def test_enumerate_writes_the_same_bytes_on_every_call(capsys, tmp_path):
+    # a repeated in-process run prints its warning lines again, and both
+    # runs print what a fresh process prints
+    path = fig8_matrices_file(tmp_path, cmath.exp(2j * math.pi / 3))
+    argv = ["spectrum", "enumerate", str(path), "--max-word-len", "8",
+            "--cutoff", "3"]
+    calls = [invoke(capsys, *argv) for _ in range(2)]
+    r = _python("from cuspedzeta.cli import main; main()", *argv)
+    assert calls[0] == calls[1] == (r.returncode, r.stdout, r.stderr)
+    assert r.stderr.count("cuspedzeta: warning: ") == 42
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -7,6 +7,9 @@ names one of the two, or is a builtin listed in `BUILTINS` with the
 reason it is not one of them.  A new exception class, or a builtin
 raised where it is not listed, fails until it has been checked and
 added.
+
+Diagnostics are returned, not warned: no module imports `warnings`, and
+`cli` writes each warning line a command returns.
 """
 
 from __future__ import annotations
@@ -104,5 +107,16 @@ def test_builtin_list_names_only_raise_sites():
 
 
 def test_the_package_defines_one_class_per_exit_code():
-    assert _exception_classes() == ["CuspedZetaError", "DiscretenessSuspect",
-                                    "InputError"]
+    assert _exception_classes() == ["CuspedZetaError", "InputError"]
+
+
+def test_no_module_imports_warnings():
+    # a warnings.warn prints in Python's format, with the source path,
+    # and only on the first call from each line in a process
+    importers = sorted(
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "warnings")
+    assert importers == []

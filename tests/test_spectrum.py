@@ -1,6 +1,7 @@
 """Loxodromic classification and geodesic-spectrum enumeration."""
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,15 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import cli, spectrum
-from cuspedzeta.errors import DiscretenessSuspect, InputError
+from cuspedzeta.errors import InputError
 from cuspedzeta.presentation import parse_letters, parse_presentation
 from cuspedzeta.spectrum import (TRACE_TOL, GeodesicClass, Spectrum,
                                  _complex_length, _merge_conjugates, _power_root,
                                  enumerate_classes, format_spectrum,
                                  load_spectrum, necklace_walk)
 
-from conftest import FIXTURES, fig8_generators, read_fixture
-from enumerate_oracle import MoebiusMatrix, canonical_conjugacy_form, classify
+from conftest import FIXTURES, fig8_generators, fig8_matrices_file, read_fixture
+from enumerate_oracle import (DiscretenessSuspect, MoebiusMatrix,
+                              canonical_conjugacy_form, classify)
 from enumerate_oracle import enumerate_classes as reference_enumeration
 from enumerate_oracle import _power_root as linear_power_root
 from enumerate_oracle import inverse, matmul
@@ -173,12 +175,9 @@ def test_max_word_len_below_one_rejected():
     ((cmath.exp(0.3j) * (1 + 1e-11), 1.0), "rho[0]"),
 ])
 def test_character_value_off_the_unit_circle_is_refused(rho, where):
-    # refused by name before any word is walked, so no warning comes first
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(InputError, match=re.escape(where)):
-            enumerate_classes(fig8_generators(), list(rho), 8, 3.0)
-    assert caught == []
+    # refused by name before any word is walked
+    with pytest.raises(InputError, match=re.escape(where)):
+        enumerate_classes(fig8_generators(), list(rho), 8, 3.0)
 
 
 def test_character_weights_are_unit_modulus(fig8):
@@ -253,13 +252,11 @@ def test_enumeration_matches_reduced_word_search(rho, monkeypatch):
     gens = fig8_generators()
 
     def run(max_word_len, cutoff):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sp = enumerate_classes(gens, list(rho), max_word_len, cutoff)
-        return sp, [str(w.message) for w in caught]
+        return enumerate_classes(gens, list(rho), max_word_len, cutoff)
 
     cases = [(3, 4.0), (6, 3.0), (8, 3.5)]
     fast = [run(*c) for c in cases]
+    assert any(sp.suspects for sp in fast)
     monkeypatch.setattr(spectrum, "necklace_walk", _reduced_word_walk)
     assert [run(*c) for c in cases] == fast
 
@@ -347,11 +344,17 @@ def trace_clusters(draw):
     return found
 
 
-def _merged(merge, found):
+SUSPECT = "near-equal traces with incompatible character values: word "
+
+
+def _warned(oracle, *args):
+    """oracle(*args), and the words of the DiscretenessSuspect warnings
+    it raises, in order: the oracle's form of the package's suspects."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        kept = merge(list(found))
-    return kept, [str(w.message) for w in caught]
+        result = oracle(*args)
+    assert all(w.category is DiscretenessSuspect for w in caught)
+    return result, [str(w.message).removeprefix(SUSPECT) for w in caught]
 
 
 def _as_pairs(found):
@@ -363,8 +366,8 @@ def _as_pairs(found):
 @settings(max_examples=500, deadline=None)
 @given(trace_clusters())
 def test_bisected_trace_clusters_are_the_first_within_tolerance(found):
-    kept, caught = _merged(lambda f: _merge_conjugates(f, TEXTS2), found)
-    assert (_as_pairs(kept), caught) == _merged(linear_merge, _as_pairs(found))
+    kept, suspects = _merge_conjugates(list(found), TEXTS2)
+    assert (_as_pairs(kept), suspects) == _warned(linear_merge, _as_pairs(found))
 
 
 # --- trace prefilter -------------------------------------------------------
@@ -376,13 +379,6 @@ CHARACTERS = [
     (1j, -1.0 + 0j),
     (cmath.exp(0.7j), cmath.exp(-2.1j)),
 ]
-
-
-def _with_warnings(enumerate_fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sp = enumerate_fn(*args)
-    return sp, [(w.category, str(w.message)) for w in caught]
 
 
 def _fixture_lengths():
@@ -411,8 +407,9 @@ def test_prefilter_matches_the_unfiltered_enumeration(rho):
     for max_word_len in range(1, 9):
         for cutoff in (0.5, 2.0, 3.0, 3.5, 1500.0):
             args = (gens, list(rho), max_word_len, cutoff)
-            assert _with_warnings(enumerate_classes, *args) == \
-                _with_warnings(reference_enumeration, *args)
+            want, suspects = _warned(reference_enumeration, *args)
+            assert enumerate_classes(*args) == \
+                dataclasses.replace(want, suspects=tuple(suspects))
 
 
 def _conjugated(draw, core: MoebiusMatrix) -> MoebiusMatrix:
@@ -574,34 +571,20 @@ def test_frozen_fixture_matches_enumeration(fig8, tmp_path):
     assert p.read_bytes() == (FIXTURES / "fig8_spectrum.csv").read_bytes()
 
 
-def _matrices(tmp_path, rho):
-    """The figure-eight matrices file with the character value rho on
-    both generators."""
-    matrices = json.loads(read_fixture("fig8_matrices.json"))
-    matrices["rho"] = [[rho.real, rho.imag]] * 2
-    path = tmp_path / "matrices.json"
-    path.write_text(json.dumps(matrices), encoding="utf-8")
-    return path
-
-
-def _enumerate_with_warnings(capsys, path, max_word_len, cutoff):
-    """stdout of `spectrum enumerate` on the matrices file `path`, and
-    its warnings as the lines the command prints on stderr."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.run(["spectrum", "enumerate", str(path), "--max-word-len",
-                        str(max_word_len), "--cutoff", str(cutoff)])
-    out, _ = capsys.readouterr()
+def _enumerate_output(capsys, path, max_word_len, cutoff):
+    """stdout and stderr of `spectrum enumerate` on the matrices file
+    `path`."""
+    code = cli.run(["spectrum", "enumerate", str(path), "--max-word-len",
+                    str(max_word_len), "--cutoff", str(cutoff)])
     assert code == 0
-    return out, "".join(cli._warning_line(w.message, w.category, w.filename,
-                                          w.lineno) for w in caught)
+    return tuple(capsys.readouterr())
 
 
 def _enumerated(capsys, tmp_path, rho, max_word_len, cutoff) -> str:
     """stdout of `spectrum enumerate` on the figure-eight matrices with
     the character value rho on both generators."""
-    return _enumerate_with_warnings(capsys, _matrices(tmp_path, rho),
-                                    max_word_len, cutoff)[0]
+    return _enumerate_output(capsys, fig8_matrices_file(tmp_path, rho),
+                             max_word_len, cutoff)[0]
 
 
 ZETA5 = cmath.exp(0.4j * math.pi)
@@ -631,10 +614,10 @@ def test_enumerated_file_round_trips_byte_for_byte(capsys, tmp_path, rho):
     assert format_spectrum(load_spectrum(path)) == text
 
 
-# sha256 of stdout and of the warning lines of `spectrum enumerate` on
-# the figure-eight matrices, taken when the trace clusters and the
-# power roots were matched by linear scans: (character on both
-# generators, --max-word-len, --cutoff) -> (stdout, warnings)
+# sha256 of stdout and of stderr, the warning lines, of `spectrum
+# enumerate` on the figure-eight matrices, taken when the trace clusters
+# and the power roots were matched by linear scans: (character on both
+# generators, --max-word-len, --cutoff) -> (stdout, stderr)
 ENUMERATE_OUTPUT_SHA256 = {
     ("fixture", 8, 3): (
         "6b7af8f7adcdacf282f32cc5b3582febb97bddec44a4245c4a6c1236132e4a5a",
@@ -645,7 +628,7 @@ ENUMERATE_OUTPUT_SHA256 = {
     ("fixture", 12, 4): (
         "1f07311e5429c0a91c649ca8bbcd60519c4b962c398c95ca8719e47b7a92fb68",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    # 162 and 782 DiscretenessSuspect lines
+    # 162 and 782 warning lines
     ("zeta3", 10, 4): (
         "4bd095115793614b249a13ced09f1b04d3ef35dd5f7bc5eec4eda23c1a57eae5",
         "937d55cd9bc9b33e58c1f3da7f20e1e9253822caf608c562bc7e9b5e790cfdad"),
@@ -660,10 +643,10 @@ def test_enumerate_output_bytes_are_pinned(capsys, tmp_path):
     got = {}
     for name, max_word_len, cutoff in ENUMERATE_OUTPUT_SHA256:
         path = (FIXTURES / "fig8_matrices.json" if name == "fixture"
-                else _matrices(tmp_path, chars[name]))
+                else fig8_matrices_file(tmp_path, chars[name]))
         got[name, max_word_len, cutoff] = tuple(
             hashlib.sha256(text.encode()).hexdigest()
-            for text in _enumerate_with_warnings(capsys, path, max_word_len, cutoff))
+            for text in _enumerate_output(capsys, path, max_word_len, cutoff))
     assert got == ENUMERATE_OUTPUT_SHA256
 
 

@@ -9,7 +9,6 @@ import math
 import random
 import string
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta import cli, ruelle
-from cuspedzeta.errors import CuspedZetaError, DiscretenessSuspect, InputError
+from cuspedzeta.errors import CuspedZetaError, InputError
 from cuspedzeta.presentation import format_letters
 from cuspedzeta.spectrum import (GeodesicClass, Spectrum, enumerate_classes,
                                  format_spectrum, load_spectrum)
@@ -239,10 +238,8 @@ def _open_cases(tmp_path):
     # zeta3 on both generators: the four primitives of length 1.087 have
     # four squares, and eight rows are matched as squares
     z3 = cmath.exp(2j * math.pi / 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiscretenessSuspect)
-        sp = enumerate_classes(fig8_generators(), [z3, z3], max_word_len=8,
-                               cutoff_length=3.0)
+    sp = enumerate_classes(fig8_generators(), [z3, z3], max_word_len=8,
+                           cutoff_length=3.0)
     cases.append(("zeta3", _written(tmp_path, "zeta3", sp)))
     return cases
 
