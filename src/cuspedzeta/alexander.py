@@ -9,23 +9,18 @@ form of the Fox matrix; only orders and degrees at t=1 are contract values
 closed form with no further division: H0 is read from the character,
 and each H1 divisor's order at t = 1 from its Taylor sums, once.
 
-Where only t = 1 matters, the Smith form is not needed: `rank_at_one`
-takes the rank of the Fox matrix at t = 1 by elimination on integer
-rows mod Phi_n, with no inverse in Q(zeta_n).  The Betti numbers of
-`twisted_betti` are that rank, and `verdict` needs the Smith form only
-when the rank is below g - 1, that is when an H1 divisor vanishes at 1.
+Where only t = 1 matters, the Smith form is not needed: the Betti
+numbers of `twisted_betti` come from `laurent.rank_at_one`, the rank of
+the Fox matrix at t = 1, and `verdict` needs the Smith form only when
+h1 > h0, that is when an H1 divisor vanishes at 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from itertools import chain
-from math import gcd
-
-from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial
 from .errors import CuspedZetaError
-from .laurent import LaurentPoly, dot, ord_at_one, smith_form
+from .laurent import LaurentPoly, dot, ord_at_one, rank_at_one, smith_form
 from .presentation import Epsilon, GroupPresentation, UnitCharacter, fox_row
 
 
@@ -82,66 +77,6 @@ def _homology(d1: list[list[LaurentPoly]], d0: list[LaurentPoly], rho: UnitChara
             (g - orders.count(0)) - (1 - h0))
 
 
-def rank_at_one(n: int, d1: list[list[LaurentPoly]]) -> int:
-    """Rank over Q(zeta_n) of the matrix d1 at t = 1, for entries with
-    integer numerators (den 1), as `fox_row` gives them.
-
-    Each entry at t = 1 is the sum of its integer rows, and a row keeps
-    its nonzero entries by column.  Each step pivots on an entry of
-    least coefficient sum in absolute value.  A root of unity +-zeta^j
-    (sum 1) clears its column from the rows left as r - (a z) q, with z
-    = +-zeta^(n-j) its inverse; any other pivot p as p r - a q, after
-    which the row's integer content is divided out.  Neither changes
-    the span of the rows left, and neither forms an inverse by the norm.
-    """
-    phi = cyclotomic_polynomial(n)
-    zero = [0] * (len(phi) - 1)
-    rows = []
-    for row in d1:
-        r = {}
-        for j, f in enumerate(row):
-            v = [sum(c) for c in zip(*f.rows)]
-            if any(v):
-                r[j] = v
-        if r:
-            rows.append(r)
-    rank = 0
-    while rows:
-        i, j = next(((i, j) for i, r in enumerate(rows) for j, v in r.items()
-                     if sum(map(abs, v)) == 1), None) or \
-            min((sum(map(abs, v)), i, j) for i, r in enumerate(rows) for j, v in r.items())[1:]
-        q = rows.pop(i)
-        p = q.pop(j)
-        rank += 1
-        unit = sum(map(abs, p)) == 1
-        if unit:
-            power = [0] * (n + 1)
-            k = next(k for k, c in enumerate(p) if c)
-            power[n - k] = p[k]
-            z = _divmod_monic(power, phi)[1]
-        left = []
-        for r in rows:
-            a = r.pop(j, None)
-            if a is not None:
-                if unit:
-                    a = _mulmod(a, z, phi)
-                else:
-                    r = {c: _mulmod(p, v, phi) for c, v in r.items()}
-                for c, v in q.items():
-                    w = [x - y for x, y in zip(r.get(c, zero), _mulmod(a, v, phi))]
-                    if any(w):
-                        r[c] = w
-                    else:
-                        r.pop(c, None)
-                g = 1 if unit else gcd(*chain.from_iterable(r.values()))
-                if g > 1:
-                    r = {c: [x // g for x in v] for c, v in r.items()}
-            if r:
-                left.append(r)
-        rows = left
-    return rank
-
-
 def twisted_betti(p: GroupPresentation, rho: UnitCharacter) -> tuple[int, int]:
     """Dimensions (h0, h1) of the rho-twisted cohomology of the
     presentation complex over Q(zeta_n), with no t variable: the
@@ -160,11 +95,11 @@ def check_h2_torsion(p: GroupPresentation):
         raise CuspedZetaError("module H2 is not torsion")
 
 
-def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon,
-                        built=None) -> AlexanderData:
-    """The Alexander data of `alexander`, from `built`, the (d1, d0) of
-    `build_complex`, when the caller has it."""
-    d1, d0 = built or build_complex(p, rho, eps)
+def alexander_invariant(p: GroupPresentation, rho: UnitCharacter, eps: Epsilon
+                        ) -> AlexanderData:
+    """The Alexander data of `alexander`, from one Smith form of the
+    complex of `build_complex`."""
+    d1, d0 = build_complex(p, rho, eps)
     n = rho.modulus
 
     # the characteristic polynomial of t on H0 = coker d0: the entries

@@ -61,7 +61,7 @@ def complex_to_json(v) -> list[float]:
 
 
 def mero_to_json(m) -> dict:
-    """The JSON form of a `laplace.MeroSum`."""
+    """The JSON form of a `cuspterms.MeroSum`."""
     return {
         "polyPart": [complex_to_json(c) for c in m.poly_part],
         "poles": [[complex_to_json(l), complex_to_json(r)] for l, r in m.poles],

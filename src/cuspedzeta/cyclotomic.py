@@ -3,11 +3,13 @@
 The functions take and return bare integer lists on the power basis
 1, zeta, ..., zeta^(phi(n)-1), and `invert` also a denominator.  How an
 element of Q(zeta_n) is stored (such numerators over one positive
-denominator, in lowest terms) is decided in `laurent` alone.  Phi_n is
+denominator, in lowest terms) is decided in `laurent` alone, which is
+built on the integer kernel `divmod_monic` and `mulmod`.  Phi_n is
 monic over Z, so reduction runs in integers; the inverse of a root of
 unity +-zeta^j is +-zeta^(n-j), reduced by one division, and any other
 inverse is the product of the other Galois conjugates over the rational
-norm.  Nothing here ever rounds.
+norm.  `invert` is the one inverse of the package.  Nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 
-def _divmod_monic(a, b):
+def divmod_monic(a, b):
     """Quotient and remainder of integer polynomials (ascending degree)
     by a monic b; the remainder has at most len(b) - 1 terms."""
     a = list(a)
@@ -30,14 +32,14 @@ def _divmod_monic(a, b):
     return q, a[:m]
 
 
-def _mulmod(a, b, phi):
+def mulmod(a, b, phi):
     """a * b mod phi for integer polynomials of len(phi) - 1 terms."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _divmod_monic(out, phi)[1]
+    return divmod_monic(out, phi)[1]
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +51,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            p, r = _divmod_monic(p, cyclotomic_polynomial(d))
+            p, r = divmod_monic(p, cyclotomic_polynomial(d))
             assert not any(r), "cyclotomic division must be exact"
     return tuple(p)
 
@@ -78,15 +80,15 @@ def invert(n: int, num, den: int) -> tuple[tuple[int, ...], int]:
         j = terms[0]
         power = [0] * (n + 1)
         power[n - j] = num[j] // den
-        return tuple(_divmod_monic(power, phi)[1]), 1
+        return tuple(divmod_monic(power, phi)[1]), 1
     p = [1] + [0] * (len(num) - 1)
     for k in range(2, n):
         if gcd(k, n) == 1:
             conj = [0] * n
             for j, c in enumerate(num):
                 conj[j * k % n] += c
-            p = _mulmod(p, _divmod_monic(conj, phi)[1], phi)
-    norm, *rest = _mulmod(num, p, phi)
+            p = mulmod(p, divmod_monic(conj, phi)[1], phi)
+    norm, *rest = mulmod(num, p, phi)
     assert not any(rest), "the norm must be rational"
     p = [c * den for c in p]
     g = gcd(norm, *p) if norm > 0 else -gcd(norm, *p)

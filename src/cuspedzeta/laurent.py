@@ -20,7 +20,9 @@ the leading coefficient, which each polynomial computes at most once.
 The ring Q(zeta_n)[t, t^-1] is a localization of a Euclidean domain;
 division works on the span (top exponent minus bottom exponent) after
 clearing powers of t, which are units.  Only `smith_form` divides; the
-order at t = 1 is read from Taylor sums of the integer rows.
+order at t = 1 is read from Taylor sums of the integer rows, and
+`rank_at_one` takes the rank of a matrix at t = 1 by elimination on
+integer rows mod Phi_n, with no inverse by the norm.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, inf, lcm
 
-from .cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, euler_phi, invert
+from .cyclotomic import cyclotomic_polynomial, divmod_monic, euler_phi, invert, mulmod
 
 
 class LaurentPoly:
@@ -90,7 +92,7 @@ class LaurentPoly:
         if not counts:
             return cls.zero(n)
         low, phi, zero = min(counts), cyclotomic_polynomial(n), [0] * n
-        return cls.from_rows(n, low, [_divmod_monic(counts.get(h, zero), phi)[1]
+        return cls.from_rows(n, low, [divmod_monic(counts.get(h, zero), phi)[1]
                                       for h in range(low, max(counts) + 1)])
 
     # predicates ------------------------------------------------------
@@ -186,7 +188,7 @@ class LaurentPoly:
             c = tuple(x // g for x in c)
             quo[k] = tuple(x * d for x in c)
             for i in range(span):
-                r = _mulmod(c, b[i], phi)
+                r = mulmod(c, b[i], phi)
                 rem[k + i] = tuple(x - y for x, y in zip(rem[k + i], r))
         q = LaurentPoly.from_rows(self.n, self.low - other.low, _times(self.n, inum, quo),
                                   den * iden)
@@ -276,7 +278,7 @@ def dot(n, xs, ys, start=None, sign=1):
                     if c:
                         for q, d in b:
                             out[p + q] += c * d
-    rows = [_divmod_monic(r, phi)[1] if any(r[m:]) else r[:m] for r in acc]
+    rows = [divmod_monic(r, phi)[1] if any(r[m:]) else r[:m] for r in acc]
     return LaurentPoly.from_rows(n, low, rows, den)
 
 
@@ -286,7 +288,7 @@ def _times(n, num, rows):
     if num is None:
         return rows
     phi = cyclotomic_polynomial(n)
-    return [_mulmod(r, num, phi) for r in rows]
+    return [mulmod(r, num, phi) for r in rows]
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -394,3 +396,61 @@ def smith_form(matrix: list[list[LaurentPoly]]) -> list[LaurentPoly]:
             diag[i], diag[j] = g, a.exact_div(g) * b
     # no pivot was left, so the diagonal from k on is zero
     return [d.normalize() for d in diag] + [e[i][i] for i in range(k, size)]
+
+
+def rank_at_one(n: int, d1: list[list[LaurentPoly]]) -> int:
+    """Rank over Q(zeta_n) of the matrix d1 at t = 1, for entries with
+    integer numerators (den 1), as `fox_row` gives them.
+
+    Each entry at t = 1 is the sum of its integer rows, and a row keeps
+    its nonzero entries by column.  Each step pivots on an entry of
+    least coefficient sum in absolute value.  A root of unity +-zeta^j
+    (sum 1) clears its column from the rows left as r - (a z) q, with z
+    = +-zeta^(n-j) its inverse from `invert`; any other pivot p as
+    p r - a q, after which the row's integer content is divided out.
+    Neither changes the span of the rows left, and neither forms an
+    inverse by the norm.
+    """
+    phi = cyclotomic_polynomial(n)
+    zero = [0] * (len(phi) - 1)
+    rows = []
+    for row in d1:
+        r = {}
+        for j, f in enumerate(row):
+            v = [sum(c) for c in zip(*f.rows)]
+            if any(v):
+                r[j] = v
+        if r:
+            rows.append(r)
+    rank = 0
+    while rows:
+        i, j = next(((i, j) for i, r in enumerate(rows) for j, v in r.items()
+                     if sum(map(abs, v)) == 1), None) or \
+            min((sum(map(abs, v)), i, j) for i, r in enumerate(rows) for j, v in r.items())[1:]
+        q = rows.pop(i)
+        p = q.pop(j)
+        rank += 1
+        unit = sum(map(abs, p)) == 1
+        if unit:
+            z = invert(n, p, 1)[0]
+        left = []
+        for r in rows:
+            a = r.pop(j, None)
+            if a is not None:
+                if unit:
+                    a = mulmod(a, z, phi)
+                else:
+                    r = {c: mulmod(p, v, phi) for c, v in r.items()}
+                for c, v in q.items():
+                    w = [x - y for x, y in zip(r.get(c, zero), mulmod(a, v, phi))]
+                    if any(w):
+                        r[c] = w
+                    else:
+                        r.pop(c, None)
+                g = 1 if unit else gcd(*chain.from_iterable(r.values()))
+                if g > 1:
+                    r = {c: [x // g for x in v] for c, v in r.items()}
+            if r:
+                left.append(r)
+        rows = left
+    return rank

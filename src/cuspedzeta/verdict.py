@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .alexander import alexander_invariant, build_complex, check_h2_torsion, rank_at_one
+from .alexander import alexander_invariant, check_h2_torsion, twisted_betti
 from .errors import CuspedZetaError
 from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
                            peripheral_trivial, serialize_presentation)
@@ -29,12 +29,17 @@ from .presentation import (Epsilon, GroupPresentation, UnitCharacter,
 def l2_betti(h0: int, h1: int, delta_rho: bool) -> tuple[int, int]:
     """Reduced L2 Betti numbers from the cohomology of the open manifold:
     beta0 = h0, beta1 = h1 - 1 when the character is trivial on the cusp
-    (delta_rho) and h1 otherwise."""
+    (delta_rho) and h1 otherwise.  Under delta_rho the image of H^1 in
+    the two-dimensional H^1 of the torus boundary is a line (half lives,
+    half dies), so h1 >= 1."""
     if h0 not in (0, 1):
         raise CuspedZetaError(f"h0 must be 0 or 1, got {h0}")
     if h0 == 1 and not delta_rho:
         raise CuspedZetaError(
             "a globally trivial character cannot be nontrivial on the cusp")
+    if delta_rho and h1 < 1:
+        raise CuspedZetaError(
+            f"a character trivial on the cusp needs h1 >= 1, got h1 = {h1}")
     return h0, (h1 - 1) if delta_rho else h1
 
 
@@ -48,16 +53,16 @@ def ruelle_order_prediction(h0: int, h1: int, delta_rho: bool) -> int:
 def _alexander_at_one(p: GroupPresentation, rho: UnitCharacter,
                       eps: Epsilon) -> tuple[int, int, int, bool]:
     """(ordAtOne, h0, h1, semisimpleAtOne) of `alexander_invariant`,
-    refused where it refuses, from one complex.  rank d1(1) counts the
-    H1 divisors that are nonzero at t = 1, so at rank g - 1 none
-    vanishes there: H1 is torsion, ordAtOne = h1 = h0 and the order is
-    semisimple, with no Smith form.  Below it the Smith form gives them."""
-    built = build_complex(p, rho, eps)
-    if rank_at_one(rho.modulus, built[0]) < p.arity - 1:
-        data = alexander_invariant(p, rho, eps, built)
+    refused where it refuses.  h1 - h0 of `twisted_betti`, which does
+    not depend on eps, counts the H1 divisors that vanish at t = 1, so
+    at h1 = h0 none does: H1 is torsion, ordAtOne = h1 = h0 and the
+    order is semisimple, with no Smith form.  Above it the Smith form
+    gives them."""
+    h0, h1 = twisted_betti(p, rho)
+    if h1 > h0:
+        data = alexander_invariant(p, rho, eps)
         return data.ord_at_one, data.h0, data.h1, data.semisimple_at_one
     check_h2_torsion(p)
-    h0 = int(rho.is_trivial)
     return h0, h0, h0, True
 
 

@@ -30,7 +30,7 @@ import mpmath as mp
 
 from cuspedzeta.cuspterms import _WORK_CAP, Lattice2D, LatticeCharacter, _cutoff
 from cuspedzeta.errors import CuspedZetaError
-from cuspedzeta.laplace import _dirichlet_terms
+from cuspedzeta.cuspterms import _dirichlet_terms
 
 
 class ExtrapolationUnstable(CuspedZetaError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cuspedzeta.errors import CuspedZetaError
-from cuspedzeta.laplace import _BERNOULLI, MeroSum
+from cuspedzeta.cuspterms import _BERNOULLI, MeroSum
 from cuspedzeta.ruelle import TruncationReport, _tail_bound
 from cuspedzeta.spectrum import Spectrum
 

@@ -15,13 +15,13 @@ import pytest
 from cuspedzeta import ruelle
 from cuspedzeta.alexander import alexander_invariant
 from cuspedzeta.cli import run as cli_run
-from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter, MeroSum,
+from cuspedzeta.cuspterms import (EULER_GAMMA, Lattice2D, LatticeCharacter, MeroSum,
                                   NontrivialRestriction, TrivialRestriction,
                                   epstein, epstein_residue_and_constant,
                                   identity_lprime, j1_pm_lprime,
                                   j1_zero_lprime, threshold_lprime,
                                   unipotent_lprime)
-from cuspedzeta.laplace import EULER_GAMMA
+from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.laurent import LaurentPoly
 from cuspedzeta.presentation import parse_presentation
 from cuspedzeta.spectrum import Spectrum, enumerate_classes, load_spectrum
@@ -220,6 +220,11 @@ def test_criterion_8_order_formula_coherence():
         for h1 in range(11):
             for delta in (False, True):
                 if h0 == 1 and not delta:
+                    continue
+                if delta and h1 < 1:
+                    # no manifold: triviality on the cusp forces h1 >= 1
+                    with pytest.raises(CuspedZetaError):
+                        ruelle_order_prediction(h0, h1, delta)
                     continue
                 b0, b1 = l2_betti(h0, h1, delta)
                 ok &= ruelle_order_prediction(h0, h1, delta) \

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 from cuspedzeta import alexander
 from cuspedzeta.alexander import (_homology, alexander_invariant,
-                                  build_complex, rank_at_one, twisted_betti)
+                                  build_complex, twisted_betti)
 from cuspedzeta.errors import CuspedZetaError
 from cuspedzeta.cyclotomic import euler_phi
-from cuspedzeta.laurent import LaurentPoly, dot, format_poly, ord_at_one, smith_form
+from cuspedzeta.laurent import (LaurentPoly, dot, format_poly, ord_at_one, rank_at_one,
+                                smith_form)
 from cuspedzeta.presentation import (Epsilon, GroupPresentation, UnitCharacter,
                                      parse_presentation)
 from cuspedzeta.verdict import main_conjecture_report

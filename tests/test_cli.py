@@ -1060,7 +1060,7 @@ def test_cli_import_leaves_scipy_unloaded():
 _EXACT = {"alexander", "cli", "cyclotomic", "errors", "laurent",
           "presentation"}
 _RUELLE = {"cli", "errors", "ruelle", "spectrum"}
-_CUSP = {"cli", "errors", "cuspterms", "laplace"}
+_CUSP = {"cli", "errors", "cuspterms"}
 
 
 @pytest.mark.parametrize("argv, modules", [

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from cuspedzeta.cli import _load_poles
-from cuspedzeta.cuspterms import (Lattice2D, LatticeCharacter,
-                                  NontrivialRestriction, ScatteringPoles,
+from cuspedzeta.cuspterms import (EULER_GAMMA, Lattice2D, LatticeCharacter,
+                                  MeroSum, NontrivialRestriction, ScatteringPoles,
                                   TrivialRestriction, epstein,
                                   epstein_residue_and_constant,
                                   identity_lprime, j1_pm_lprime,
                                   j1_zero_lprime, scattering_lprime,
                                   threshold_lprime, unipotent_lprime)
 from cuspedzeta.errors import CuspedZetaError, InputError
-from cuspedzeta.laplace import EULER_GAMMA, MeroSum
 
 from conftest import FIXTURES
 from epstein_oracle import _tail_shape, epstein_mpmath, kronecker_constant

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspedzeta.cyclotomic import _divmod_monic, _mulmod, cyclotomic_polynomial, invert
+from cuspedzeta.cyclotomic import cyclotomic_polynomial, divmod_monic, invert, mulmod
 from cuspedzeta.laurent import LaurentPoly, dot, format_poly
 
 import cyclotomic_oracle as oracle
@@ -57,9 +57,9 @@ def test_arithmetic_matches_the_rational_oracle(case):
     # a list of any length reduces mod Phi_n as the oracle's does
     d = lcm(*(Fraction(c).denominator for c in a))
     long = [int(c * d) for c in a] + [0] * len(phi)
-    assert [Fraction(c, d) for c in _divmod_monic(long, phi)[1]] == list(ox.coeffs)
+    assert [Fraction(c, d) for c in divmod_monic(long, phi)[1]] == list(ox.coeffs)
     (xa, dx), (ya, dy) = numerators(ox), numerators(oy)
-    assert [Fraction(c, dx * dy) for c in _mulmod(xa, ya, phi)] == list((ox * oy).coeffs)
+    assert [Fraction(c, dx * dy) for c in mulmod(xa, ya, phi)] == list((ox * oy).coeffs)
     x, y = constant(ox), constant(oy)
     for lib, orc in ((x, ox), (x + y, ox + oy), (x - y, ox - oy), (-x, -ox),
                      (x * y, ox * oy)):
@@ -74,7 +74,7 @@ def test_arithmetic_matches_the_rational_oracle(case):
         return
     inum, iden = invert(n, xa, dx)
     assert (inum, iden) == numerators(ox.inverse())
-    quotient = [Fraction(c, dy * iden) for c in _mulmod(ya, inum, phi)]
+    quotient = [Fraction(c, dy * iden) for c in mulmod(ya, inum, phi)]
     assert quotient == list((oy * ox.inverse()).coeffs)
 
 
@@ -98,7 +98,7 @@ def test_roots_of_unity_invert_as_the_oracle_does():
                     num[j] = sign * den
                     inum, iden = invert(n, num, den)
                     assert (inum, iden) == want
-                    assert _mulmod(num, inum, phi) == [den * iden] + [0] * (m - 1)
+                    assert mulmod(num, inum, phi) == [den * iden] + [0] * (m - 1)
 
 
 @st.composite

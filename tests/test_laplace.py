@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspedzeta.cli import mero_to_json
-from cuspedzeta.laplace import (EULER_GAMMA, MeroSum, _besselk, _cosine_zeta,
-                                _log_gamma)
+from cuspedzeta.cuspterms import (EULER_GAMMA, MeroSum, _besselk, _cosine_zeta,
+                                  _log_gamma)
 
 import mpmath_references as references
 from heat_oracle import (HeatAtom, PoleEvaluation, UnsupportedAtom,

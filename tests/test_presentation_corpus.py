@@ -102,7 +102,7 @@ DIGESTS = {
     8: {"alexander": (0, "c7276dbf1b2037b196e822b3edc726efe6fe1d4ba2608ac4639a298a47de6381"),
         "verify": (2, "dd0b647aeb60e6994d78bc2fbd0a2403a46fd36f84d207dc4c4f8d87e5020377")},
     9: {"alexander": (0, "7361d2d0ca4fd2d16c3c69aac57a4906f7a34c8c185b996385e74f2d7960153e"),
-        "verify": (0, "f954de711789280379cd0e9cf48d79c1fb45606c9ffc533b2e85f8139a055adc")},
+        "verify": (70, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")},
     10: {"alexander": (0, "3c945a04aa57d496a33f298a05deda4fb5cd83353fec5b69070a432c25903464"),
         "verify": (0, "4183d68bd50751e3d1fbbf9d7889b053f2079b9eb93e6f53476dde7de6b6d45c")},
     11: {"alexander": (0, "09de77d567cf6a32ca0e0deeece429d4d7e1e06f2815288149737a62e6cd475e"),
@@ -110,7 +110,7 @@ DIGESTS = {
     12: {"alexander": (0, "0b84024f7cc0212b296ccbe8ce452ed83b6b3c97ff56ecdf9f3071075f5cff61"),
         "verify": (2, "46f31104c2de949b3bf43e7d2a91f5bdcfb277ab04123e3b5e4d6f8f0123c1c1")},
     13: {"alexander": (0, "72f5e221cc0ac7406f9aa7bcfbf48bc833e191476c7b9e8633f8931745c8cbe1"),
-        "verify": (0, "3e78ea5818cf874f8b4221ecff598c2a4e54724dc101d0b3f31820d58ae4a4d7")},
+        "verify": (70, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")},
     14: {"alexander": (0, "19ad957de37ecfdf60cdfde16cfde13b37a93df9a9f4ea1f62f4b3003c6f9aa9"),
         "verify": (0, "d9b2b0c3d1d13dcf413b186c1f2b2239c5b6b4e76e61e5411ef91f17eef84772")},
     15: {"alexander": (0, "d1bbbbb1b88008e27369722cb274feaf1297faae17c0fadcaf9833c78e716ab9"),
@@ -146,13 +146,13 @@ DIGESTS = {
     30: {"alexander": (0, "62e26a6c4da4721deddd637009ce54fd492abeb7f48c7423e0f4e58b65194212"),
         "verify": (0, "acdb1908f38b762cc75db6727f3673ece7e7301a0cf78598d7f34d3612562779")},
     31: {"alexander": (0, "f36fdf317b39bbcf659560a95edce60a0a2759f8fb621f20728d4a68778162d7"),
-        "verify": (0, "85aabd5f04fe6e54f93b835df5b1f0d8fd304aea371f280d999695ef86ac2577")},
+        "verify": (70, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")},
     32: {"alexander": (0, "075bbbb76617d5bda8992317cdeafc04b3fa9b685e254db2468d2c14a37813ab"),
-        "verify": (0, "851d371e4e03d949565a08099a2e249fec4155e1843cd82003d460ff59001396")},
+        "verify": (70, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")},
     33: {"alexander": (0, "8b81a4360c02a7a402bac1389d6b57cfcabca0b5bdf2f3fa7fdc7a8fcbf2150a"),
         "verify": (0, "3fe6d50d960e843dad2bd7d01d47c4c4ddbfd7bda4cc95744295d42a7f7df23e")},
     34: {"alexander": (0, "1ab2aef7080657b249a6f6b673df49cbb4a1c09c29fd6ee20d7f5eb38f8344da"),
-        "verify": (0, "a80f257b13b03bb3b08fc94a93cbf33f437a93695e2f60f41d96eec970bf9731")},
+        "verify": (70, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")},
     35: {"alexander": (0, "fc09620c63ceac3f936e52f5126a2244b9c150bc3296f6f84086ea00939dbe0c"),
         "verify": (0, "ac6d3a852d354f04a2867b1335e5f94b8929aa64bc7ce27a08d0fe6f52a460a8")},
     36: {"alexander": (0, "41cd852ca83e5f69a0ab5ba8ff21c38f7e34f99677febb27277aedee49dd984b"),

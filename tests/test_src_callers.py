@@ -12,6 +12,9 @@ class defines a method of the same name that has one.  Every method
 name that two or more classes define is therefore listed in `SHARED`,
 with the reason each copy is called; a new shared name fails until it
 has been checked and added.
+
+A private name stays in its module: no module of the package imports an
+underscore name from another one.
 """
 
 from __future__ import annotations
@@ -119,3 +122,19 @@ def test_shared_method_names_are_listed():
                 classes.setdefault(name, []).append(qualified)
     shared = {name: owners for name, owners in classes.items() if len(owners) > 1}
     assert sorted(shared) == sorted(SHARED), shared
+
+
+def _private_imports() -> list[str]:
+    """`module: from-module.name` for each underscore name that a relative
+    import of a package module takes from another package module."""
+    out = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                out += [f"{module}: {node.module or ''}.{alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports() == []

@@ -33,12 +33,15 @@ def test_l2_betti_cases():
         l2_betti(1, 1, False)
     with pytest.raises(CuspedZetaError, match="h0 must be 0 or 1, got 2"):
         l2_betti(2, 0, True)
+    # a character trivial on the cusp keeps half of H^1 of the torus
+    with pytest.raises(CuspedZetaError, match="needs h1 >= 1, got h1 = 0"):
+        l2_betti(0, 0, True)
 
 
 def test_order_prediction_branches():
     # trivial-restriction branch: 2(2 h0 - h1 + 1)
     assert ruelle_order_prediction(1, 1, True) == 4
-    assert ruelle_order_prediction(0, 0, True) == 2
+    assert ruelle_order_prediction(0, 1, True) == 0
     # nontrivial-restriction branch: -2 h1
     assert ruelle_order_prediction(0, 0, False) == 0
     assert ruelle_order_prediction(0, 3, False) == -6
@@ -50,6 +53,11 @@ def test_order_prediction_coheres_with_betti_exhaustively():
             for delta in (False, True):
                 if h0 == 1 and not delta:
                     continue  # a fixed vector forces triviality on the cusp
+                if delta and h1 < 1:
+                    # triviality on the cusp forces h1 >= 1
+                    with pytest.raises(CuspedZetaError):
+                        ruelle_order_prediction(h0, h1, delta)
+                    continue
                 b0, b1 = l2_betti(h0, h1, delta)
                 assert ruelle_order_prediction(h0, h1, delta) \
                     == 2 * (2 * b0 - b1)
@@ -126,6 +134,21 @@ def test_failed_inequality_exits_3(monkeypatch, capsys):
     assert code == 3
     assert '"inequalityHolds": false' in out
     assert json.loads(out)["corollaryBranch"] == "nontrivialRestriction"
+
+
+def test_verify_refuses_h1_zero_on_a_character_trivial_on_the_cusp(tmp_path, capsys):
+    """Z^2 under rho(a) = rho(b) = -1 has h1 = 0, yet rho(ab) = 1 on the
+    peripheral word: no manifold has this, and `verify` printed
+    beta1 = -1 with exit 0 for it."""
+    path = tmp_path / "torus.pres"
+    path.write_text("gens a b\nrel abAB\nperi ab\neps 1 -1\nrho n=2: 1 1\n")
+    assert run(["betti", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"deltaRho": True, "h0": 0, "h1": 0}
+    assert run(["verify", str(path)]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("cuspedzeta: computation failed: a character trivial on the "
+                   "cusp needs h1 >= 1, got h1 = 0\n")
 
 
 # --- rank d1(1) against the Smith form ----------------------------------------
